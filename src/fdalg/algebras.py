@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
@@ -25,9 +26,13 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     RowSpace,
+    common_left_kernel,
     invert,
+    left_kernel_rows,
     solve_columns,
+    unit_vector,
     vadd,
+    vcombine,
     vec_is_zero,
     vscale,
     vsub,
@@ -101,12 +106,7 @@ class Algebra:
     # -- element arithmetic -------------------------------------------
 
     def basis_vector(self, i: int) -> tuple:
-        v = [self.field.zero] * self.dim
-        v[i] = self.field.one
-        return tuple(v)
-
-    def scalar(self, c) -> tuple:
-        return vscale(self.field, self.field.coerce(c), self.unit)
+        return unit_vector(self.field, self.dim, i)
 
     def coerce_element(self, seq) -> tuple:
         v = tuple(self.field.coerce(x) for x in seq)
@@ -129,12 +129,6 @@ class Algebra:
                 for k, ck in spi[j]:
                     out[k] = field.add(out[k], field.mul(c, ck))
         return tuple(out)
-
-    def power(self, x: Sequence, n: int) -> tuple:
-        acc = self.unit
-        for _ in range(n):
-            acc = self.mul(acc, x)
-        return acc
 
     def left_mult_matrix(self, x: Sequence) -> Matrix:
         """Matrix L with [x*y] = [y] @ L."""
@@ -293,9 +287,7 @@ class CenterData:
         return self._as_algebra
 
     def coordinates(self, v: Sequence) -> Optional[tuple]:
-        M = Matrix(self.algebra.field, self.basis, ncols=self.algebra.dim)
-        sol = solve_columns(M.transpose(), Matrix.column(self.algebra.field, v))
-        return sol.column_tuple(0) if sol is not None else None
+        return _coords_in_rows(self.algebra.field, self.basis, v)
 
 
 # -- constructors ------------------------------------------------------
@@ -532,8 +524,7 @@ def quotient_algebra(A: Algebra, ideal_vectors: Sequence[Sequence], prefix: str 
     quo = QuotientSpace(space)
     if quo.dim == 0:
         raise DimensionError("quotient by the whole algebra")
-    lifts = [quo.lift(tuple(field.one if i == j else field.zero for j in range(quo.dim)))
-             for i in range(quo.dim)]
+    lifts = [quo.lift(unit_vector(field, quo.dim, i)) for i in range(quo.dim)]
     table = [[quo.project(A.mul(x, y)) for y in lifts] for x in lifts]
     unit = quo.project(A.unit)
     names = [f"{prefix}{i}" for i in range(quo.dim)]
@@ -544,24 +535,11 @@ def quotient_algebra(A: Algebra, ideal_vectors: Sequence[Sequence], prefix: str 
 
 def center(A: Algebra) -> CenterData:
     """Basis of {x : x e_i = e_i x for all i}."""
-    field = A.field
-    constraint_rows = []
-    for m in range(A.dim):
-        em = A.basis_vector(m)
-        rows = []
-        for i in range(A.dim):
-            ei = A.basis_vector(i)
-            rows.append(vsub(field, A.mul(em, ei), A.mul(ei, em)))
-        constraint_rows.append(rows)
-    # x is central iff for every i the combination sum_m x_m (e_m e_i - e_i e_m) = 0
-    stacked = [
-        tuple(itertools.chain.from_iterable(constraint_rows[m][i] for i in range(A.dim)))
-        for m in range(A.dim)
-    ]
-    from .linalg import left_kernel_rows
-
-    M = Matrix(field, stacked, ncols=A.dim * A.dim)
-    basis = left_kernel_rows(M)
+    # x is central iff x (R(e_i) - L(e_i)) = 0 for every i
+    basis = common_left_kernel([
+        A.right_mult_matrix(e) - A.left_mult_matrix(e)
+        for e in map(A.basis_vector, range(A.dim))
+    ])
     return CenterData(A, basis)
 
 
@@ -587,8 +565,6 @@ def jacobson_radical(A: Algebra) -> list:
                 acc = field.add(acc, field.mul(c, traces[m]))
             row.append(acc)
         gram.append(row)
-    from .linalg import left_kernel_rows
-
     basis = left_kernel_rows(Matrix(field, gram))
     _verify_nilpotent_ideal(A, basis)
     return basis
@@ -704,8 +680,6 @@ def _poly_powmod(field: Field, f: list, e: int, m: list) -> list:
 
 def _rational_roots(f: list) -> list:
     """All rational roots of a polynomial with Fraction coefficients."""
-    from fractions import Fraction
-
     den = 1
     for c in f:
         den = den * c.denominator // _gcd(den, c.denominator)
@@ -785,9 +759,7 @@ def minimal_polynomial(A: Algebra, x: Sequence) -> list:
     while True:
         cur = A.mul(cur, x)
         if space.contains(cur):
-            M = Matrix(field, powers, ncols=A.dim).transpose()
-            sol = solve_columns(M, Matrix.column(field, cur))
-            coeffs = sol.column_tuple(0)
+            coeffs = _coords_in_rows(field, powers, cur)
             return [field.neg(c) for c in coeffs] + [field.one]
         space.insert(cur)
         powers.append(cur)
@@ -926,7 +898,7 @@ def _split_semisimple(S: Algebra, rng: random.Random) -> list:
                         continue
                     shifted = vsub(field, zu, vscale(field, mu, corner.unit))
                     proj = corner.mul(proj, vscale(field, field.inv(field.sub(lam, mu)), shifted))
-                refined.append(_push_through_rows(field, emb, proj))
+                refined.append(vcombine(field, S.dim, proj, emb))
         centrals = refined
     out = []
     for u in centrals:
@@ -942,14 +914,6 @@ def _coords_in_rows(field: Field, rows: list, v: Sequence) -> Optional[tuple]:
     M = Matrix(field, rows, ncols=len(v)).transpose()
     sol = solve_columns(M, Matrix.column(field, v))
     return sol.column_tuple(0) if sol is not None else None
-
-
-def _push_through_rows(field: Field, rows: list, coords: Sequence) -> tuple:
-    out = vzero(field, len(rows[0]))
-    for c, row in zip(coords, rows):
-        if c != 0:
-            out = vadd(field, out, vscale(field, c, row))
-    return out
 
 
 def _split_simple_corner(S: Algebra, u: Sequence, rng: random.Random) -> list:
@@ -970,7 +934,7 @@ def _split_simple_corner(S: Algebra, u: Sequence, rng: random.Random) -> list:
     g = vsub(corner.field, corner.unit, f)
     out = []
     for idem in (f, g):
-        lifted = _push_through_rows(corner.field, emb, idem)
+        lifted = vcombine(corner.field, S.dim, idem, emb)
         out.extend(_split_simple_corner(S, lifted, rng))
     return out
 
@@ -1007,15 +971,34 @@ def _find_zero_divisor(C: Algebra, rng: random.Random) -> Optional[tuple]:
                 z = try_candidate(x)
                 if z is not None:
                     return z
-    small = [field.coerce(k) for k in (-2, -1, 0, 1, 2)]
-    for _ in range(300):
-        x = vzero(field, C.dim)
-        for b in basis:
-            x = vadd(field, x, vscale(field, small[rng.randrange(len(small))], b))
+    for x in random_combinations(field, C.dim, basis, rng, 300, (-2, -1, 0, 1, 2)):
         z = try_candidate(x)
         if z is not None:
             return z
     return None
+
+
+def random_combinations(field: Field, n: int, basis: Sequence[Sequence],
+                        rng: random.Random, count: int, small: Sequence[int],
+                        per_entry: bool = False):
+    """``count`` random vectors sum_b r_b b in F^n, drawn lazily from ``rng``.
+
+    Each r_b is a scalar drawn from ``small``; with ``per_entry`` it is
+    one draw per entry of b, multiplied entrywise, so the result need not
+    lie in the span of ``basis``.  Draws follow basis order (and entry
+    order within b), which fixes the candidates for a given seed.
+    """
+    small = [field.coerce(k) for k in small]
+
+    def draw():
+        return small[rng.randrange(len(small))]
+
+    for _ in range(count):
+        if per_entry:
+            yield vcombine(field, n, [field.one] * len(basis),
+                           [[draw() * c for c in b] for b in basis])
+        else:
+            yield vcombine(field, n, [draw() for _ in basis], basis)
 
 
 def _idempotent_generator(C: Algebra, x: Sequence) -> tuple:
@@ -1035,10 +1018,7 @@ def _idempotent_generator(C: Algebra, x: Sequence) -> tuple:
     sol = solve_columns(Matrix(field, rows, ncols=r), Matrix.column(field, rhs))
     if sol is None:
         raise VerificationError("right ideal admits no idempotent generator")
-    coeffs = sol.column_tuple(0)
-    f = vzero(field, C.dim)
-    for c, y in zip(coeffs, ideal):
-        f = vadd(field, f, vscale(field, c, y))
+    f = vcombine(field, C.dim, sol.column_tuple(0), ideal)
     if C.mul(f, f) != f or vec_is_zero(f) or f == C.unit:
         raise VerificationError("idempotent generator construction failed")
     return f
@@ -1112,21 +1092,8 @@ def basic_algebra(A: Algebra, seed: int = 0) -> BasicAlgebraResult:
 
     idems = primitive_idempotents(A, seed=seed)
     mods = [modules.principal_right_module(A, e) for e in idems]
-    reps: list = []
-    rep_mods: list = []
-    for e, m in zip(idems, mods):
-        found = False
-        for rm in rep_mods:
-            if modules.is_isomorphic(m, rm, seed=seed) is not None:
-                found = True
-                break
-        if not found:
-            reps.append(e)
-            rep_mods.append(m)
-    field = A.field
-    f = vzero(field, A.dim)
-    for e in reps:
-        f = vadd(field, f, e)
+    reps = [idems[cls[0]] for cls in modules.isomorphism_classes(mods, seed=seed)]
+    f = vcombine(A.field, A.dim, [A.field.one] * len(reps), reps)
     span = [A.mul(f, A.mul(A.basis_vector(i), f)) for i in range(A.dim)]
     B, emb = subalgebra(A, span, f, prefix="b")
     return BasicAlgebraResult(B, f, emb, reps)
@@ -1170,29 +1137,14 @@ def find_goldman_element(A: Algebra, seed: int = 0, trials: int = 500):
     T = tensor_product(A, A)
     d = A.dim
     # swap law as linear conditions on g: g*(r x s) - (s x r)*g = 0
-    rows = []
-    for r in range(d):
-        for s in range(d):
-            R1 = T.right_mult_matrix(T.basis_vector(r * d + s))
-            L1 = T.left_mult_matrix(T.basis_vector(s * d + r))
-            diff = R1 - L1
-            rows.append(diff)
-    stacked = Matrix(field, [
-        tuple(itertools.chain.from_iterable(m.rows[i] for m in rows))
-        for i in range(T.dim)
-    ], ncols=T.dim * len(rows))
-    from .linalg import left_kernel_rows
-
-    swap_space = left_kernel_rows(stacked)
-    rng = random.Random(seed)
-    candidates = list(swap_space)
-    small = [field.coerce(k) for k in (-1, 1, 0, 2, -2)]
-    for _ in range(trials):
-        v = vzero(field, T.dim)
-        for b in swap_space:
-            v = vadd(field, v, vscale(field, small[rng.randrange(len(small))], b))
-        candidates.append(v)
-    for g in candidates:
+    swap_space = common_left_kernel([
+        T.right_mult_matrix(T.basis_vector(r * d + s))
+        - T.left_mult_matrix(T.basis_vector(s * d + r))
+        for r in range(d) for s in range(d)
+    ])
+    randoms = random_combinations(field, T.dim, swap_space, random.Random(seed), trials,
+                                  (-1, 1, 0, 2, -2))
+    for g in itertools.chain(swap_space, randoms):
         if not vec_is_zero(g) and T.mul(g, g) == T.unit:
             return T, tuple(g)
     return T, None

@@ -5,16 +5,17 @@ named construction, and emits a JSON report whose "checks" section
 re-verifies the defining equations of every returned object independently
 of the construction path.
 
-Exit codes: 0 success; 1 malformed or unsupported input; 2 a certified
-mathematical negative (no involution, impossible twist); 3 inconclusive
-searches.  Reports are UTF-8 JSON with fixed key order; the same seed and
-input always produce byte-identical output.
+Exit codes: 0 success; 1 malformed or unsupported input, usage errors
+included; 2 a certified mathematical negative (no involution, impossible
+twist); 3 inconclusive searches.  Reports are UTF-8 JSON with fixed key
+order; the same seed and input always produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -33,7 +34,7 @@ from .errors import (
     UnsupportedCharacteristicError,
     VerificationError,
 )
-from .linalg import Field, Matrix, QQ
+from .linalg import Field, Matrix, QQ, invert
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -76,22 +77,17 @@ def matrix_json(m: Matrix) -> list:
     return [vector_json(m.field, row) for row in m.rows]
 
 
+# Scalars in the JSON input are ints or strings ("3", "-1/2", "4 mod 7");
+# Matrix, Algebra, BilinearForm and AntiStructure coerce every entry
+# through Field.coerce, which parses strings and rejects inexact values.
+
 def matrix_from_json(field: Field, rows, ncols=None) -> Matrix:
-    return Matrix(field, [[field.parse(str(x)) if isinstance(x, str) else field.coerce(x)
-                           for x in row] for row in rows], ncols=ncols)
+    return Matrix(field, rows, ncols=ncols)
 
 
 def algebra_from_json(obj) -> _alg.Algebra:
     field = field_from_json(obj["field"])
-    basis = obj["basis"]
-    table = [
-        [[field.parse(str(x)) if isinstance(x, str) else field.coerce(x) for x in cell]
-         for cell in row]
-        for row in obj["table"]
-    ]
-    unit = [field.parse(str(x)) if isinstance(x, str) else field.coerce(x)
-            for x in obj["unit"]]
-    return _alg.Algebra(field, basis, table, unit)
+    return _alg.Algebra(field, obj["basis"], obj["table"], obj["unit"])
 
 
 def algebra_to_json(A: _alg.Algebra) -> dict:
@@ -140,36 +136,14 @@ def _check(name: str, ok: bool) -> dict:
 
 
 def verify_anti_map(A: _alg.Algebra, m: Matrix, label: str) -> list:
-    field = A.field
-
-    def apply(x):
-        out = []
-        for k in range(A.dim):
-            acc = field.zero
-            for i, xi in enumerate(x):
-                if xi != 0:
-                    acc = field.add(acc, field.mul(m.rows[k][i], xi))
-            out.append(acc)
-        return tuple(out)
-
-    unit_ok = apply(A.unit) == A.unit
-    anti_ok = True
-    for i in range(A.dim):
-        ei = A.basis_vector(i)
-        for j in range(A.dim):
-            ej = A.basis_vector(j)
-            if apply(A.mul(ei, ej)) != A.mul(apply(ej), apply(ei)):
-                anti_ok = False
-                break
-        if not anti_ok:
-            break
-    from .linalg import invert
-
-    bij_ok = invert(m) is not None
+    apply = _alg.AlgebraMap(A, A, m, _alg.AlgebraMap.ANTI, validate=False).apply
+    basis = [A.basis_vector(i) for i in range(A.dim)]
+    anti_ok = all(apply(A.mul(x, y)) == A.mul(apply(y), apply(x))
+                  for x in basis for y in basis)
     return [
-        _check(f"{label}: unit preserved", unit_ok),
+        _check(f"{label}: unit preserved", apply(A.unit) == A.unit),
         _check(f"{label}: anti-multiplicative on all basis pairs", anti_ok),
-        _check(f"{label}: bijective", bij_ok),
+        _check(f"{label}: bijective", invert(m) is not None),
     ]
 
 
@@ -286,12 +260,7 @@ def cmd_form_correspond(data, args):
     M = module_from_json(A, data["module"])
     K = double_module_from_json(A, data["values"])
     dimK = K.dim
-    tensor = [
-        [[A.field.parse(str(x)) if isinstance(x, str) else A.field.coerce(x) for x in cell]
-         for cell in row]
-        for row in data["tensor"]
-    ]
-    b = _forms.BilinearForm(M, K, tensor)
+    b = _forms.BilinearForm(M, K, data["tensor"])
     alpha, end = _forms.corresponding_anti_automorphism(b)
     checks = verify_anti_map(end.algebra, alpha.matrix, "corresponding map")
     checks += verify_form_balance(b, "input form")
@@ -339,9 +308,7 @@ def cmd_hyperbolic(data, args):
 def cmd_anti_structure_m2(data, args):
     A = algebra_from_json(data["algebra"])
     gamma = map_from_json(A, data["gamma"])
-    v = [A.field.parse(str(x)) if isinstance(x, str) else A.field.coerce(x)
-         for x in data["v"]]
-    s = _inv.AntiStructure(A, gamma, v)
+    s = _inv.AntiStructure(A, gamma, data["v"])
     alpha = _inv.anti_structure_m2_involution(s)
     checks = verify_involution_map(alpha.source, alpha.matrix, "matrix-ring involution")
     _all_pass(checks)
@@ -628,8 +595,6 @@ def demo_hyperbolic_quaternion(args):
 
 
 def demo_dyadic(args):
-    import random
-
     rng = random.Random(args.seed)
     orbit = []
     x = Fraction(2)
@@ -716,8 +681,19 @@ COMMANDS = {
 }
 
 
+class UsageError(ValueError):
+    """A malformed command line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # report usage errors through run() as exit 1 with a JSON error,
+    # instead of argparse's exit 2, which is the certified-negative code
+    def error(self, message):
+        raise UsageError(f"{message}; {' '.join(self.format_usage().split())}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fdalg",
         description="exact constructions on finite-dimensional algebras: "
                     "bilinear forms, involutions, incidence algebras, "
@@ -729,13 +705,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", help="path for the report (default stdout)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-trials", type=int, default=500)
-    parser.add_argument("--field", help="field override for inputs without one "
-                                        "('Q' or a prime)")
     return parser
 
 
 def run(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except UsageError as e:
+        _emit(None, {"error": f"{type(e).__name__}: {e}"})
+        return EXIT_INPUT
     report_head = {"command": args.command}
     if args.command == "demo":
         report_head["demo"] = args.name
@@ -751,31 +729,30 @@ def run(argv=None) -> int:
             data = _load_input(args)
             body, code = COMMANDS[args.command](data, args)
     except UnsupportedCharacteristicError as e:
-        _emit(args, {**report_head, "error": str(e)})
+        _emit(args.output, {**report_head, "error": str(e)})
         return EXIT_INPUT
     except (UnsplitQuotientError, InconclusiveError) as e:
-        _emit(args, {**report_head, "error": str(e)})
+        _emit(args.output, {**report_head, "error": str(e)})
         return EXIT_INCONCLUSIVE
     except NotAPosetError as e:
-        _emit(args, {**report_head, "error": str(e)})
+        _emit(args.output, {**report_head, "error": str(e)})
         return EXIT_NEGATIVE
     except (FdalgError, ValueError, KeyError, TypeError,
             json.JSONDecodeError, OSError) as e:
-        _emit(args, {**report_head, "error": f"{type(e).__name__}: {e}"})
+        _emit(args.output, {**report_head, "error": f"{type(e).__name__}: {e}"})
         return EXIT_INPUT
     report = {**report_head, **body}
-    _emit(args, report)
+    _emit(args.output, report)
     return code
 
 
-def _emit(args, report) -> int:
+def _emit(output, report) -> None:
     text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
+    if output:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0
 
 
 def _load_input(args) -> dict:
@@ -786,10 +763,7 @@ def _load_input(args) -> dict:
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    data = json.loads(text)
-    if args.field and isinstance(data, dict) and "field" not in data:
-        data["field"] = "Q" if args.field == "Q" else {"p": int(args.field)}
-    return data
+    return json.loads(text)
 
 
 def main() -> None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .algebras import Algebra, AlgebraMap, center
+from .algebras import Algebra, AlgebraMap, center, matrix_algebra
 from .errors import DimensionError, VerificationError
 from .linalg import (
     Matrix,
@@ -20,12 +20,22 @@ from .linalg import (
     RowSpace,
     invert,
     kernel_rows,
+    mcombine,
     solve_columns,
-    vadd,
-    vscale,
+    unit_vector,
+    unvec,
+    vcombine,
+    vec,
     vzero,
 )
-from .modules import Module, hom_space, endomorphism_algebra
+from .modules import (
+    Module,
+    direct_sum,
+    endomorphism_algebra,
+    hom_space,
+    is_generator,
+    is_projective,
+)
 
 
 class DoubleModule:
@@ -87,10 +97,6 @@ class DoubleModuleInvolution:
     def apply(self, k: Sequence) -> tuple:
         return self.matrix.act_row(k)
 
-    def negate(self) -> "DoubleModuleInvolution":
-        """-theta, which is again an involution of the double module."""
-        return DoubleModuleInvolution(self.double_module, -self.matrix, validate=False)
-
 
 class TypeTag:
     """The automorphism of the center induced by a double module:
@@ -115,12 +121,8 @@ class TypeTag:
         coords = self.center.coordinates(v)
         if coords is None:
             raise VerificationError("vector is not central")
-        field = self.center.algebra.field
-        out = vzero(field, self.center.algebra.dim)
-        for c, img in zip(coords, self.images):
-            if c != 0:
-                out = vadd(field, out, vscale(field, c, img))
-        return out
+        A = self.center.algebra
+        return vcombine(A.field, A.dim, coords, self.images)
 
 
 def type_of(K: DoubleModule) -> TypeTag:
@@ -128,22 +130,17 @@ def type_of(K: DoubleModule) -> TypeTag:
     A = K.algebra
     field = A.field
     cdata = center(A)
-    cols = [_vec(K.action_matrix(z, 1)) for z in cdata.basis]
+    cols = [vec(K.action_matrix(z, 1)) for z in cdata.basis]
     C = Matrix(field, cols, ncols=K.dim * K.dim).transpose()
     if kernel_rows(C):
         raise VerificationError("values module is not faithful enough to carry a type")
     images = []
     for z in cdata.basis:
-        rhs = Matrix.column(field, _vec(K.action_matrix(z, 0)))
+        rhs = Matrix.column(field, vec(K.action_matrix(z, 0)))
         sol = solve_columns(C, rhs)
         if sol is None:
             raise VerificationError("double module has no type on the center")
-        coords = sol.column_tuple(0)
-        img = vzero(field, A.dim)
-        for c, zz in zip(coords, cdata.basis):
-            if c != 0:
-                img = vadd(field, img, vscale(field, c, zz))
-        images.append(img)
+        images.append(vcombine(field, A.dim, sol.column_tuple(0), cdata.basis))
     tag = TypeTag(cdata, images)
     # sigma must be an automorphism of the center
     M = Matrix(field, [tag.center.coordinates(img) for img in images],
@@ -158,13 +155,6 @@ def type_of(K: DoubleModule) -> TypeTag:
             if lhs != rhs:
                 raise VerificationError("induced center map is not multiplicative")
     return tag
-
-
-def _vec(m: Matrix) -> tuple:
-    out = []
-    for r in m.rows:
-        out.extend(r)
-    return tuple(out)
 
 
 class BilinearForm:
@@ -197,32 +187,13 @@ class BilinearForm:
             m1 = K.action1[t]
             for i in range(d):
                 for j in range(d):
-                    lhs = vzero(field, K.dim)
-                    for s in range(d):
-                        c = rho.rows[i][s]
-                        if c != 0:
-                            lhs = vadd(field, lhs, vscale(field, c, self.tensor[s][j]))
-                    if lhs != m0.act_row(self.tensor[i][j]):
+                    column = [self.tensor[s][j] for s in range(d)]
+                    if vcombine(field, K.dim, rho.rows[i], column) != \
+                            m0.act_row(self.tensor[i][j]):
                         raise VerificationError("left balance law fails")
-                    lhs = vzero(field, K.dim)
-                    for s in range(d):
-                        c = rho.rows[j][s]
-                        if c != 0:
-                            lhs = vadd(field, lhs, vscale(field, c, self.tensor[i][s]))
-                    if lhs != m1.act_row(self.tensor[i][j]):
+                    if vcombine(field, K.dim, rho.rows[j], self.tensor[i]) != \
+                            m1.act_row(self.tensor[i][j]):
                         raise VerificationError("right balance law fails")
-
-    def evaluate(self, x: Sequence, y: Sequence) -> tuple:
-        field = self.module.algebra.field
-        out = vzero(field, self.values.dim)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj != 0:
-                    out = vadd(field, out,
-                               vscale(field, field.mul(xi, yj), self.tensor[i][j]))
-        return out
 
     def is_symmetric_under(self, theta: DoubleModuleInvolution) -> bool:
         d = self.module.dim
@@ -276,24 +247,16 @@ class DualModule:
         return self.module.dim
 
     def matrix_of(self, coords: Sequence) -> Matrix:
-        field = self.source.algebra.field
-        acc = Matrix.zeros(field, self.source.dim, self.values.dim)
-        for c, m in zip(coords, self.maps):
-            if c != 0:
-                acc = acc + m.scale(c)
-        return acc
+        return mcombine(self.source.algebra.field, self.source.dim, self.values.dim,
+                        coords, self.maps)
 
     def coords_of(self, f: Matrix) -> Optional[tuple]:
-        return self._space.coordinates(_vec(f))
+        return self._space.coordinates(vec(f))
 
     def evaluate(self, coords: Sequence, x: Sequence) -> tuple:
         """(element with these coordinates)(x) in K."""
-        field = self.source.algebra.field
-        out = vzero(field, self.values.dim)
-        for c, m in zip(coords, self.maps):
-            if c != 0:
-                out = vadd(field, out, vscale(field, c, m.act_row(x)))
-        return out
+        return vcombine(self.source.algebra.field, self.values.dim, coords,
+                        [m.act_row(x) for m in self.maps])
 
 
 def dual_module(M: Module, K: DoubleModule, i: int) -> DualModule:
@@ -347,7 +310,7 @@ def phi_map(M: Module, K: DoubleModule):
     field = M.algebra.field
     rows = []
     for i in range(M.dim):
-        x = tuple(field.one if s == i else field.zero for s in range(M.dim))
+        x = unit_vector(field, M.dim, i)
         ev = Matrix(field, [m.act_row(x) for m in dual1.maps], ncols=K.dim)
         coords = dual10.coords_of(ev)
         if coords is None:
@@ -413,10 +376,10 @@ class EndData:
         field = algebra.field
         self._space = RowSpace(field, module.dim * module.dim)
         for m in self.maps:
-            self._space.insert(_vec(m))
+            self._space.insert(vec(m))
         # coordinates are taken with respect to the original maps, which
         # need not be in echelon form
-        self._stack = Matrix(field, [_vec(m) for m in self.maps],
+        self._stack = Matrix(field, [vec(m) for m in self.maps],
                              ncols=module.dim * module.dim).transpose()
         if validate:
             if self._space.dim != len(self.maps):
@@ -441,18 +404,13 @@ class EndData:
         return EndData(algebra, H.basis, M, validate=False)
 
     def matrix_of(self, coords: Sequence) -> Matrix:
-        field = self.algebra.field
         d = self.module.dim
-        acc = Matrix.zeros(field, d, d)
-        for c, m in zip(coords, self.maps):
-            if c != 0:
-                acc = acc + m.scale(c)
-        return acc
+        return mcombine(self.algebra.field, d, d, coords, self.maps)
 
     def coords_of(self, mat: Matrix) -> Optional[tuple]:
-        if not self._space.contains(_vec(mat)):
+        if not self._space.contains(vec(mat)):
             return None
-        sol = solve_columns(self._stack, Matrix.column(self.algebra.field, _vec(mat)))
+        sol = solve_columns(self._stack, Matrix.column(self.algebra.field, vec(mat)))
         return sol.column_tuple(0) if sol is not None else None
 
 
@@ -522,8 +480,7 @@ def form_from_adjoint(M: Module, K: DoubleModule, dual1: DualModule,
     tensor = []
     for i in range(M.dim):
         row = []
-        x = tuple(M.algebra.field.one if s == i else M.algebra.field.zero
-                  for s in range(M.dim))
+        x = unit_vector(M.algebra.field, M.dim, i)
         for j in range(M.dim):
             row.append(dual1.evaluate(f.rows[j], x))
         tensor.append(row)
@@ -553,8 +510,6 @@ def form_from_anti_automorphism(M: Module, alpha: AlgebraMap,
     involution when alpha is an involution.  The round trip through
     :func:`corresponding_anti_automorphism` is verified before returning.
     """
-    from .modules import is_generator
-
     A = M.algebra
     field = A.field
     if alpha.source != end.algebra or alpha.target != end.algebra:
@@ -589,14 +544,16 @@ def form_from_anti_automorphism(M: Module, alpha: AlgebraMap,
     if k_dim == 0:
         raise VerificationError("balancing relations collapse the tensor square")
 
-    def tensor_action(vec_rows: Sequence, rho: Matrix, side: int) -> tuple:
+    def tensor_action(v: Sequence, rho: Matrix, side: int) -> tuple:
         # v . (I x rho) = vec(V rho); v . (rho x I) = vec(rho^T V)
-        V = Matrix(field, [vec_rows[i * d:(i + 1) * d] for i in range(d)], ncols=d)
-        W = V * rho if side == 0 else rho.transpose() * V
-        return _vec(W)
+        V = unvec(field, v, d, d)
+        return vec(V * rho if side == 0 else rho.transpose() * V)
 
-    lifts = [quo.lift(tuple(field.one if s == l else field.zero for s in range(k_dim)))
-             for l in range(k_dim)]
+    def swap(v: Sequence) -> tuple:
+        # y (x) x -> x (x) y
+        return vec(unvec(field, v, d, d).transpose())
+
+    lifts = [quo.lift(unit_vector(field, k_dim, l)) for l in range(k_dim)]
     action0 = []
     action1 = []
     for t in range(A.dim):
@@ -614,22 +571,14 @@ def form_from_anti_automorphism(M: Module, alpha: AlgebraMap,
     K = DoubleModule(A, k_dim, action0, action1)
     tensor = []
     for i in range(d):
-        row = []
-        for j in range(d):
-            v = [field.zero] * dd
-            v[j * d + i] = field.one  # b(x,y) = y (x) x
-            row.append(quo.project(v))
-        tensor.append(row)
+        # b(x,y) = y (x) x
+        tensor.append([quo.project(unit_vector(field, dd, j * d + i)) for j in range(d)])
     b = BilinearForm(M, K, tensor)
     theta = None
     if alpha.is_involution():
-        rows = []
-        for l in lifts:
-            V = Matrix(field, [l[i * d:(i + 1) * d] for i in range(d)], ncols=d)
-            rows.append(quo.project(_vec(V.transpose())))
+        rows = [quo.project(swap(l)) for l in lifts]
         for r in rel.rows:
-            V = Matrix(field, [r[i * d:(i + 1) * d] for i in range(d)], ncols=d)
-            if not rel.contains(_vec(V.transpose())):
+            if not rel.contains(swap(r)):
                 raise VerificationError("swap does not preserve the relations")
         theta = DoubleModuleInvolution(K, Matrix(field, rows, ncols=k_dim))
         if not b.is_symmetric_under(theta):
@@ -645,8 +594,6 @@ def form_from_anti_automorphism(M: Module, alpha: AlgebraMap,
 def is_double_progenerator(K: DoubleModule) -> bool:
     """K_1 is a projective generator and action0 identifies the opposite
     algebra with End(K_1)."""
-    from .modules import is_generator, is_projective
-
     K1 = K.module(1)
     if not is_generator(K1) or not is_projective(K1):
         return False
@@ -655,7 +602,7 @@ def is_double_progenerator(K: DoubleModule) -> bool:
         return False
     space = RowSpace(K.algebra.field, K.dim * K.dim)
     for t in range(K.algebra.dim):
-        space.insert(_vec(K.action0[t]))
+        space.insert(vec(K.action0[t]))
     return space.dim == K.algebra.dim
 
 
@@ -665,8 +612,6 @@ def involution_from_goldman(K: DoubleModule) -> DoubleModuleInvolution:
     Requires the algebra of K to be a matrix algebra on its matrix-unit
     basis and K to have identity type on the center.
     """
-    from .algebras import matrix_algebra
-
     A = K.algebra
     n = 1
     while n * n < A.dim:
@@ -689,8 +634,6 @@ def involution_from_goldman(K: DoubleModule) -> DoubleModuleInvolution:
 def orthogonal_sum(b: BilinearForm, b2: BilinearForm) -> BilinearForm:
     """Block form on the direct sum; regularity is checked to agree with
     the two summands on both sides."""
-    from .modules import direct_sum
-
     if b.values is not b2.values and not (
         b.values.algebra == b2.values.algebra
         and b.values.dim == b2.values.dim

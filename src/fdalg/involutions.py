@@ -18,6 +18,7 @@ from .algebras import (
     AlgebraMap,
     is_unit,
     matrix_algebra_over,
+    random_combinations,
     restriction_to_center,
 )
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
     NoSymmetricUnitError,
     VerificationError,
 )
-from .linalg import Matrix, invert, vadd, vsub, vzero
+from .linalg import Matrix, common_left_kernel, invert, unit_vector, vadd, vsub, vzero
 from .modules import (
     Module,
     direct_sum,
@@ -35,6 +36,7 @@ from .modules import (
     is_generator,
     is_projective,
     is_isomorphic,
+    isomorphism_classes,
     regular_module,
 )
 from .forms import (
@@ -167,14 +169,14 @@ def hyperbolic_involution(K: DoubleModule, theta: DoubleModuleInvolution,
     zero = vzero(field, K.dim)
     tensor = [[zero for _ in range(p + q)] for _ in range(p + q)]
     for i in range(p):
-        x = tuple(field.one if s == i else field.zero for s in range(p))
+        x = unit_vector(field, p, i)
         for j in range(q):
             g = dual1.maps[j]
             tensor[i][p + j] = g.act_row(x)
     for i in range(q):
         f = dual1.maps[i]
         for j in range(p):
-            y = tuple(field.one if s == j else field.zero for s in range(p))
+            y = unit_vector(field, p, j)
             tensor[p + i][j] = theta.apply(f.act_row(y))
     b = BilinearForm(M, K, tensor)
     big_theta = DoubleModuleInvolution(K, theta.matrix, validate=False)
@@ -367,18 +369,13 @@ def transfer_involution(alpha: AlgebraMap, A: Algebra, n: int, seed: int = 0,
     field = A.field
     rng = random.Random(seed)
 
+    basis = [A.basis_vector(i) for i in range(A.dim)]
+
     def candidates():
-        for i in range(A.dim):
-            yield A.basis_vector(i)
+        yield from basis
         yield A.unit
-        small = [field.coerce(k) for k in (-2, -1, 1, 2, 3, -3)]
-        for _ in range(max_trials):
-            x = vzero(field, A.dim)
-            for i in range(A.dim):
-                x = vadd(field, x,
-                         tuple(field.mul(small[rng.randrange(len(small))], c)
-                               for c in A.basis_vector(i)))
-            yield x
+        yield from random_combinations(field, A.dim, basis, rng, max_trials,
+                                       (-2, -1, 1, 2, 3, -3), per_entry=True)
 
     exhaustive = field.p is not None and field.p ** A.dim <= 10 ** 6
     trials = 0
@@ -422,31 +419,16 @@ def find_anti_structure(A: Algebra, gamma: AlgebraMap, seed: int = 0,
     certified when the linear space is zero (then gamma^2 is not inner
     and no v can exist).
     """
-    field = A.field
     gamma2 = gamma.compose(gamma)
-    columns = []
-    for t in range(A.dim):
-        r = A.basis_vector(t)
-        diff = A.left_mult_matrix(gamma2.apply(r)) - A.right_mult_matrix(r)
-        columns.append(diff)
-    stacked = Matrix(field, [
-        tuple(x for m in columns for x in m.rows[i]) for i in range(A.dim)
-    ], ncols=A.dim * len(columns))
-    from .linalg import left_kernel_rows
-
-    space = left_kernel_rows(stacked)
+    space = common_left_kernel([
+        A.left_mult_matrix(gamma2.apply(r)) - A.right_mult_matrix(r)
+        for r in map(A.basis_vector, range(A.dim))
+    ])
     if not space:
         return None
-    rng = random.Random(seed)
-    candidates = list(space)
-    small = [field.coerce(k) for k in (-2, -1, 1, 2)]
-    for _ in range(trials):
-        v = vzero(field, A.dim)
-        for b in space:
-            v = vadd(field, v, tuple(field.mul(small[rng.randrange(len(small))], c)
-                                     for c in b))
-        candidates.append(v)
-    for v in candidates:
+    randoms = random_combinations(A.field, A.dim, space, random.Random(seed), trials,
+                                  (-2, -1, 1, 2), per_entry=True)
+    for v in itertools.chain(space, randoms):
         vinv = is_unit(A, v)
         if vinv is None:
             continue
@@ -468,18 +450,9 @@ def duality_orbit(A: Algebra, K: DoubleModule, seed: int = 0) -> OrbitResult:
     """The action of the duality functor [1] on the isomorphism classes of
     indecomposable projectives, and the minimal n with R^([1]^n) = R."""
     pieces = decompose(regular_module(A), seed=seed)
-    reps: list = []
-    mults: list = []
-    for p in pieces:
-        placed = False
-        for idx, r in enumerate(reps):
-            if is_isomorphic(p, r, seed=seed) is not None:
-                mults[idx] += 1
-                placed = True
-                break
-        if not placed:
-            reps.append(p)
-            mults.append(1)
+    classes = isomorphism_classes(pieces, seed=seed)
+    reps = [pieces[cls[0]] for cls in classes]
+    mults = [len(cls) for cls in classes]
     perm = []
     for r in reps:
         dual = dual_module(r, K, 1).module

@@ -9,6 +9,8 @@ from the right (``v -> v @ M``).
 
 from __future__ import annotations
 
+import itertools
+import operator
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -39,10 +41,6 @@ class Field:
         return 0 if self.p is None else self.p
 
     @property
-    def is_rationals(self) -> bool:
-        return self.p is None
-
-    @property
     def zero(self):
         return Fraction(0) if self.p is None else 0
 
@@ -51,22 +49,30 @@ class Field:
         return Fraction(1) if self.p is None else 1
 
     def coerce(self, x):
-        """Normalize an int/Fraction/string into a field element."""
+        """Normalize an int/Fraction/string into a field element.
+
+        This is the single entry point for scalars: floats and bools are
+        rejected rather than rounded, and a denominator divisible by p is
+        a ValueError.
+        """
         if self.p is None:
             if type(x) is Fraction:
                 return x
-            if isinstance(x, str):
-                return self.parse(x)
-            return Fraction(x)
-        if type(x) is int:
+            if type(x) is int:
+                return Fraction(x)
+        elif type(x) is int:
             return x % self.p
         if isinstance(x, str):
             return self.parse(x)
+        if isinstance(x, (bool, float)):
+            raise TypeError(f"inexact scalar {x!r}; give an int or a string such as '1/2'")
+        if self.p is None:
+            return Fraction(x)
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
+                raise ValueError(f"scalar {x} has a denominator divisible by {self.p}")
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
-        return int(x) % self.p
+        return operator.index(x) % self.p
 
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p
@@ -87,9 +93,6 @@ class Field:
             return 1 / Fraction(a)
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def elements(self):
         """All field elements; only available for prime fields."""
         if self.p is None:
@@ -108,7 +111,11 @@ class Field:
             if self.p is None or int(p) != self.p:
                 raise ValueError(f"scalar {s!r} does not belong to {self}")
             return int(k) % self.p
-        return self.coerce(Fraction(s))
+        try:
+            x = Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"scalar {s!r} has a zero denominator") from None
+        return self.coerce(x)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -154,6 +161,29 @@ def vec_is_zero(v: Sequence) -> bool:
     return all(a == 0 for a in v)
 
 
+def unit_vector(field: Field, n: int, i: int) -> tuple:
+    """The i-th standard basis vector of F^n."""
+    v = [field.zero] * n
+    v[i] = field.one
+    return tuple(v)
+
+
+def vcombine(field: Field, n: int, coeffs: Sequence, vectors: Sequence[Sequence]) -> tuple:
+    """sum_i coeffs[i] * vectors[i] in F^n; zero coefficients are skipped."""
+    acc = [field.zero] * n
+    for c, v in zip(coeffs, vectors):
+        if c == 0:
+            continue
+        if c == 1:
+            acc = [a + b for a, b in zip(acc, v)]
+        else:
+            acc = [a + c * b for a, b in zip(acc, v)]
+    if field.p is None:
+        return tuple(acc)
+    p = field.p
+    return tuple(a % p for a in acc)
+
+
 class Matrix:
     """Immutable dense matrix over a :class:`Field`."""
 
@@ -184,15 +214,8 @@ class Matrix:
         return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def from_rows(field: Field, rows: Sequence[Sequence], ncols: Optional[int] = None) -> "Matrix":
-        return Matrix(field, rows, ncols=ncols)
-
-    @staticmethod
     def column(field: Field, entries: Sequence) -> "Matrix":
         return Matrix(field, [[x] for x in entries], ncols=1)
-
-    def row(self, i: int) -> tuple:
-        return self.rows[i]
 
     def column_tuple(self, j: int) -> tuple:
         return tuple(r[j] for r in self.rows)
@@ -249,34 +272,11 @@ class Matrix:
             raise DimensionError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        p = self.field.p
-        zero = self.field.zero
-        ncols = other.ncols
-        brows = other.rows
-        rows = []
-        for row in self.rows:
-            acc = [zero] * ncols
-            for i, c in enumerate(row):
-                if c == 0:
-                    continue
-                brow = brows[i]
-                if c == 1:
-                    for j, x in enumerate(brow):
-                        if x != 0:
-                            acc[j] = acc[j] + x
-                else:
-                    for j, x in enumerate(brow):
-                        if x != 0:
-                            acc[j] = acc[j] + c * x
-            if p is None:
-                rows.append(tuple(acc))
-            else:
-                rows.append(tuple(a % p for a in acc))
         out = Matrix.__new__(Matrix)
         out.field = self.field
         out.nrows = self.nrows
-        out.ncols = ncols
-        out.rows = tuple(rows)
+        out.ncols = other.ncols
+        out.rows = tuple(other.act_row(row) for row in self.rows)
         return out
 
     def transpose(self) -> "Matrix":
@@ -335,6 +335,25 @@ class Matrix:
         return len(pivots)
 
 
+def vec(m: Matrix) -> tuple:
+    """Row-major flattening of a matrix."""
+    return tuple(itertools.chain.from_iterable(m.rows))
+
+
+def unvec(field: Field, v: Sequence, nrows: int, ncols: int) -> Matrix:
+    """Inverse of :func:`vec`."""
+    return Matrix(field, [v[i * ncols:(i + 1) * ncols] for i in range(nrows)], ncols=ncols)
+
+
+def mcombine(field: Field, nrows: int, ncols: int, coeffs: Sequence,
+             mats: Sequence[Matrix]) -> Matrix:
+    """sum_i coeffs[i] * mats[i] as an nrows x ncols matrix; only the
+    terms with a nonzero coefficient are flattened."""
+    terms = [(c, vec(m)) for c, m in zip(coeffs, mats) if c != 0]
+    flat = vcombine(field, nrows * ncols, [c for c, _ in terms], [v for _, v in terms])
+    return unvec(field, flat, nrows, ncols)
+
+
 def _rref(field: Field, rows: list, ncols: int):
     """In-place reduced row echelon form with first-nonzero pivoting.
 
@@ -385,10 +404,7 @@ def solve(A: Matrix, b: Matrix) -> Optional[Matrix]:
         raise DimensionError("right-hand side must be a column")
     if A.nrows != b.nrows:
         raise DimensionError(f"A has {A.nrows} rows but b has {b.nrows}")
-    sols = solve_columns(A, b)
-    if sols is None:
-        return None
-    return sols
+    return solve_columns(A, b)
 
 
 def solve_columns(A: Matrix, B: Matrix) -> Optional[Matrix]:
@@ -440,6 +456,15 @@ def left_kernel_rows(A: Matrix) -> list:
     return kernel_rows(A.transpose())
 
 
+def common_left_kernel(mats: Sequence[Matrix]) -> list:
+    """Basis of {v : v M = 0 for every M in mats}: the left kernel of the
+    matrices placed side by side, all with the same row count.  Built
+    directly as the kernel of the transpose, whose rows are the columns
+    of every M in turn."""
+    columns = [col for m in mats for col in zip(*m.rows)]
+    return kernel_rows(Matrix(mats[0].field, columns, ncols=mats[0].nrows))
+
+
 def invert(A: Matrix) -> Optional[Matrix]:
     """Inverse of a square matrix, or None when singular."""
     if not A.is_square:
@@ -471,12 +496,6 @@ def kronecker(A: Matrix, B: Matrix) -> Matrix:
             else:
                 rows.append(tuple(a * b % p for a in ra for b in rb))
     return Matrix(f, rows, ncols=A.ncols * B.ncols)
-
-
-def hstack(A: Matrix, B: Matrix) -> Matrix:
-    if A.nrows != B.nrows:
-        raise DimensionError("hstack row mismatch")
-    return Matrix(A.field, [ra + rb for ra, rb in zip(A.rows, B.rows)], ncols=A.ncols + B.ncols)
 
 
 def block_diag(field: Field, blocks: Sequence[Matrix]) -> Matrix:

@@ -22,10 +22,16 @@ from .errors import (
 from .linalg import (
     Matrix,
     RowSpace,
+    block_diag,
     invert,
     kernel_rows,
+    mcombine,
     solve_columns,
+    unit_vector,
+    unvec,
     vadd,
+    vcombine,
+    vec,
     vscale,
     vzero,
 )
@@ -61,12 +67,7 @@ class Module:
 
     def action_of(self, a: Sequence) -> Matrix:
         """Matrix of the right action of an algebra element."""
-        field = self.algebra.field
-        out = Matrix.zeros(field, self.dim, self.dim)
-        for j, c in enumerate(a):
-            if c != 0:
-                out = out + self.action[j].scale(c)
-        return out
+        return mcombine(self.algebra.field, self.dim, self.dim, a, self.action)
 
     def act(self, x: Sequence, a: Sequence) -> tuple:
         """x . a for x in the module and a an algebra element."""
@@ -98,8 +99,6 @@ def direct_sum(mods: Sequence[Module]) -> Module:
     A = mods[0].algebra
     if any(m.algebra != A for m in mods):
         raise DimensionError("direct sum across different algebras")
-    from .linalg import block_diag
-
     dim = sum(m.dim for m in mods)
     action = [
         block_diag(A.field, [m.action[i] for m in mods]) for i in range(A.dim)
@@ -170,7 +169,7 @@ class HomSpace:
         if space is None:
             space = RowSpace(source.algebra.field, source.dim * target.dim)
             for b in self.basis:
-                space.insert(_vec(b))
+                space.insert(vec(b))
         self._space = space
 
     @property
@@ -178,25 +177,11 @@ class HomSpace:
         return len(self.basis)
 
     def matrix_from_coords(self, coords: Sequence) -> Matrix:
-        field = self.source.algebra.field
-        n, m = self.source.dim, self.target.dim
-        acc = Matrix.zeros(field, n, m)
-        for c, b in zip(coords, self.basis):
-            if c != 0:
-                acc = acc + b.scale(c)
-        return acc
+        return mcombine(self.source.algebra.field, self.source.dim, self.target.dim,
+                        coords, self.basis)
 
     def coords_of(self, f: Matrix) -> Optional[tuple]:
-        return self._space.coordinates(_vec(f))
-
-
-def _vec(m: Matrix) -> tuple:
-    return tuple(itertools.chain.from_iterable(m.rows)) if m.rows else ()
-
-
-def _unvec(field, v: Sequence, nrows: int, ncols: int) -> Matrix:
-    return Matrix(field, [v[i * ncols : (i + 1) * ncols] for i in range(nrows)],
-                  ncols=ncols)
+        return self._space.coordinates(vec(f))
 
 
 def hom_space(M: Module, N: Module) -> HomSpace:
@@ -230,21 +215,14 @@ def hom_space(M: Module, N: Module) -> HomSpace:
         else:
             if not basis_vecs:
                 break
-            mats = [_unvec(field, v, n, m) for v in basis_vecs]
-            rows = [_vec(rhoM * B - B * rhoN) for B in mats]
+            mats = [unvec(field, v, n, m) for v in basis_vecs]
+            rows = [vec(rhoM * B - B * rhoN) for B in mats]
             coeffs = kernel_rows(Matrix(field, rows, ncols=nm).transpose())
-            new_vecs = []
-            for cf in coeffs:
-                acc = vzero(field, nm)
-                for c, v in zip(cf, basis_vecs):
-                    if c != 0:
-                        acc = vadd(field, acc, vscale(field, c, v))
-                new_vecs.append(acc)
-            basis_vecs = new_vecs
+            basis_vecs = [vcombine(field, nm, cf, basis_vecs) for cf in coeffs]
     space = RowSpace(field, nm)
     for v in basis_vecs or []:
         space.insert(v)
-    mats = [_unvec(field, v, n, m) for v in space.rows]
+    mats = [unvec(field, v, n, m) for v in space.rows]
     for f in mats:
         for t in range(A.dim):
             if M.action[t] * f != f * N.action[t]:
@@ -335,6 +313,24 @@ def is_isomorphic(M: Module, N: Module, seed: int = 0,
     )
 
 
+def isomorphism_classes(mods: Sequence[Module], seed: int = 0) -> list:
+    """Group modules into isomorphism classes in order of first appearance.
+
+    Returns one list of indices into ``mods`` per class; the first index
+    of a class is its representative, and each module is tested against
+    the representatives only.
+    """
+    classes: list = []
+    for i, m in enumerate(mods):
+        for cls in classes:
+            if is_isomorphic(m, mods[cls[0]], seed=seed) is not None:
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    return classes
+
+
 def is_generator(M: Module) -> bool:
     """True iff the trace ideal of M is the whole algebra."""
     A = M.algebra
@@ -358,10 +354,9 @@ def is_projective(M: Module) -> bool:
     if H.dim == 0:
         return False
     k = M.dim  # generators: the basis vectors of M
-    gens = [tuple(field.one if s == i else field.zero for s in range(M.dim))
-            for i in range(k)]
-    # seek s_i in Hom(M, A) with sum_i gens[i] . s_i(x) = x for all x
-    images = []  # images[(i,t)][x] = gens[i] . h_t(x), an M-vector per basis x
+    gens = [unit_vector(field, M.dim, i) for i in range(k)]
+    # seek s_i in Hom(M, A) with sum_i gens[i] . s_i(x) = x for all x;
+    # column (i,t) holds gens[i] . h_t(x) for every basis vector x
     cols = []
     for i in range(k):
         for t in range(H.dim):
@@ -393,21 +388,8 @@ def decompose_with_embeddings(M: Module, seed: int = 0) -> list:
         return []
     A = M.algebra
     if M._regular:
-        idems = primitive_idempotents(A, seed=seed)
-        out = []
-        for e in idems:
-            gens = [A.mul(e, A.basis_vector(i)) for i in range(A.dim)]
-            out.append(_submodule_with_rows(M, gens))
-        return out
+        return [submodule(M, [A.mul(e, A.basis_vector(i)) for i in range(A.dim)])
+                for e in primitive_idempotents(A, seed=seed)]
     EndM, H = endomorphism_algebra(M)
-    idems = primitive_idempotents(EndM, seed=seed)
-    out = []
-    for eps in idems:
-        E = H.matrix_from_coords(eps)
-        out.append(_submodule_with_rows(M, E.rows))
-    return out
-
-
-def _submodule_with_rows(M: Module, gens):
-    sub, rows = submodule(M, gens)
-    return sub, rows
+    return [submodule(M, H.matrix_from_coords(eps).rows)
+            for eps in primitive_idempotents(EndM, seed=seed)]

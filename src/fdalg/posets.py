@@ -15,7 +15,9 @@ from typing import Optional, Sequence
 from .algebras import Algebra, primitive_idempotents
 from .errors import NotAPosetError, VerificationError
 from .linalg import Field
-from .modules import is_isomorphic, principal_right_module
+# is_isomorphic is not called here; the binding stays because the
+# benchmark's tracer and its tests address it as posets.is_isomorphic
+from .modules import is_isomorphic, isomorphism_classes, principal_right_module  # noqa: F401
 
 
 class Poset:
@@ -88,11 +90,6 @@ class Poset:
                     seen.add(y)
                     frontier.append(y)
         return len(seen) == self.size
-
-    def is_antichain(self) -> bool:
-        return all(
-            not self.leq[i][j] for i in range(self.size) for j in range(self.size) if i != j
-        )
 
     def __eq__(self, other):
         return isinstance(other, Poset) and self.leq == other.leq
@@ -264,17 +261,7 @@ def poset_of_algebra(A: Algebra, seed: int = 0) -> Poset:
     """
     idems = primitive_idempotents(A, seed=seed)
     mods = [principal_right_module(A, e) for e in idems]
-    reps = []
-    rep_mods = []
-    for e, m in zip(idems, mods):
-        placed = False
-        for rm in rep_mods:
-            if is_isomorphic(m, rm, seed=seed) is not None:
-                placed = True
-                break
-        if not placed:
-            reps.append(e)
-            rep_mods.append(m)
+    reps = [idems[cls[0]] for cls in isomorphism_classes(mods, seed=seed)]
     t = len(reps)
     leq = [[False] * t for _ in range(t)]
     for a, e in enumerate(reps):

@@ -274,3 +274,32 @@ def test_seed_flag_changes_only_search_paths(capsys):
     assert out1 == out2
     rep = json.loads(out1)
     assert rep["seed"] == 7
+
+
+@pytest.mark.parametrize("field, entry", [
+    ({"p": 5}, 0.5),      # was rounded to 0
+    ({"p": 5}, 2.7),      # was truncated to 2
+    ("Q", 0.1),           # was taken as 3602879701896397/2**55
+    ("Q", True),
+    ({"p": 5}, "1/5"),    # denominator divisible by p
+    ("Q", "1/0"),
+])
+def test_inexact_or_undefined_scalars_exit_one(tmp_path, capsys, field, entry):
+    alg = {"field": field, "basis": ["1"], "table": [[[entry]]], "unit": [1]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"algebra": alg}))
+    code, out = run_cli(capsys, "center", "--input", str(path))
+    assert code == cli.EXIT_INPUT
+    assert json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["radical", "--bogus"],
+    ["no-such-command"],
+    ["demo", "goldman", "--seed", "x"],
+    ["incidence", "--field", "Q"],   # the option was removed
+])
+def test_usage_errors_exit_one_with_json(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == cli.EXIT_INPUT
+    assert "usage: fdalg" in json.loads(out)["error"]

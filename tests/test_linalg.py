@@ -11,11 +11,17 @@ from fdalg.linalg import (
     QQ,
     RowSpace,
     QuotientSpace,
+    common_left_kernel,
     invert,
     kernel_basis,
     kernel_rows,
     kronecker,
+    mcombine,
     solve,
+    unit_vector,
+    unvec,
+    vcombine,
+    vec,
 )
 from fdalg.errors import DimensionError, FieldMismatchError
 
@@ -151,3 +157,42 @@ def test_matrix_row_action():
     assert A.act_row((1, 1)) == (4, 6)
     assert A.transpose().rows == ((1, 3), (2, 4))
     assert A.trace() == 5
+
+
+def test_coerce_rejects_inexact_scalars():
+    for field in (QQ, F5):
+        for bad in (0.5, 2.0, True):
+            with pytest.raises(TypeError):
+                field.coerce(bad)
+    with pytest.raises(ValueError):
+        F5.coerce(QQ.parse("1/5"))
+    with pytest.raises(ValueError):
+        F5.parse("1/5")
+    with pytest.raises(ValueError):
+        QQ.parse("1/0")
+    assert F5.parse("1/2") == 3 and QQ.parse("-3/6") == QQ.coerce(-1) / 2
+
+
+def test_combination_helpers():
+    for field in (QQ, F5):
+        assert unit_vector(field, 3, 1) == (0, 1, 0)
+        vs = [(1, 2, 3), (0, 1, 4)]
+        assert vcombine(field, 3, [2, 0], vs) == tuple(field.coerce(x) for x in (2, 4, 6))
+        assert vcombine(field, 3, [1, -1], vs) == tuple(field.coerce(x) for x in (1, 1, -1))
+        assert vcombine(field, 3, [], []) == (0, 0, 0)
+        A = Matrix(field, [[1, 2], [3, 4], [5, 6]])
+        B = Matrix(field, [[0, 1], [1, 0], [2, 2]])
+        assert vec(A) == tuple(field.coerce(x) for x in range(1, 7))
+        assert unvec(field, vec(A), 3, 2) == A
+        assert mcombine(field, 3, 2, [3, 2], [A, B]) == A.scale(3) + B.scale(2)
+        assert mcombine(field, 3, 2, [0, 0], [A, B]) == Matrix.zeros(field, 3, 2)
+
+
+def test_common_left_kernel():
+    # {x : x M = 0 = x N} for M, N of rank 2 on F^3 with a common kernel line
+    for field in (QQ, F5):
+        M = Matrix(field, [[1, 0], [0, 1], [1, 1]])
+        N = Matrix(field, [[1], [1], [2]])
+        assert common_left_kernel([M]) == [tuple(field.coerce(x) for x in (-1, -1, 1))]
+        assert common_left_kernel([M, N]) == common_left_kernel([M])
+        assert common_left_kernel([M, Matrix.identity(field, 3)]) == []
