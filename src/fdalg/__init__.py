@@ -9,6 +9,7 @@ forms         double modules, general bilinear forms, the correspondence
 involutions   hyperbolic involutions, transfer, duality orbits
 posets        finite posets, incidence algebras, order-reversing maps
 steinitz      Steinitz-class calculus over abstract class groups
+verify        the defining-equation checkers of constructors and CLI checks
 cli           JSON command-line front end
 """
 

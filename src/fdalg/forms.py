@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .algebras import Algebra, AlgebraMap, center, matrix_algebra
+from . import verify
+from .algebras import Algebra, AlgebraMap, center, matrix_algebra, opposite
 from .errors import DimensionError, VerificationError
 from .linalg import (
     Matrix,
     QuotientSpace,
     RowSpace,
-    invert,
     kernel_rows,
     mcombine,
     solve_columns,
@@ -42,28 +42,18 @@ class DoubleModule:
     """One space with two commuting right actions of the same algebra."""
 
     def __init__(self, algebra: Algebra, dim: int, action0: Sequence[Matrix],
-                 action1: Sequence[Matrix], validate: bool = True):
+                 action1: Sequence[Matrix]):
         self.algebra = algebra
         self.dim = dim
         self.action0 = tuple(action0)
         self.action1 = tuple(action1)
-        self._modules = [None, None]
-        if validate:
-            # each action alone is a right module structure
-            Module(algebra, dim, self.action0, validate=True)
-            Module(algebra, dim, self.action1, validate=True)
-            for i in range(algebra.dim):
-                for j in range(algebra.dim):
-                    if self.action0[i] * self.action1[j] != self.action1[j] * self.action0[i]:
-                        raise VerificationError(
-                            f"double-module actions do not commute at ({i},{j})"
-                        )
+        # K_0 and K_1; their constructors check the shapes of the actions
+        self._modules = (Module(algebra, dim, self.action0, validate=False),
+                         Module(algebra, dim, self.action1, validate=False))
+        verify.require(verify.double_module(algebra, self.action0, self.action1))
 
     def module(self, i: int) -> Module:
         """K_i: the underlying space with the i-th action."""
-        if self._modules[i] is None:
-            action = self.action0 if i == 0 else self.action1
-            self._modules[i] = Module(self.algebra, self.dim, action, validate=False)
         return self._modules[i]
 
     def action_matrix(self, a: Sequence, i: int) -> Matrix:
@@ -79,20 +69,13 @@ class DoubleModule:
 class DoubleModuleInvolution:
     """theta with theta^2 = id and (k .i a)^theta = k^theta .(1-i) a."""
 
-    def __init__(self, double_module: DoubleModule, matrix: Matrix, validate: bool = True):
+    def __init__(self, double_module: DoubleModule, matrix: Matrix):
         self.double_module = double_module
         self.matrix = matrix
-        if validate:
-            K = double_module
-            if matrix.nrows != K.dim or matrix.ncols != K.dim:
-                raise DimensionError("involution matrix has wrong shape")
-            if not (matrix * matrix).is_identity():
-                raise VerificationError("involution does not square to the identity")
-            for t in range(K.algebra.dim):
-                if K.action0[t] * matrix != matrix * K.action1[t]:
-                    raise VerificationError("involution does not swap the two actions")
-                if K.action1[t] * matrix != matrix * K.action0[t]:
-                    raise VerificationError("involution does not swap the two actions")
+        if matrix.nrows != double_module.dim or matrix.ncols != double_module.dim:
+            raise DimensionError("involution matrix has wrong shape")
+        verify.require(verify.squares_to_identity(matrix)
+                       or verify.swaps_actions(double_module, matrix))
 
     def apply(self, k: Sequence) -> tuple:
         return self.matrix.act_row(k)
@@ -109,21 +92,6 @@ class TypeTag:
     def is_identity(self) -> bool:
         return all(img == z for img, z in zip(self.images, self.center.basis))
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TypeTag)
-            and self.center.basis == other.center.basis
-            and self.images == other.images
-        )
-
-    def image_of_center_vector(self, v: Sequence) -> tuple:
-        """sigma applied to an element of the center (algebra coordinates)."""
-        coords = self.center.coordinates(v)
-        if coords is None:
-            raise VerificationError("vector is not central")
-        A = self.center.algebra
-        return vcombine(A.field, A.dim, coords, self.images)
-
 
 def type_of(K: DoubleModule) -> TypeTag:
     """Solve k .0 c = k .1 sigma(c) on the center; unique for faithful K_1."""
@@ -134,66 +102,43 @@ def type_of(K: DoubleModule) -> TypeTag:
     C = Matrix(field, cols, ncols=K.dim * K.dim).transpose()
     if kernel_rows(C):
         raise VerificationError("values module is not faithful enough to carry a type")
-    images = []
+    coords = []
     for z in cdata.basis:
-        rhs = Matrix.column(field, vec(K.action_matrix(z, 0)))
-        sol = solve_columns(C, rhs)
+        sol = solve_columns(C, Matrix.column(field, vec(K.action_matrix(z, 0))))
         if sol is None:
             raise VerificationError("double module has no type on the center")
-        images.append(vcombine(field, A.dim, sol.column_tuple(0), cdata.basis))
-    tag = TypeTag(cdata, images)
+        coords.append(sol.column_tuple(0))
     # sigma must be an automorphism of the center
-    M = Matrix(field, [tag.center.coordinates(img) for img in images],
-               ncols=cdata.dim)
-    if invert(M) is None:
+    if verify.bijective(Matrix(field, coords, ncols=cdata.dim)) is not None:
         raise VerificationError("induced center map is not bijective")
+    images = [vcombine(field, A.dim, c, cdata.basis) for c in coords]
     for i, zi in enumerate(cdata.basis):
         for j, zj in enumerate(cdata.basis):
-            prod = A.mul(zi, zj)
-            lhs = tag.image_of_center_vector(prod)
-            rhs = A.mul(images[i], images[j])
-            if lhs != rhs:
+            lhs = vcombine(field, A.dim, cdata.coordinates(A.mul(zi, zj)), images)
+            if lhs != A.mul(images[i], images[j]):
                 raise VerificationError("induced center map is not multiplicative")
-    return tag
+    return TypeTag(cdata, images)
 
 
 class BilinearForm:
     """b: M x M -> K as a dim_M x dim_M array of K-vectors; the balance
     laws are checked on all basis triples."""
 
-    def __init__(self, module: Module, values: DoubleModule, tensor, validate: bool = True):
+    def __init__(self, module: Module, values: DoubleModule, tensor):
         self.module = module
         self.values = values
         field = module.algebra.field
         self.tensor = tuple(
             tuple(tuple(field.coerce(x) for x in cell) for cell in row) for row in tensor
         )
-        if validate:
-            self._validate()
-
-    def _validate(self) -> None:
-        M, K = self.module, self.values
-        if M.algebra != K.algebra:
+        if module.algebra != values.algebra:
             raise DimensionError("form module and values over different algebras")
-        d = M.dim
+        d = module.dim
         if len(self.tensor) != d or any(len(r) != d for r in self.tensor):
             raise DimensionError("form tensor must be dim_M x dim_M")
-        if d and any(len(cell) != K.dim for row in self.tensor for cell in row):
+        if d and any(len(cell) != values.dim for row in self.tensor for cell in row):
             raise DimensionError("form values have wrong dimension")
-        field = M.algebra.field
-        for t in range(M.algebra.dim):
-            rho = M.action[t]
-            m0 = K.action0[t]
-            m1 = K.action1[t]
-            for i in range(d):
-                for j in range(d):
-                    column = [self.tensor[s][j] for s in range(d)]
-                    if vcombine(field, K.dim, rho.rows[i], column) != \
-                            m0.act_row(self.tensor[i][j]):
-                        raise VerificationError("left balance law fails")
-                    if vcombine(field, K.dim, rho.rows[j], self.tensor[i]) != \
-                            m1.act_row(self.tensor[i][j]):
-                        raise VerificationError("right balance law fails")
+        verify.require(verify.balanced(self))
 
     def is_symmetric_under(self, theta: DoubleModuleInvolution) -> bool:
         d = self.module.dim
@@ -219,8 +164,6 @@ def standard_double_module(A: Algebra, gamma: AlgebraMap) -> DoubleModule:
 
 def standard_involution(K: DoubleModule, gamma: AlgebraMap) -> DoubleModuleInvolution:
     """gamma itself as an involution of its standard double module."""
-    if not gamma.is_involution():
-        raise VerificationError("gamma is not an involution")
     return DoubleModuleInvolution(K, gamma.matrix.transpose())
 
 
@@ -355,8 +298,8 @@ def adjoints(b: BilinearForm) -> AdjointData:
         right_rows.append(coords)
     left = Matrix(field, left_rows, ncols=dual0.dim)
     right = Matrix(field, right_rows, ncols=dual1.dim)
-    left_regular = left.is_square and invert(left) is not None
-    right_regular = right.is_square and invert(right) is not None
+    left_regular = verify.bijective(left) is None
+    right_regular = verify.bijective(right) is None
     return AdjointData(left, right, dual0, dual1, left_regular, right_regular)
 
 
@@ -384,19 +327,9 @@ class EndData:
         if validate:
             if self._space.dim != len(self.maps):
                 raise VerificationError("endomorphism maps are linearly dependent")
-            for t in range(module.algebra.dim):
-                rho = module.action[t]
-                for m in self.maps:
-                    if rho * m != m * rho:
-                        raise VerificationError("map does not intertwine the action")
-            for i in range(algebra.dim):
-                for j in range(algebra.dim):
-                    prod = algebra.table[i][j]
-                    lhs = self.matrix_of(prod)
-                    if lhs != self.maps[j] * self.maps[i]:
-                        raise VerificationError(
-                            "structure constants do not match composition"
-                        )
+            verify.require(verify.intertwines(module.action, module.action, *self.maps))
+            # mat(w v) = mat(v) mat(w): the maps are a right action of the opposite
+            verify.require(verify.module_action(opposite(algebra), self.maps))
 
     @staticmethod
     def of_module(M: Module) -> "EndData":

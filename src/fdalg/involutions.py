@@ -13,6 +13,7 @@ import itertools
 import random
 from typing import Optional, Sequence
 
+from . import verify
 from .algebras import (
     Algebra,
     AlgebraMap,
@@ -45,7 +46,6 @@ from .forms import (
     DoubleModuleInvolution,
     EndData,
     TypeTag,
-    adjoints,
     corresponding_anti_automorphism,
     dual_module,
     form_from_adjoint,
@@ -58,65 +58,29 @@ from .forms import (
 class AntiStructure:
     """(gamma, v) with v invertible, gamma(v) = v^-1 and gamma^2 = conj by v."""
 
-    def __init__(self, algebra: Algebra, gamma: AlgebraMap, v: Sequence,
-                 validate: bool = True):
+    def __init__(self, algebra: Algebra, gamma: AlgebraMap, v: Sequence):
         self.algebra = algebra
         self.gamma = gamma
         self.v = algebra.coerce_element(v)
-        if validate:
-            self._validate()
-
-    def _validate(self) -> None:
-        A = self.algebra
-        if self.gamma.source != A or self.gamma.target != A:
+        if gamma.source != algebra or gamma.target != algebra:
             raise DimensionError("gamma must be an endo-map of the algebra")
-        if self.gamma.variance != AlgebraMap.ANTI or not self.gamma.is_bijective():
-            raise VerificationError("gamma must be an anti-automorphism")
-        vinv = is_unit(A, self.v)
-        if vinv is None:
-            raise VerificationError("v is not invertible")
-        if self.gamma.apply(self.v) != vinv:
-            raise VerificationError("gamma(v) != v^-1")
-        for i in range(A.dim):
-            r = A.basis_vector(i)
-            if self.gamma.apply(self.gamma.apply(r)) != A.mul(self.v, A.mul(r, vinv)):
-                raise VerificationError("gamma^2 is not conjugation by v")
+        verify.require(verify.anti_structure(algebra, gamma, self.v))
 
 
 class ThetaPair:
     """(gamma, theta) with theta^2 = id and (gamma(a) b c)^theta = gamma(c) theta(b) a."""
 
-    def __init__(self, algebra: Algebra, gamma: AlgebraMap, theta: Matrix,
-                 validate: bool = True):
+    def __init__(self, algebra: Algebra, gamma: AlgebraMap, theta: Matrix):
         self.algebra = algebra
         self.gamma = gamma
         self.theta = theta
-        if validate:
-            self._validate()
+        if theta.nrows != algebra.dim or theta.ncols != algebra.dim:
+            raise DimensionError("theta matrix has wrong shape")
+        verify.require(verify.squares_to_identity(theta)
+                       or verify.theta_relation(algebra, gamma, theta))
 
     def apply(self, x: Sequence) -> tuple:
         return self.theta.act_row(x)
-
-    def _validate(self) -> None:
-        A = self.algebra
-        if self.theta.nrows != A.dim or self.theta.ncols != A.dim:
-            raise DimensionError("theta matrix has wrong shape")
-        if not (self.theta * self.theta).is_identity():
-            raise VerificationError("theta does not square to the identity")
-        for i in range(A.dim):
-            a = A.basis_vector(i)
-            ga = self.gamma.apply(a)
-            for j in range(A.dim):
-                b = A.basis_vector(j)
-                tb = self.apply(b)
-                for k in range(A.dim):
-                    c = A.basis_vector(k)
-                    lhs = self.apply(A.mul(ga, A.mul(b, c)))
-                    rhs = A.mul(self.gamma.apply(c), A.mul(tb, a))
-                    if lhs != rhs:
-                        raise VerificationError(
-                            f"theta relation fails at basis triple ({i},{j},{k})"
-                        )
 
     def anti_structure(self) -> AntiStructure:
         """The equivalent (gamma, v) datum, v = theta(1)."""
@@ -179,12 +143,9 @@ def hyperbolic_involution(K: DoubleModule, theta: DoubleModuleInvolution,
             y = unit_vector(field, p, j)
             tensor[p + i][j] = theta.apply(f.act_row(y))
     b = BilinearForm(M, K, tensor)
-    big_theta = DoubleModuleInvolution(K, theta.matrix, validate=False)
-    if not b.is_symmetric_under(big_theta):
+    if not b.is_symmetric_under(theta):
         raise VerificationError("hyperbolic form is not theta-symmetric")
-    adj = adjoints(b)
-    if not (adj.left_regular and adj.right_regular):
-        raise VerificationError("hyperbolic form is not regular")
+    # corresponding_anti_automorphism checks that b is regular on both sides
     alpha, end = corresponding_anti_automorphism(b)
     if not alpha.is_involution():
         raise VerificationError("hyperbolic construction did not yield an involution")
@@ -308,10 +269,8 @@ def reduce_to_standard(alpha: AlgebraMap, A: Algebra, n: int,
         )
     psi_inv = invert(psi)
     checks = []
-    # transported action1 must literally be right multiplication
-    for t in range(A.dim):
-        if psi_inv * K.action1[t] * psi != reg.action[t]:
-            raise VerificationError("transport failed to straighten action1")
+    # transported action1 is literally right multiplication: psi intertwines
+    verify.require(verify.intertwines(K.action1, reg.action, psi))
     checks.append("action1 is right multiplication")
     gamma_images = []
     act0 = []
@@ -413,11 +372,12 @@ def find_anti_structure(A: Algebra, gamma: AlgebraMap, seed: int = 0,
                         trials: int = 200) -> Optional[AntiStructure]:
     """Search for v making (gamma, v) an anti-structure.
 
-    The condition gamma^2 = conjugation-by-v is linear in v; candidates
-    from that solution space are tested for invertibility and
-    gamma(v) = v^-1.  Returns None when no candidate works; the None is
-    certified when the linear space is zero (then gamma^2 is not inner
-    and no v can exist).
+    The condition gamma^2 = conjugation-by-v is linear in v.  The basis of
+    its solution space, then seeded random candidates, are filtered by
+    the anti-structure equations; the random draws are made per entry, so
+    they need not lie in the space and the whole check is run on each.
+    Returns None when no candidate works; the None is certified when the
+    linear space is zero (then gamma^2 is not inner and no v can exist).
     """
     gamma2 = gamma.compose(gamma)
     space = common_left_kernel([
@@ -429,12 +389,8 @@ def find_anti_structure(A: Algebra, gamma: AlgebraMap, seed: int = 0,
     randoms = random_combinations(A.field, A.dim, space, random.Random(seed), trials,
                                   (-2, -1, 1, 2), per_entry=True)
     for v in itertools.chain(space, randoms):
-        vinv = is_unit(A, v)
-        if vinv is None:
-            continue
-        if gamma.apply(v) != vinv:
-            continue
-        return AntiStructure(A, gamma, v)
+        if verify.anti_structure(A, gamma, v) is None:
+            return AntiStructure(A, gamma, v)
     return None
 
 
@@ -510,9 +466,6 @@ def anti_automorphism_from_orbit(A: Algebra, K: DoubleModule, n: int,
     if f is None:
         raise VerificationError("M is not isomorphic to its dual; wrong n?")
     b = form_from_adjoint(M, K, dual1, f)
-    adj = adjoints(b)
-    if not (adj.right_regular and adj.left_regular):
-        raise VerificationError("orbit form is not regular on both sides")
     alpha, end = corresponding_anti_automorphism(b)
     check_type_on_center(alpha, end, type_of(K))
     return OrbitAntiResult(end.algebra, alpha, M, b, end)

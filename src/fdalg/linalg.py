@@ -257,10 +257,6 @@ class Matrix:
         f = self.field
         return Matrix(f, [vsub(f, a, b) for a, b in zip(self.rows, other.rows)], ncols=self.ncols)
 
-    def __neg__(self) -> "Matrix":
-        f = self.field
-        return Matrix(f, [tuple(f.neg(x) for x in r) for r in self.rows], ncols=self.ncols)
-
     def scale(self, c) -> "Matrix":
         f = self.field
         c = f.coerce(c)

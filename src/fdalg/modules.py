@@ -13,6 +13,7 @@ import itertools
 import random
 from typing import Optional, Sequence
 
+from . import verify
 from .algebras import Algebra, primitive_idempotents
 from .errors import (
     DimensionError,
@@ -29,11 +30,8 @@ from .linalg import (
     solve_columns,
     unit_vector,
     unvec,
-    vadd,
     vcombine,
     vec,
-    vscale,
-    vzero,
 )
 
 
@@ -52,18 +50,7 @@ class Module:
             if m.nrows != dim or m.ncols != dim:
                 raise DimensionError("action matrices must be dim x dim")
         if validate:
-            self._validate()
-
-    def _validate(self) -> None:
-        A = self.algebra
-        if not self.action_of(A.unit).is_identity():
-            raise VerificationError("unit does not act as identity")
-        for i in range(A.dim):
-            for j in range(A.dim):
-                if self.action[i] * self.action[j] != self.action_of(A.table[i][j]):
-                    raise VerificationError(
-                        f"action is not multiplicative at basis pair ({i},{j})"
-                    )
+            verify.require(verify.module_action(algebra, self.action))
 
     def action_of(self, a: Sequence) -> Matrix:
         """Matrix of the right action of an algebra element."""
@@ -71,13 +58,9 @@ class Module:
 
     def act(self, x: Sequence, a: Sequence) -> tuple:
         """x . a for x in the module and a an algebra element."""
-        field = self.algebra.field
-        out = vzero(field, self.dim)
-        for j, c in enumerate(a):
-            if c != 0:
-                moved = self.action[j].act_row(x)
-                out = vadd(field, out, vscale(field, c, moved))
-        return out
+        nonzero = [j for j, c in enumerate(a) if c != 0]
+        return vcombine(self.algebra.field, self.dim, [a[j] for j in nonzero],
+                        [self.action[j].act_row(x) for j in nonzero])
 
     def __repr__(self):
         return f"Module(dim={self.dim} over dim-{self.algebra.dim} algebra)"
@@ -223,10 +206,7 @@ def hom_space(M: Module, N: Module) -> HomSpace:
     for v in basis_vecs or []:
         space.insert(v)
     mats = [unvec(field, v, n, m) for v in space.rows]
-    for f in mats:
-        for t in range(A.dim):
-            if M.action[t] * f != f * N.action[t]:
-                raise VerificationError("hom basis element fails to intertwine")
+    verify.require(verify.intertwines(M.action, N.action, *mats))
     return HomSpace(M, N, mats, space)
 
 
@@ -280,7 +260,7 @@ def is_isomorphic(M: Module, N: Module, seed: int = 0,
         return None
     field = M.algebra.field
     for b in H.basis:
-        if invert(b) is not None:
+        if verify.bijective(b) is None:
             return b
     rng = random.Random(seed)
     p = field.p
@@ -293,20 +273,20 @@ def is_isomorphic(M: Module, N: Module, seed: int = 0,
         if all(c == 0 for c in coeffs):
             continue
         f = H.matrix_from_coords(coeffs)
-        if invert(f) is not None:
+        if verify.bijective(f) is None:
             return f
     if p is not None and p ** H.dim <= 10 ** 6:
         for coeffs in itertools.product(range(p), repeat=H.dim):
             if all(c == 0 for c in coeffs):
                 continue
             f = H.matrix_from_coords(coeffs)
-            if invert(f) is not None:
+            if verify.bijective(f) is None:
                 return f
         return None
     if p is None and 3 ** H.dim <= 30000:
         for coeffs in itertools.product((-1, 0, 1), repeat=H.dim):
             f = H.matrix_from_coords([field.coerce(c) for c in coeffs])
-            if invert(f) is not None:
+            if verify.bijective(f) is None:
                 return f
     raise InconclusiveError(
         "isomorphism search exhausted without witness or disproof"

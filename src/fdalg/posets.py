@@ -12,6 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Optional, Sequence
 
+from . import verify
 from .algebras import Algebra, primitive_idempotents
 from .errors import NotAPosetError, VerificationError
 from .linalg import Field
@@ -26,18 +27,9 @@ class Poset:
     def __init__(self, leq: Sequence[Sequence[bool]]):
         self.size = len(leq)
         self.leq = tuple(tuple(bool(x) for x in row) for row in leq)
-        if any(len(row) != self.size for row in self.leq):
-            raise NotAPosetError("relation matrix must be square")
-        for i in range(self.size):
-            if not self.leq[i][i]:
-                raise NotAPosetError(f"relation is not reflexive at {i}")
-            for j in range(self.size):
-                if i != j and self.leq[i][j] and self.leq[j][i]:
-                    raise NotAPosetError(f"antisymmetry fails at ({i},{j})")
-                if self.leq[i][j]:
-                    for k in range(self.size):
-                        if self.leq[j][k] and not self.leq[i][k]:
-                            raise NotAPosetError(f"transitivity fails at ({i},{j},{k})")
+        msg = verify.partial_order(self.leq)
+        if msg is not None:
+            raise NotAPosetError(msg)
 
     @staticmethod
     def from_covers(size: int, covers: Sequence[Sequence[int]]) -> "Poset":

@@ -1,10 +1,11 @@
 """CLI: exit-code contract, schemas, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from fdalg import cli
+from fdalg import cli, verify
 from fdalg.linalg import QQ
 
 
@@ -303,3 +304,48 @@ def test_usage_errors_exit_one_with_json(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == cli.EXIT_INPUT
     assert "usage: fdalg" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("p", [5.5, 5.0, True, "5", None])
+def test_field_characteristic_must_be_a_json_integer(tmp_path, capsys, p):
+    alg = {"field": {"p": p}, "basis": ["1"], "table": [[[1]]], "unit": [1]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"algebra": alg}))
+    code, out = run_cli(capsys, "center", "--input", str(path))
+    assert code == cli.EXIT_INPUT
+    assert "characteristic must be an integer" in json.loads(out)["error"]
+
+
+class _FailingVerify:
+    """fdalg.verify as the CLI sees it, with one checker forced to fail."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __getattr__(self, attr):
+        if attr == self.name:
+            return lambda *args: "forced failure"
+        return getattr(verify, attr)
+
+
+@pytest.mark.parametrize("command, data, checker, check", [
+    ("reduce-standard", {"algebra": q_field_algebra_json(), "n": 2, "alpha": "transpose"},
+     "theta_relation", "theta relation holds on all basis triples"),
+    ("incidence", {"field": "Q", "size": 3, "cover": [[0, 1], [1, 2]]},
+     "associative_unital", "associativity and unit laws"),
+    ("poset-of-algebra", "poset-of-algebra.in.json",
+     "partial_order", "relation is a partial order"),
+], ids=["reduce-standard", "incidence", "poset-of-algebra"])
+def test_checks_rerun_the_verify_checkers(tmp_path, capsys, monkeypatch, command, data,
+                                          checker, check):
+    if isinstance(data, str):
+        data = json.loads((Path(__file__).parent / "golden" / data).read_text())
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, command, "--input", str(path))
+    assert code == cli.EXIT_OK
+    assert {"name": check, "pass": True} in json.loads(out)["checks"]
+    monkeypatch.setattr(cli, "verify", _FailingVerify(checker))
+    code, out = run_cli(capsys, command, "--input", str(path))
+    assert code == cli.EXIT_INPUT
+    assert json.loads(out)["error"].endswith("re-verification failed: " + check)

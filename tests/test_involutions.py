@@ -2,7 +2,7 @@
 
 import pytest
 
-from fdalg import algebras as alg, forms, involutions as inv, modules as mod
+from fdalg import algebras as alg, forms, involutions as inv, modules as mod, verify
 from fdalg.errors import NoSymmetricUnitError, VerificationError
 from fdalg.linalg import Field, Matrix, QQ
 
@@ -352,3 +352,18 @@ def test_find_anti_structure_positive():
     s = inv.find_anti_structure(H, conj)
     assert s is not None
     assert s.v is not None
+
+
+@pytest.mark.parametrize("field", [QQ, Field(7)])
+def test_find_anti_structure_skips_candidates_outside_the_space(field):
+    # M_2 x M_2 with transpose on both factors: the per-entry random draws
+    # need not lie in the solution space, and seeds 2, 3 and 5-8 draw a unit
+    # with gamma(v) = v^-1 that fails gamma^2 = conjugation by v; the search
+    # must skip it
+    A = alg.direct_product(alg.matrix_algebra(field, 2), alg.matrix_algebra(field, 2))
+    perm = [0, 2, 1, 3, 4, 6, 5, 7]
+    gamma = alg.AlgebraMap.from_images(A, A, [A.basis_vector(i) for i in perm],
+                                       alg.AlgebraMap.ANTI)
+    for seed in range(10):
+        s = inv.find_anti_structure(A, gamma, seed=seed)
+        assert s is not None and verify.anti_structure(A, gamma, s.v) is None
