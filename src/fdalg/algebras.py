@@ -9,7 +9,9 @@ column vectors.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -23,6 +25,7 @@ from .errors import (
     VerificationError,
 )
 from .linalg import (
+    Coordinates,
     Field,
     Matrix,
     QuotientSpace,
@@ -148,6 +151,8 @@ class AlgebraMap:
         self.target = target
         self.matrix = matrix
         self.variance = variance
+        # apply() acts on row vectors: f(x) = x @ matrix^T
+        self._transpose = matrix.transpose()
         if validate:
             self._validate()
 
@@ -160,17 +165,7 @@ class AlgebraMap:
         return AlgebraMap(source, target, Matrix(target.field, rows), variance, validate)
 
     def apply(self, x: Sequence) -> tuple:
-        m = self.matrix
-        field = self.target.field
-        out = []
-        for k in range(m.nrows):
-            row = m.rows[k]
-            acc = field.zero
-            for i, xi in enumerate(x):
-                if xi != 0:
-                    acc = field.add(acc, field.mul(row[i], xi))
-            out.append(acc)
-        return tuple(out)
+        return self._transpose.act_row(x)
 
     def _validate(self) -> None:
         # a method of its own so that the benchmark's tracer can time it
@@ -236,8 +231,12 @@ class CenterData:
                                           prefix="z")
         return self._as_algebra
 
+    @functools.cached_property
+    def _coordinates(self) -> Coordinates:
+        return Coordinates(self.algebra.field, self.basis, self.algebra.dim)
+
     def coordinates(self, v: Sequence) -> Optional[tuple]:
-        return _coords_in_rows(self.algebra.field, self.basis, v)
+        return self._coordinates.of(v)
 
 
 # -- constructors ------------------------------------------------------
@@ -605,9 +604,7 @@ def _poly_powmod(field: Field, f: list, e: int, m: list) -> list:
 
 def _rational_roots(f: list) -> list:
     """All rational roots of a polynomial with Fraction coefficients."""
-    den = 1
-    for c in f:
-        den = den * c.denominator // _gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in f))
     ints = [int(c * den) for c in f]
     while ints and ints[0] == 0:
         ints = ints[1:]
@@ -626,12 +623,6 @@ def _rational_roots(f: list) -> list:
                 if acc == 0:
                     roots.add(cand)
     return sorted(roots)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int) -> list:
@@ -684,7 +675,7 @@ def minimal_polynomial(A: Algebra, x: Sequence) -> list:
     while True:
         cur = A.mul(cur, x)
         if space.contains(cur):
-            coeffs = _coords_in_rows(field, powers, cur)
+            coeffs = Coordinates(field, powers, A.dim).of(cur)
             return [field.neg(c) for c in coeffs] + [field.one]
         space.insert(cur)
         powers.append(cur)
@@ -799,7 +790,7 @@ def _split_semisimple(S: Algebra, rng: random.Random) -> list:
         refined = []
         for u in centrals:
             corner, emb = subalgebra(S, _corner_span(S, u), u, prefix="c")
-            zu = _coords_in_rows(field, emb, S.mul(u, S.mul(z, u)))
+            zu = Coordinates(field, emb, S.dim).of(S.mul(u, S.mul(z, u)))
             if zu is None:
                 raise VerificationError("central element left the corner")
             m = minimal_polynomial(corner, zu)
@@ -832,12 +823,6 @@ def _split_semisimple(S: Algebra, rng: random.Random) -> list:
 
 def _corner_span(S: Algebra, u: Sequence) -> list:
     return [S.mul(u, S.mul(S.basis_vector(i), u)) for i in range(S.dim)]
-
-
-def _coords_in_rows(field: Field, rows: list, v: Sequence) -> Optional[tuple]:
-    M = Matrix(field, rows, ncols=len(v)).transpose()
-    sol = solve_columns(M, Matrix.column(field, v))
-    return sol.column_tuple(0) if sol is not None else None
 
 
 def _split_simple_corner(S: Algebra, u: Sequence, rng: random.Random) -> list:
@@ -1052,10 +1037,10 @@ def restriction_to_center(f: AlgebraMap) -> AlgebraMap:
     A = f.source
     cdata = center(A)
     Z, emb = cdata.as_algebra()
+    in_center = Coordinates(A.field, emb, A.dim)
     images = []
     for row in emb:
-        img = f.apply(row)
-        coords = _coords_in_rows(A.field, emb, img)
+        coords = in_center.of(f.apply(row))
         if coords is None:
             raise VerificationError("map does not preserve the center")
         images.append(coords)

@@ -3,7 +3,7 @@
 Reads JSON descriptions of algebras, posets and class groups, runs the
 named construction, and emits a JSON report whose "checks" section
 re-runs the :mod:`fdalg.verify` checkers on the returned objects (those of
-``radical``, ``basic`` and the ``demo goldman`` elements are still constant).
+``radical`` and ``basic`` are still constant).
 
 Exit codes: 0 success; 1 malformed or unsupported input, usage errors
 included; 2 a certified mathematical negative (no involution, impossible
@@ -526,7 +526,8 @@ def demo_goldman(args):
         T, g = _alg.goldman_element(n, QQ)
         results.append({"n": n, "tensor_dimension": T.dim,
                         "element": vector_json(QQ, g)})
-        checks.append(_check(f"n={n}: g^2 = 1 and swap law on all basis pairs", True))
+        checks.append(_check(f"n={n}: g^2 = 1 and swap law on all basis pairs",
+                             verify.goldman(T, n * n, g) is None))
     M2 = _alg.matrix_algebra(QQ, 2)
     tr = _alg.AlgebraMap.from_images(
         M2, M2, [M2.basis_vector(i) for i in (0, 2, 1, 3)], _alg.AlgebraMap.ANTI)

@@ -16,12 +16,11 @@ from . import verify
 from .algebras import Algebra, AlgebraMap, center, matrix_algebra, opposite
 from .errors import DimensionError, VerificationError
 from .linalg import (
+    Coordinates,
     Matrix,
     QuotientSpace,
     RowSpace,
-    kernel_rows,
     mcombine,
-    solve_columns,
     unit_vector,
     unvec,
     vcombine,
@@ -29,6 +28,7 @@ from .linalg import (
     vzero,
 )
 from .modules import (
+    HomSpace,
     Module,
     direct_sum,
     endomorphism_algebra,
@@ -98,16 +98,17 @@ def type_of(K: DoubleModule) -> TypeTag:
     A = K.algebra
     field = A.field
     cdata = center(A)
-    cols = [vec(K.action_matrix(z, 1)) for z in cdata.basis]
-    C = Matrix(field, cols, ncols=K.dim * K.dim).transpose()
-    if kernel_rows(C):
+    # k .0 z = k .1 sigma(z): sigma(z) = sum_j c_j z_j where rho0(z) = sum_j c_j rho1(z_j)
+    in_action1 = Coordinates(field, [vec(K.action_matrix(z, 1)) for z in cdata.basis],
+                             K.dim * K.dim)
+    if not in_action1.independent:
         raise VerificationError("values module is not faithful enough to carry a type")
     coords = []
     for z in cdata.basis:
-        sol = solve_columns(C, Matrix.column(field, vec(K.action_matrix(z, 0))))
-        if sol is None:
+        c = in_action1.of(vec(K.action_matrix(z, 0)))
+        if c is None:
             raise VerificationError("double module has no type on the center")
-        coords.append(sol.column_tuple(0))
+        coords.append(c)
     # sigma must be an automorphism of the center
     if verify.bijective(Matrix(field, coords, ncols=cdata.dim)) is not None:
         raise VerificationError("induced center map is not bijective")
@@ -172,29 +173,32 @@ def standard_involution(K: DoubleModule, gamma: AlgebraMap) -> DoubleModuleInvol
 class DualModule:
     """M^[i] = Hom(M, K_{1-i}) with the i-twisted action.
 
-    ``maps`` identifies abstract coordinates with concrete hom matrices;
-    ``evaluate`` applies an element to a vector of the source module.
+    ``maps`` (the basis of ``hom``) identifies abstract coordinates with
+    concrete hom matrices; ``evaluate`` applies an element to a vector of
+    the source module.
     """
 
     def __init__(self, source: Module, values: DoubleModule, index: int,
-                 module: Module, maps: Sequence[Matrix], space: RowSpace):
+                 module: Module, hom: HomSpace):
         self.source = source
         self.values = values
         self.index = index
         self.module = module
-        self.maps = list(maps)
-        self._space = space
+        self.hom = hom
 
     @property
     def dim(self) -> int:
         return self.module.dim
 
+    @property
+    def maps(self) -> list:
+        return self.hom.basis
+
     def matrix_of(self, coords: Sequence) -> Matrix:
-        return mcombine(self.source.algebra.field, self.source.dim, self.values.dim,
-                        coords, self.maps)
+        return self.hom.matrix_from_coords(coords)
 
     def coords_of(self, f: Matrix) -> Optional[tuple]:
-        return self._space.coordinates(vec(f))
+        return self.hom.coords_of(f)
 
     def evaluate(self, coords: Sequence, x: Sequence) -> tuple:
         """(element with these coordinates)(x) in K."""
@@ -224,7 +228,7 @@ def dual_module(M: Module, K: DoubleModule, i: int) -> DualModule:
             rows.append(coords)
         action.append(Matrix(field, rows, ncols=d))
     module = Module(A, d, action, validate=False)
-    return DualModule(M, K, i, module, H.basis, H._space)
+    return DualModule(M, K, i, module, H)
 
 
 def dual_morphism(f: Matrix, dual_target: DualModule, dual_source: DualModule) -> Matrix:
@@ -316,16 +320,12 @@ class EndData:
         self.algebra = algebra
         self.maps = list(maps)
         self.module = module
-        field = algebra.field
-        self._space = RowSpace(field, module.dim * module.dim)
-        for m in self.maps:
-            self._space.insert(vec(m))
         # coordinates are taken with respect to the original maps, which
         # need not be in echelon form
-        self._stack = Matrix(field, [vec(m) for m in self.maps],
-                             ncols=module.dim * module.dim).transpose()
+        self._coords = Coordinates(algebra.field, [vec(m) for m in self.maps],
+                                   module.dim * module.dim)
         if validate:
-            if self._space.dim != len(self.maps):
+            if not self._coords.independent:
                 raise VerificationError("endomorphism maps are linearly dependent")
             verify.require(verify.intertwines(module.action, module.action, *self.maps))
             # mat(w v) = mat(v) mat(w): the maps are a right action of the opposite
@@ -341,10 +341,7 @@ class EndData:
         return mcombine(self.algebra.field, d, d, coords, self.maps)
 
     def coords_of(self, mat: Matrix) -> Optional[tuple]:
-        if not self._space.contains(vec(mat)):
-            return None
-        sol = solve_columns(self._stack, Matrix.column(self.algebra.field, vec(mat)))
-        return sol.column_tuple(0) if sol is not None else None
+        return self._coords.of(vec(mat))
 
 
 def corresponding_anti_automorphism(b: BilinearForm,
@@ -362,28 +359,29 @@ def corresponding_anti_automorphism(b: BilinearForm,
         end = EndData.of_module(M)
     d = M.dim
     w_dim = end.algebra.dim
-    # coefficient matrix C[(i,j,comp), v] = sum_s mat(w_v)[j][s] * b[i][s][comp]
-    rows = []
-    for i in range(d):
-        for j in range(d):
-            for comp in range(K.dim):
-                row = []
-                for v in range(w_dim):
-                    mv = end.maps[v]
+    # alpha(w_u) = sum_v x_v w_v where sum_v x_v b(e_i, w_v e_j) = b(w_u e_i, e_j)
+    # for all i, j; column v of this system lists b(e_i, w_v e_j) over (i, j, comp)
+    cols = []
+    for v in range(w_dim):
+        mv = end.maps[v]
+        col = []
+        for i in range(d):
+            for j in range(d):
+                for comp in range(K.dim):
                     acc = field.zero
                     for s in range(d):
                         c = mv.rows[j][s]
                         if c != 0:
                             acc = field.add(acc, field.mul(c, b.tensor[i][s][comp]))
-                    row.append(acc)
-                rows.append(row)
-    C = Matrix(field, rows, ncols=w_dim)
-    if kernel_rows(C):
+                    col.append(acc)
+        cols.append(col)
+    system = Coordinates(field, cols, d * d * K.dim)
+    if not system.independent:
         raise VerificationError("values module not faithful enough: solution not unique")
-    rhs_cols = []
+    images = []
     for u in range(w_dim):
         mu = end.maps[u]
-        col = []
+        rhs = []
         for i in range(d):
             for j in range(d):
                 for comp in range(K.dim):
@@ -392,14 +390,13 @@ def corresponding_anti_automorphism(b: BilinearForm,
                         c = mu.rows[i][s]
                         if c != 0:
                             acc = field.add(acc, field.mul(c, b.tensor[s][j][comp]))
-                    col.append(acc)
-        rhs_cols.append(col)
-    RHS = Matrix(field, rhs_cols, ncols=C.nrows).transpose()
-    sol = solve_columns(C, RHS)
-    if sol is None:
-        raise VerificationError("values module not faithful enough: no solution")
-    # column u of sol = coordinates of alpha(w_u)
-    alpha = AlgebraMap(end.algebra, end.algebra, sol, AlgebraMap.ANTI, validate=True)
+                    rhs.append(acc)
+        x = system.of(rhs)
+        if x is None:
+            raise VerificationError("values module not faithful enough: no solution")
+        images.append(x)
+    # images[u] = coordinates of alpha(w_u)
+    alpha = AlgebraMap.from_images(end.algebra, end.algebra, images, AlgebraMap.ANTI)
     if not alpha.is_bijective():
         raise VerificationError("corresponding map is not bijective")
     return alpha, end

@@ -1,14 +1,19 @@
 """Exact scalars and dense linear algebra.
 
 Rationals are ``fractions.Fraction``; prime-field elements are ints kept
-reduced in ``range(p)``.  No floating point anywhere.  All elimination
-uses first-nonzero pivoting, so every result is reproducible byte for
-byte.  Coordinate vectors are plain tuples; matrices act on row vectors
-from the right (``v -> v @ M``).
+reduced in ``range(p)``.  No floating point anywhere.  Coordinate vectors
+are plain tuples; matrices act on row vectors from the right
+(``v -> v @ M``).
+
+:class:`RowSpace` is the one Gauss-Jordan elimination: ranks, kernels,
+solves, inverses and :class:`Coordinates` all read the reduced echelon
+form it keeps.  That form is unique for a span, so every result is
+reproducible byte for byte whatever order the rows arrive in.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from fractions import Fraction
@@ -327,8 +332,9 @@ class Matrix:
         return t
 
     def rank(self) -> int:
-        _, pivots = _rref(self.field, [list(r) for r in self.rows], self.ncols)
-        return len(pivots)
+        space = RowSpace(self.field, self.ncols)
+        space.extend(self.rows)
+        return space.dim
 
 
 def vec(m: Matrix) -> tuple:
@@ -348,46 +354,6 @@ def mcombine(field: Field, nrows: int, ncols: int, coeffs: Sequence,
     terms = [(c, vec(m)) for c, m in zip(coeffs, mats) if c != 0]
     flat = vcombine(field, nrows * ncols, [c for c, _ in terms], [v for _, v in terms])
     return unvec(field, flat, nrows, ncols)
-
-
-def _rref(field: Field, rows: list, ncols: int):
-    """In-place reduced row echelon form with first-nonzero pivoting.
-
-    Returns (rows, pivot_columns); zero rows sink to the bottom.
-    """
-    p = field.p
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.inv(rows[r][c])
-        if inv != 1:
-            if p is None:
-                rows[r] = [inv * x for x in rows[r]]
-            else:
-                rows[r] = [inv * x % p for x in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                fct = rows[i][c]
-                ri, rr = rows[i], rows[r]
-                if p is None:
-                    rows[i] = [a - fct * b for a, b in zip(ri, rr)]
-                else:
-                    rows[i] = [(a - fct * b) % p for a, b in zip(ri, rr)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
 
 
 def solve(A: Matrix, b: Matrix) -> Optional[Matrix]:
@@ -410,17 +376,15 @@ def solve_columns(A: Matrix, B: Matrix) -> Optional[Matrix]:
     if A.nrows != B.nrows:
         raise DimensionError("row count mismatch in solve")
     field = A.field
-    n, m = A.nrows, A.ncols
-    k = B.ncols
-    aug = [list(A.rows[i]) + list(B.rows[i]) for i in range(n)]
-    aug, pivots = _rref(field, aug, m + k)
-    # pivot in the RHS block means inconsistency
-    if any(c >= m for c in pivots):
+    m, k = A.ncols, B.ncols
+    space = RowSpace(field, m + k)
+    space.extend(a + b for a, b in zip(A.rows, B.rows))
+    # a pivot in the B block means inconsistency
+    if any(c >= m for c in space.pivots):
         return None
-    X = [[field.zero] * k for _ in range(m)]
-    for r, c in enumerate(pivots):
-        for j in range(k):
-            X[c][j] = aug[r][m + j]
+    X = [vzero(field, k)] * m
+    for row, c in zip(space.rows, space.pivots):
+        X[c] = row[m:]
     return Matrix(field, X, ncols=k)
 
 
@@ -429,15 +393,17 @@ def kernel_rows(A: Matrix) -> list:
     echelon-normalized for reproducibility."""
     field = A.field
     m = A.ncols
-    rows, pivots = _rref(field, [list(r) for r in A.rows], m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m) if c not in pivot_set]
+    space = RowSpace(field, m)
+    space.extend(A.rows)
+    pivot_set = set(space.pivots)
     basis = []
-    for fcol in free:
+    for fcol in range(m):
+        if fcol in pivot_set:
+            continue
         v = [field.zero] * m
         v[fcol] = field.one
-        for r, c in enumerate(pivots):
-            v[c] = field.neg(rows[r][fcol])
+        for row, c in zip(space.rows, space.pivots):
+            v[c] = field.neg(row[fcol])
         basis.append(tuple(v))
     return basis
 
@@ -468,11 +434,11 @@ def invert(A: Matrix) -> Optional[Matrix]:
     n = A.nrows
     if n == 0:
         return Matrix.zeros(A.field, 0, 0)
+    # a singular A puts a pivot of [A | I] in the I block, so X is None
     X = solve_columns(A, Matrix.identity(A.field, n))
     if X is None:
         return None
-    # rank deficiency shows up as inconsistency only for some columns;
-    # confirm the product exactly
+    # re-verification: the inverse is only returned once A X = I is exact
     if not (A * X).is_identity():
         return None
     return X
@@ -511,7 +477,9 @@ class RowSpace:
     """Span of row vectors kept in reduced echelon form.
 
     Supports incremental insertion, membership, canonical reduction mod
-    the span, and coordinates with respect to the echelon basis.
+    the span, and coordinates with respect to the echelon basis.  Pivots
+    are first nonzero entries; over GF(p) every stored entry lies in
+    ``range(p)``.
     """
 
     def __init__(self, field: Field, ncols: int):
@@ -544,27 +512,37 @@ class RowSpace:
 
     def insert(self, v: Sequence) -> bool:
         """Add v to the span; returns True when the dimension grew."""
-        field = self.field
-        r = list(self.reduce(v))
-        for c, x in enumerate(r):
-            if x != 0:
-                inv = field.inv(x)
-                if inv != 1:
-                    r = [field.mul(inv, a) for a in r]
-                # keep existing rows reduced against the new one
-                for i, row in enumerate(self.rows):
-                    if row[c] != 0:
-                        fct = row[c]
-                        self.rows[i] = tuple(
-                            field.sub(a, field.mul(fct, b)) for a, b in zip(row, r)
-                        )
-                pos = 0
-                while pos < len(self.pivots) and self.pivots[pos] < c:
-                    pos += 1
-                self.rows.insert(pos, tuple(r))
-                self.pivots.insert(pos, c)
-                return True
-        return False
+        if len(self.rows) == self.ncols:
+            return False
+        p = self.field.p
+        r = self.reduce(v)
+        if p is None:
+            c = next((j for j, x in enumerate(r) if x != 0), None)
+            if c is None:
+                return False
+            if r[c] != 1:
+                inv = 1 / Fraction(r[c])
+                r = tuple(inv * a for a in r)
+        else:
+            # entries of v need not lie in range(p); the scaling pass
+            # stores every entry of the new row reduced
+            c = next((j for j, x in enumerate(r) if x % p), None)
+            if c is None:
+                return False
+            inv = pow(r[c], -1, p)
+            r = tuple(inv * a % p for a in r)
+        # keep existing rows reduced against the new one
+        for i, row in enumerate(self.rows):
+            fct = row[c]
+            if fct != 0:
+                if p is None:
+                    self.rows[i] = tuple(a - fct * b for a, b in zip(row, r))
+                else:
+                    self.rows[i] = tuple((a - fct * b) % p for a, b in zip(row, r))
+        pos = bisect.bisect(self.pivots, c)
+        self.rows.insert(pos, r)
+        self.pivots.insert(pos, c)
+        return True
 
     def extend(self, vectors: Iterable[Sequence]) -> None:
         for v in vectors:
@@ -607,3 +585,34 @@ class QuotientSpace:
         for c, x in zip(self.free_columns, coords):
             v[c] = x
         return tuple(v)
+
+
+class Coordinates:
+    """Coordinates with respect to a fixed list of vectors of F^n.
+
+    The reduced echelon form of ``[vectors | I]`` is ``[E | T]`` with
+    ``T vectors = E``, so reducing ``(v | 0)`` leaves ``(0 | -c)`` exactly
+    when ``v = c vectors``: one reduction per lookup.  ``independent`` is
+    False when the list is linearly dependent; ``of`` then returns one
+    canonical choice among the solutions.
+    """
+
+    def __init__(self, field: Field, vectors: Sequence[Sequence], n: int):
+        k = len(vectors)
+        self.field = field
+        self.n = n
+        self._pad = vzero(field, k)
+        self._space = RowSpace(field, n + k)
+        self._space.extend(tuple(v) + unit_vector(field, k, i) for i, v in enumerate(vectors))
+        self.independent = all(c < n for c in self._space.pivots)
+
+    def of(self, v: Sequence) -> Optional[tuple]:
+        """The c with sum_i c_i vectors[i] = v, or None if v is outside the span."""
+        r = self._space.reduce(tuple(v) + self._pad)
+        n = self.n
+        if not vec_is_zero(r[:n]):
+            return None
+        p = self.field.p
+        if p is None:
+            return tuple(-a for a in r[n:])
+        return tuple(-a % p for a in r[n:])

@@ -142,17 +142,16 @@ def change_of_basis(M: Module, T: Matrix) -> Module:
 
 class HomSpace:
     """Basis of Hom_A(M, N); each basis element is a dim_M x dim_N matrix
-    acting on row vectors and intertwining the two actions exactly."""
+    acting on row vectors and intertwining the two actions exactly.
 
-    def __init__(self, source: Module, target: Module, basis: Sequence[Matrix],
-                 space: Optional[RowSpace] = None):
+    The basis is the echelon basis of ``space``, the span of the
+    flattened matrices, so coordinates are read off its pivots.
+    """
+
+    def __init__(self, source: Module, target: Module, space: RowSpace):
         self.source = source
         self.target = target
-        self.basis = list(basis)
-        if space is None:
-            space = RowSpace(source.algebra.field, source.dim * target.dim)
-            for b in self.basis:
-                space.insert(vec(b))
+        self.basis = [unvec(space.field, v, source.dim, target.dim) for v in space.rows]
         self._space = space
 
     @property
@@ -176,7 +175,7 @@ def hom_space(M: Module, N: Module) -> HomSpace:
     n, m = M.dim, N.dim
     nm = n * m
     if nm == 0:
-        return HomSpace(M, N, [])
+        return HomSpace(M, N, RowSpace(field, 0))
     basis_vecs: Optional[list] = None
     for t in range(A.dim):
         rhoM, rhoN = M.action[t], N.action[t]
@@ -203,11 +202,10 @@ def hom_space(M: Module, N: Module) -> HomSpace:
             coeffs = kernel_rows(Matrix(field, rows, ncols=nm).transpose())
             basis_vecs = [vcombine(field, nm, cf, basis_vecs) for cf in coeffs]
     space = RowSpace(field, nm)
-    for v in basis_vecs or []:
-        space.insert(v)
-    mats = [unvec(field, v, n, m) for v in space.rows]
-    verify.require(verify.intertwines(M.action, N.action, *mats))
-    return HomSpace(M, N, mats, space)
+    space.extend(basis_vecs or [])
+    H = HomSpace(M, N, space)
+    verify.require(verify.intertwines(M.action, N.action, *H.basis))
+    return H
 
 
 def endomorphism_algebra(M: Module):

@@ -57,7 +57,8 @@ def multiplicative(f) -> Optional[str]:
     for i in range(src.dim):
         for j in range(src.dim):
             rhs = tgt.mul(images[j], images[i]) if anti else tgt.mul(images[i], images[j])
-            if f.apply(src.table[i][j]) != rhs:
+            # f(e_i e_j) by linearity from the images of the basis
+            if vcombine(tgt.field, tgt.dim, src.table[i][j], images) != rhs:
                 return f"{f.variance} law fails at basis pair ({i}, {j})"
     return None
 

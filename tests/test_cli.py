@@ -349,3 +349,11 @@ def test_checks_rerun_the_verify_checkers(tmp_path, capsys, monkeypatch, command
     code, out = run_cli(capsys, command, "--input", str(path))
     assert code == cli.EXIT_INPUT
     assert json.loads(out)["error"].endswith("re-verification failed: " + check)
+
+
+def test_demo_goldman_reruns_the_goldman_checker(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify", _FailingVerify("goldman"))
+    code, out = run_cli(capsys, "demo", "goldman")
+    assert code == cli.EXIT_INPUT
+    assert json.loads(out)["error"].endswith("re-verification failed: " + "; ".join(
+        f"n={n}: g^2 = 1 and swap law on all basis pairs" for n in (1, 2, 3)))

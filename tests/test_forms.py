@@ -325,3 +325,17 @@ def test_dual_round_trips_small():
         d1 = forms.dual_module(M, K, 1)
         d10 = forms.dual_module(d1.module, K, 0)
         assert mod.is_isomorphic(d10.module, M) is not None
+
+
+def test_dependent_systems_keep_their_messages():
+    FQ = alg.field_algebra(QQ)
+    P = alg.direct_product(FQ, FQ)
+    one = Matrix.identity(QQ, 1)
+    with pytest.raises(VerificationError, match="endomorphism maps are linearly dependent"):
+        forms.EndData(P, [one, one], mod.regular_module(FQ))
+    # on K_1 = Q the idempotents of Q x Q act as 1 and 0; one dimension
+    # cannot separate the two-dimensional center
+    act = [one, Matrix.zeros(QQ, 1, 1)]
+    K = forms.DoubleModule(P, 1, act, act)
+    with pytest.raises(VerificationError, match="not faithful enough to carry a type"):
+        forms.type_of(K)

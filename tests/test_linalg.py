@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdalg.linalg import (
+    Coordinates,
     Field,
     Matrix,
     QQ,
@@ -18,6 +19,7 @@ from fdalg.linalg import (
     kronecker,
     mcombine,
     solve,
+    solve_columns,
     unit_vector,
     unvec,
     vcombine,
@@ -196,3 +198,102 @@ def test_common_left_kernel():
         assert common_left_kernel([M]) == [tuple(field.coerce(x) for x in (-1, -1, 1))]
         assert common_left_kernel([M, N]) == common_left_kernel([M])
         assert common_left_kernel([M, Matrix.identity(field, 3)]) == []
+
+
+def test_rowspace_stores_reduced_entries_over_gfp():
+    # (1, -1) and (1, 4) span the same line of GF(5)^2; the stored echelon
+    # rows must be the same tuples
+    for v in ((1, -1), (1, 4), (6, -6), (-4, 9)):
+        space = RowSpace(F5, 2)
+        assert space.insert(v)
+        assert space.rows == [(1, 4)] and space.pivots == [0]
+    space = RowSpace(F5, 3)
+    space.insert((5, 2, -3))
+    assert space.rows == [(0, 1, 1)]
+    assert not space.insert((0, -3, 7))
+
+
+# -- properties of the elimination kernel -----------------------------
+
+FIELDS = (QQ, F5, Field(2))
+
+
+@st.composite
+def matrices(draw, nrows=st.integers(0, 5), ncols=st.integers(1, 5)):
+    field = draw(st.sampled_from(FIELDS))
+    n, m = draw(nrows), draw(ncols)
+    entries = st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n))
+    return Matrix(field, rows, ncols=m)
+
+
+def _rowspace(field, ncols, rows):
+    space = RowSpace(field, ncols)
+    space.extend(rows)
+    return space
+
+
+@given(matrices(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_rowspace_is_independent_of_row_order(A, data):
+    order = data.draw(st.permutations(range(A.nrows)))
+    space = _rowspace(A.field, A.ncols, A.rows)
+    shuffled = _rowspace(A.field, A.ncols, [A.rows[i] for i in order])
+    assert shuffled.rows == space.rows and shuffled.pivots == space.pivots
+
+
+@given(matrices())
+@settings(max_examples=60, deadline=None)
+def test_kernel_annihilates_and_rank_plus_nullity(A):
+    K = kernel_rows(A)
+    for v in K:
+        assert (A * Matrix.column(A.field, v)).is_zero()
+    assert A.rank() + len(K) == A.ncols
+    assert _rowspace(A.field, A.ncols, K).dim == len(K)
+
+
+@given(matrices(nrows=st.integers(1, 5)), st.integers(1, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_solve_columns_solves_or_certifies_inconsistency(A, k, data):
+    entries = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+    B = Matrix(A.field, data.draw(st.lists(entries, min_size=A.nrows, max_size=A.nrows)),
+               ncols=k)
+    X = solve_columns(A, B)
+    augmented = Matrix(A.field, [a + b for a, b in zip(A.rows, B.rows)])
+    if X is None:
+        assert augmented.rank() > A.rank()
+    else:
+        assert A * X == B
+        assert augmented.rank() == A.rank()
+
+
+@given(st.integers(1, 5), st.data())
+@settings(max_examples=60, deadline=None)
+def test_invert_inverts_or_certifies_singularity(n, data):
+    A = data.draw(matrices(nrows=st.just(n), ncols=st.just(n)))
+    X = invert(A)
+    if X is None:
+        assert A.rank() < n
+    else:
+        assert (X * A).is_identity() and (A * X).is_identity()
+
+
+@given(matrices(nrows=st.integers(0, 4)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_coordinates_round_trip(A, data):
+    field, n, vectors = A.field, A.ncols, list(A.rows)
+    coords = Coordinates(field, vectors, n)
+    span = _rowspace(field, n, vectors)
+    assert coords.independent == (span.dim == len(vectors))
+    c = [field.coerce(x) for x in data.draw(
+        st.lists(st.integers(-3, 3), min_size=len(vectors), max_size=len(vectors)))]
+    v = vcombine(field, n, c, vectors)
+    found = coords.of(v)
+    assert vcombine(field, n, found, vectors) == v
+    if coords.independent:
+        assert found == tuple(c)
+    for i in range(n):
+        e = unit_vector(field, n, i)
+        if not span.contains(e):
+            assert coords.of(e) is None
+
