@@ -575,6 +575,11 @@ def _poly_deriv(field: Field, f: list) -> list:
     return _poly_trim([field.mul(field.coerce(i), c) for i, c in enumerate(f)][1:])
 
 
+def _poly_sub(field: Field, f: list, g: list) -> list:
+    pairs = itertools.zip_longest(f, g, fillvalue=field.zero)
+    return _poly_trim([field.sub(a, b) for a, b in pairs])
+
+
 def _poly_mul(field: Field, f: list, g: list) -> list:
     out = [field.zero] * (len(f) + len(g) - 1) if f and g else []
     for i, a in enumerate(f):
@@ -641,20 +646,39 @@ def _divisors(n: int) -> list:
 
 
 def _poly_roots(field: Field, f: list) -> list:
-    """Roots of f in the ground field, sorted for determinism."""
+    """Distinct roots of a nonzero f in the ground field, sorted.
+
+    Over GF(p) the roots are those of g = gcd(f, x^p - x), and g is split
+    into linear factors by gcd(h, (x + a)^((p-1)/2) - 1) for the shifts
+    a = 0, 1, 2, ... (Rabin 1980; Cantor & Zassenhaus 1981).  The shifts
+    are deterministic, so no randomness is drawn: O(deg^2 log p) field
+    operations instead of p evaluations.
+    """
     if field.p is None:
-        return [r for r in _rational_roots(f)]
-    return sorted(
-        x for x in field.elements()
-        if _poly_eval_scalar(field, f, x) == 0
-    )
+        return _rational_roots(f)
+    if field.p == 2:
+        return [x for x, fx in ((0, f[0]), (1, sum(f) % 2)) if fx == 0]
+    t = [field.zero, field.one]
+    g = _poly_gcd(field, f, _poly_sub(field, _poly_powmod(field, t, field.p, f), t))
+    return sorted(_split_linear(field, g, 0))
 
 
-def _poly_eval_scalar(field: Field, f: list, x):
-    acc = field.zero
-    for c in reversed(f):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
+def _split_linear(field: Field, h: list, a: int) -> list:
+    """Roots of a monic h that is a product of distinct linear factors.
+
+    Two distinct roots r, s have different quadratic characters at
+    r + a and s + a for some a in GF(p), and the shifts a, a + 1, ... run
+    through all of GF(p), so the loop ends.
+    """
+    e = (field.p - 1) // 2
+    while _poly_deg(h) > 1:
+        s = _poly_powmod(field, [field.coerce(a), field.one], e, h)
+        d = _poly_gcd(field, h, _poly_sub(field, s, [field.one]))
+        a += 1
+        if 0 < _poly_deg(d) < _poly_deg(h):
+            q, _ = _poly_divmod(field, h, d)
+            return _split_linear(field, d, a) + _split_linear(field, q, a)
+    return [field.neg(h[0])] if _poly_deg(h) == 1 else []
 
 
 def _poly_eval_in_algebra(A: Algebra, f: list, x: Sequence) -> tuple:
@@ -687,8 +711,9 @@ def _nontrivial_factor(field: Field, f: list, rng: random.Random) -> Optional[tu
     """A factorization f = g*h with both factors nonconstant, or None.
 
     Over the rationals only square-free splitting and rational roots are
-    attempted; over small prime fields distinct-degree and (for odd p)
-    equal-degree splitting are used as well.
+    attempted; over prime fields distinct-degree and (for odd p)
+    equal-degree splitting are used as well.  A linear factor, when f
+    has a root, is x - (least root) and draws nothing from ``rng``.
     """
     deg = _poly_deg(f)
     if deg < 2:
@@ -708,12 +733,11 @@ def _nontrivial_factor(field: Field, f: list, rng: random.Random) -> Optional[tu
     if field.p is None:
         return None
     p = field.p
-    # distinct-degree phase
+    # distinct-degree phase; f has no linear factor, so it starts at 2
     t = [field.zero, field.one]
-    for dd in range(1, deg // 2 + 1):
+    for dd in range(2, deg // 2 + 1):
         xp = _poly_powmod(field, t, p ** dd, f)
-        diff = _poly_trim([field.sub(a, b) for a, b in
-                           zip(xp + [field.zero] * len(f), t + [field.zero] * len(f))])
+        diff = _poly_sub(field, xp, t)
         if not diff:
             # all irreducible factors have degree dividing dd
             g = _equal_degree_split(field, f, dd, rng)
@@ -743,8 +767,7 @@ def _equal_degree_split(field: Field, f: list, d: int, rng: random.Random) -> Op
         if _poly_deg(r) < 1:
             continue
         h = _poly_powmod(field, r, e, f)
-        h = _poly_trim([field.sub(a, b) for a, b in
-                        zip(h + [field.zero] * len(f), [field.one] + [field.zero] * len(f))])
+        h = _poly_sub(field, h, [field.one])
         if not h:
             continue
         g = _poly_gcd(field, f, h)

@@ -22,14 +22,37 @@ from typing import Iterable, Optional, Sequence
 from .errors import DimensionError, FieldMismatchError
 
 
+# Miller-Rabin with the prime bases 2..37 is exact below this bound
+# (Sorenson & Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_BOUND = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality for n < _PRIME_BOUND; ValueError above it."""
+    if n >= _PRIME_BOUND:
+        raise ValueError(
+            f"{n} is at least {_PRIME_BOUND}, the bound below which primality is certified"
+        )
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -97,12 +120,6 @@ class Field:
                 raise ZeroDivisionError("inverse of 0")
             return 1 / Fraction(a)
         return pow(a, -1, self.p)
-
-    def elements(self):
-        """All field elements; only available for prime fields."""
-        if self.p is None:
-            raise ValueError("the rationals are infinite")
-        return range(self.p)
 
     def format(self, x) -> str:
         if self.p is None:
@@ -493,9 +510,10 @@ class RowSpace:
         return len(self.rows)
 
     def reduce(self, v: Sequence) -> tuple:
-        """Canonical representative of v modulo the span."""
+        """Canonical representative of v modulo the span; over GF(p) the
+        entries of v may be any ints."""
         p = self.field.p
-        v = list(v)
+        v = list(v) if p is None else [x % p for x in v]
         for row, c in zip(self.rows, self.pivots):
             fct = v[c]
             if fct == 0:
@@ -516,19 +534,14 @@ class RowSpace:
             return False
         p = self.field.p
         r = self.reduce(v)
+        c = next((j for j, x in enumerate(r) if x != 0), None)
+        if c is None:
+            return False
         if p is None:
-            c = next((j for j, x in enumerate(r) if x != 0), None)
-            if c is None:
-                return False
             if r[c] != 1:
                 inv = 1 / Fraction(r[c])
                 r = tuple(inv * a for a in r)
         else:
-            # entries of v need not lie in range(p); the scaling pass
-            # stores every entry of the new row reduced
-            c = next((j for j, x in enumerate(r) if x % p), None)
-            if c is None:
-                return False
             inv = pow(r[c], -1, p)
             r = tuple(inv * a % p for a in r)
         # keep existing rows reduced against the new one
@@ -555,7 +568,8 @@ class RowSpace:
         """Coefficients of v in the echelon basis, or None if outside."""
         if not self.contains(v):
             return None
-        return tuple(v[c] for c in self.pivots)
+        p = self.field.p
+        return tuple(v[c] if p is None else v[c] % p for c in self.pivots)
 
     def basis_matrix(self) -> Matrix:
         return Matrix(self.field, self.rows, ncols=self.ncols)

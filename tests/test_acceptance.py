@@ -232,3 +232,19 @@ def test_criterion_10_demo_determinism(tmp_path):
             assert code_a == code_b
             assert a.read_bytes() == b.read_bytes()
             json.loads(a.read_text())
+
+
+def test_orbit_over_a_61_bit_prime(tmp_path):
+    # roots of minimal polynomials over GF(2^61 - 1) come from gcds, and
+    # the field itself from a deterministic primality test
+    M2 = alg.matrix_algebra(Field(2 ** 61 - 1), 2)
+    data = {"algebra": cli.algebra_to_json(M2),
+            "gamma": {"matrix": cli.matrix_json(transpose_map(M2, 2).matrix)}}
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(json.dumps(data))
+    with _Timer("orbit over GF(2^61 - 1)", 5):
+        code = cli.run(["orbit", "--input", str(src), "--seed", "0", "--output", str(out)])
+        assert code == cli.EXIT_OK
+        report = json.loads(out.read_text())
+        assert report["checks"] and all(c["pass"] for c in report["checks"])
+        assert report["result"]["permutation"] == [0]

@@ -1,6 +1,9 @@
 """Structure-constant algebras: constructors, radicals, idempotents."""
 
+import random
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fdalg import algebras as alg
 from fdalg.errors import (
@@ -223,6 +226,74 @@ def test_minimal_polynomial():
     assert m == [0, 0, 1]
     m2 = alg.minimal_polynomial(M2, M2.unit)
     assert m2 == [-1, 1]
+
+
+# -- roots over GF(p) --------------------------------------------------
+
+def _roots_by_evaluation(field, f):
+    p = field.p
+    return [x for x in range(p) if sum(c * pow(x, i, p) for i, c in enumerate(f)) % p == 0]
+
+
+@st.composite
+def gfp_polynomials(draw):
+    """(field, f): f of degree <= 6 with up to four linear factors, which
+    may repeat and may be x; no factors and no cofactor give a constant."""
+    field = Field(draw(st.sampled_from((2, 3, 5, 7, 101))))
+    element = st.integers(0, field.p - 1)
+    roots = draw(st.lists(element, max_size=4))
+    f = draw(st.lists(element, max_size=6 - len(roots)))
+    f.append(draw(st.integers(1, field.p - 1)))
+    for r in roots:
+        f = alg._poly_mul(field, f, [field.neg(r), 1])
+    return field, f
+
+
+@given(gfp_polynomials())
+@example((Field(7), [3]))
+@example((Field(5), [0, 0, 1]))
+@example((Field(2), [0, 1, 1]))
+@example((Field(3), [1, 0, 1]))
+@example((Field(101), [99, 44, 5, 1]))   # (x - 3)^2 (x + 11)
+@settings(max_examples=300, deadline=None)
+def test_poly_roots_match_evaluation_at_every_element(case):
+    field, f = case
+    assert alg._poly_roots(field, f) == _roots_by_evaluation(field, f)
+
+
+def test_poly_roots_over_a_61_bit_prime():
+    field = Field(2 ** 61 - 1)
+    roots = [5, 12345678901, field.p - 1]
+    # x^2 - 3 has no root: by reciprocity 3 is a non-residue, as p = 1 mod 3
+    # and p = 3 mod 4
+    f = [field.neg(3), 0, 1]
+    for r in roots:
+        f = alg._poly_mul(field, f, [field.neg(r), 1])
+    assert alg._poly_roots(field, f) == roots
+
+
+def test_nontrivial_factor_splits_off_the_least_root_without_drawing():
+    F101 = Field(101)
+    # (x - 7)(x - 3)(x^2 - 2); 2 is a non-residue mod 101
+    f = [59, 20, 19, 91, 1]
+    rng = random.Random(0)
+    state = rng.getstate()
+    g, q = alg._nontrivial_factor(F101, f, rng)
+    assert g == [98, 1]
+    assert alg._poly_mul(F101, g, q) == f
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("factors", [
+    ([2, 0, 1], [3, 0, 1]),        # two irreducible quadratics: equal-degree split
+    ([2, 0, 1], [1, 1, 0, 1]),     # an irreducible quadratic times a cubic
+])
+def test_nontrivial_factor_without_roots(factors):
+    f = alg._poly_mul(F5, *factors)
+    assert alg._poly_roots(F5, f) == []
+    g, q = alg._nontrivial_factor(F5, f, random.Random(0))
+    assert alg._poly_mul(F5, g, q) == f
+    assert alg._poly_deg(g) == 2
 
 
 def test_subalgebra_and_quotient_roundtrip():

@@ -316,6 +316,17 @@ def test_field_characteristic_must_be_a_json_integer(tmp_path, capsys, p):
     assert "characteristic must be an integer" in json.loads(out)["error"]
 
 
+def test_prime_above_the_certified_bound_exits_one(tmp_path, capsys):
+    # 2^89 - 1 is prime, but above the bound of the Miller-Rabin test
+    p = 2 ** 89 - 1
+    alg = {"field": {"p": p}, "basis": ["1"], "table": [[[1]]], "unit": [1]}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"algebra": alg}))
+    code, out = run_cli(capsys, "center", "--input", str(path))
+    assert code == cli.EXIT_INPUT
+    assert "bound below which primality is certified" in json.loads(out)["error"]
+
+
 class _FailingVerify:
     """fdalg.verify as the CLI sees it, with one checker forced to fail."""
 

@@ -4,8 +4,11 @@
 file compares the current code against reports committed earlier.
 ``tests/golden`` holds the report of every demo and, for each command
 built on the shared linear-algebra helpers, one small input
-(``<command>.in.json``) with its report (``<command>.json``).  All runs
-use seed 0.
+(``<command>.in.json``) with its report (``<command>.json``).  A few
+more inputs pin one path of a command: ``orbit-quaternion-p1000003``
+needs the roots of minimal polynomials over GF(1000003), and its report
+was written when those roots were found by evaluating at every field
+element.  All runs use seed 0.
 
 A change that is meant to alter report bytes must say why, then rewrite
 the reports from the repository root with
@@ -24,18 +27,19 @@ from fdalg.linalg import QQ, Field
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
-# command -> exit code of its golden input
-COMMANDS = {
-    "center": cli.EXIT_OK,
-    "idempotents": cli.EXIT_OK,
-    "basic": cli.EXIT_OK,
-    "poset-of-algebra": cli.EXIT_OK,
-    "orbit": cli.EXIT_OK,
-    "hyperbolic": cli.EXIT_OK,
-    "anti-structure-m2": cli.EXIT_OK,
-    "transfer": cli.EXIT_OK,
-    "reduce-standard": cli.EXIT_OK,
-    "form-correspond": cli.EXIT_OK,
+# golden input -> (command, exit code)
+CASES = {
+    "center": ("center", cli.EXIT_OK),
+    "idempotents": ("idempotents", cli.EXIT_OK),
+    "basic": ("basic", cli.EXIT_OK),
+    "poset-of-algebra": ("poset-of-algebra", cli.EXIT_OK),
+    "orbit": ("orbit", cli.EXIT_OK),
+    "orbit-quaternion-p1000003": ("orbit", cli.EXIT_OK),
+    "hyperbolic": ("hyperbolic", cli.EXIT_OK),
+    "anti-structure-m2": ("anti-structure-m2", cli.EXIT_OK),
+    "transfer": ("transfer", cli.EXIT_OK),
+    "reduce-standard": ("reduce-standard", cli.EXIT_OK),
+    "form-correspond": ("form-correspond", cli.EXIT_OK),
 }
 DEMO_EXITS = {name: cli.EXIT_OK for name in cli.DEMOS}
 DEMO_EXITS.update({"scharlau": cli.EXIT_NEGATIVE, "azumaya-no-involution": cli.EXIT_NEGATIVE})
@@ -45,9 +49,9 @@ def _demo_argv(name):
     return ["demo", name], os.path.join(GOLDEN, f"demo-{name}.json")
 
 
-def _command_argv(command):
-    argv = [command, "--input", os.path.join(GOLDEN, f"{command}.in.json")]
-    return argv, os.path.join(GOLDEN, f"{command}.json")
+def _command_argv(case):
+    argv = [CASES[case][0], "--input", os.path.join(GOLDEN, f"{case}.in.json")]
+    return argv, os.path.join(GOLDEN, f"{case}.json")
 
 
 def _run(argv, out_path):
@@ -69,11 +73,11 @@ def test_demo_report_bytes(name, tmp_path):
     assert data == _expected(golden)
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_command_report_bytes(command, tmp_path):
-    argv, golden = _command_argv(command)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_command_report_bytes(case, tmp_path):
+    argv, golden = _command_argv(case)
     code, data = _run(argv, tmp_path / "out.json")
-    assert code == COMMANDS[command]
+    assert code == CASES[case][1]
     assert data == _expected(golden)
 
 
@@ -111,7 +115,7 @@ def regenerate() -> None:
     import tempfile
 
     cases = [_demo_argv(name) for name in cli.DEMOS]
-    cases += [_command_argv(command) for command in sorted(COMMANDS)]
+    cases += [_command_argv(case) for case in sorted(CASES)]
     with tempfile.TemporaryDirectory() as tmp:
         for argv, golden in cases:
             _run(argv, os.path.join(tmp, "out.json"))

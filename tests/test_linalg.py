@@ -1,5 +1,6 @@
 """Exact linear algebra: worked examples and law checks."""
 
+import math
 import random
 
 import pytest
@@ -24,6 +25,8 @@ from fdalg.linalg import (
     unvec,
     vcombine,
     vec,
+    _PRIME_BOUND,
+    _is_prime,
 )
 from fdalg.errors import DimensionError, FieldMismatchError
 
@@ -138,6 +141,29 @@ def test_kronecker_multiplicative(n, m, k, seed):
     assert kronecker(B, B) * kronecker(D, D) == kronecker(B * D, B * D)
 
 
+def test_is_prime_matches_trial_division_below_1e5():
+    trial = [n for n in range(2, 10 ** 5) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert [n for n in range(10 ** 5) if _is_prime(n)] == trial
+
+
+@pytest.mark.parametrize("n, prime", [
+    (561, False),                  # Carmichael number
+    (3215031751, False),           # strong pseudoprime to the bases 2, 3, 5, 7
+    (10 ** 12 + 39, True),
+    (2 ** 61 - 1, True),
+    (2 ** 67 - 1, False),          # 193707721 * 761838257287
+])
+def test_is_prime_large(n, prime):
+    assert _is_prime(n) is prime
+
+
+def test_primes_above_the_certified_bound_are_refused():
+    assert 2 ** 89 - 1 > _PRIME_BOUND   # a Mersenne prime
+    for n in (2 ** 89 - 1, _PRIME_BOUND):
+        with pytest.raises(ValueError, match=str(_PRIME_BOUND)):
+            Field(n)
+
+
 def test_rowspace_and_quotient():
     space = RowSpace(QQ, 3)
     assert space.insert((1, 2, 3))
@@ -211,6 +237,20 @@ def test_rowspace_stores_reduced_entries_over_gfp():
     space.insert((5, 2, -3))
     assert space.rows == [(0, 1, 1)]
     assert not space.insert((0, -3, 7))
+
+
+def test_rowspace_reduces_entries_outside_range_p():
+    empty = RowSpace(F5, 2)
+    assert empty.contains((5, 0)) and empty.contains((-10, 25))
+    assert empty.coordinates((5, 10)) == ()
+    space = RowSpace(F5, 3)
+    space.insert((1, 0, 2))
+    assert space.contains((6, 5, 12)) and space.contains((-4, 10, -8))
+    assert space.coordinates((6, 5, 12)) == (1,)
+    assert space.coordinates((7, 5, 12)) is None
+    quo = QuotientSpace(space)
+    assert quo.project((6, 5, 12)) == (0, 0)
+    assert quo.project((5, 6, 7)) == quo.project((0, 1, 2)) == (1, 2)
 
 
 # -- properties of the elimination kernel -----------------------------
