@@ -89,8 +89,7 @@ class Algebra:
         return v
 
     def mul(self, x: Sequence, y: Sequence) -> tuple:
-        field = self.field
-        out = [field.zero] * self.dim
+        out = [0] * self.dim
         sp = self._sparse
         for i, xi in enumerate(x):
             if xi == 0:
@@ -99,18 +98,23 @@ class Algebra:
             for j, yj in enumerate(y):
                 if yj == 0:
                     continue
-                c = field.mul(xi, yj)
+                c = xi * yj
                 for k, ck in spi[j]:
-                    out[k] = field.add(out[k], field.mul(c, ck))
-        return tuple(out)
+                    out[k] += c * ck
+        p = self.field.p
+        if p is None:
+            return tuple(out)
+        return tuple(a % p for a in out)
 
     def left_mult_matrix(self, x: Sequence) -> Matrix:
         """Matrix L with [x*y] = [y] @ L."""
-        return Matrix(self.field, [self.mul(x, self.basis_vector(i)) for i in range(self.dim)])
+        rows = tuple(self.mul(x, self.basis_vector(i)) for i in range(self.dim))
+        return Matrix._trusted(self.field, rows, self.dim)
 
     def right_mult_matrix(self, x: Sequence) -> Matrix:
         """Matrix R with [y*x] = [y] @ R."""
-        return Matrix(self.field, [self.mul(self.basis_vector(i), x) for i in range(self.dim)])
+        rows = tuple(self.mul(self.basis_vector(i), x) for i in range(self.dim))
+        return Matrix._trusted(self.field, rows, self.dim)
 
     def __eq__(self, other):
         return (
@@ -801,7 +805,8 @@ def primitive_idempotents(A: Algebra, seed: int = 0) -> list:
         idems = images = _split_semisimple(A, rng)
     verify.require(verify.complete_orthogonal(A, idems))
     verify.require(verify.primitive(Abar, images))
-    return idems
+    # the kernels may carry an integral rational as Fraction(k, 1)
+    return [A.coerce_element(e) for e in idems]
 
 
 def _split_semisimple(S: Algebra, rng: random.Random) -> list:

@@ -1,9 +1,11 @@
 """Exact scalars and dense linear algebra.
 
-Rationals are ``fractions.Fraction``; prime-field elements are ints kept
-reduced in ``range(p)``.  No floating point anywhere.  Coordinate vectors
-are plain tuples; matrices act on row vectors from the right
-(``v -> v @ M``).
+Rationals are integers, or ``fractions.Fraction`` when the denominator is
+> 1 (a transient ``Fraction(k, 1)`` is exact, and :class:`RowSpace` stores
+it as an int); prime-field elements are ints kept reduced in ``range(p)``.
+No floating point anywhere.  Scalars are coerced where they enter.
+Coordinate vectors are plain tuples; matrices act on row vectors from the
+right (``v -> v @ M``).
 
 :class:`RowSpace` is the one Gauss-Jordan elimination: ranks, kernels,
 solves, inverses and :class:`Coordinates` all read the reduced echelon
@@ -56,8 +58,16 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _normal(x):
+    """x, or its numerator when x is a Fraction with denominator 1."""
+    return x._numerator if type(x) is Fraction and x._denominator == 1 else x
+
+
 class Field:
     """The rationals (``p is None``) or a prime field F_p."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, p: Optional[int] = None):
         if p is not None and not _is_prime(p):
@@ -68,26 +78,19 @@ class Field:
     def characteristic(self) -> int:
         return 0 if self.p is None else self.p
 
-    @property
-    def zero(self):
-        return Fraction(0) if self.p is None else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.p is None else 1
-
     def coerce(self, x):
         """Normalize an int/Fraction/string into a field element.
 
         This is the single entry point for scalars: floats and bools are
         rejected rather than rounded, and a denominator divisible by p is
-        a ValueError.
+        a ValueError.  A rational comes back as an int when it is integral
+        and as a Fraction only when its denominator is > 1.
         """
         if self.p is None:
-            if type(x) is Fraction:
-                return x
             if type(x) is int:
-                return Fraction(x)
+                return x
+            if type(x) is Fraction:
+                return _normal(x)
         elif type(x) is int:
             return x % self.p
         if isinstance(x, str):
@@ -95,7 +98,7 @@ class Field:
         if isinstance(x, (bool, float)):
             raise TypeError(f"inexact scalar {x!r}; give an int or a string such as '1/2'")
         if self.p is None:
-            return Fraction(x)
+            return _normal(Fraction(x))
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ValueError(f"scalar {x} has a denominator divisible by {self.p}")
@@ -118,7 +121,7 @@ class Field:
         if self.p is None:
             if a == 0:
                 raise ZeroDivisionError("inverse of 0")
-            return 1 / Fraction(a)
+            return _normal(1 / Fraction(a))
         return pow(a, -1, self.p)
 
     def format(self, x) -> str:
@@ -180,7 +183,7 @@ def vscale(field: Field, c, v: Sequence) -> tuple:
 
 
 def vec_is_zero(v: Sequence) -> bool:
-    return all(a == 0 for a in v)
+    return not any(v)
 
 
 def unit_vector(field: Field, n: int, i: int) -> tuple:
@@ -226,14 +229,22 @@ class Matrix:
         self.rows = rows
 
     @staticmethod
+    def _trusted(field: Field, rows: tuple, ncols: int) -> "Matrix":
+        """A matrix on row tuples already in ``field``: no coercion, no checks."""
+        out = Matrix.__new__(Matrix)
+        out.field = field
+        out.nrows = len(rows)
+        out.ncols = ncols
+        out.rows = rows
+        return out
+
+    @staticmethod
     def zeros(field: Field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero
-        return Matrix(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
+        return Matrix._trusted(field, ((0,) * ncols,) * nrows, ncols)
 
     @staticmethod
     def identity(field: Field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return Matrix._trusted(field, tuple(unit_vector(field, n, i) for i in range(n)), n)
 
     @staticmethod
     def column(field: Field, entries: Sequence) -> "Matrix":
@@ -270,19 +281,21 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionError("shape mismatch in addition")
         f = self.field
-        return Matrix(f, [vadd(f, a, b) for a, b in zip(self.rows, other.rows)], ncols=self.ncols)
+        return Matrix._trusted(f, tuple(vadd(f, a, b) for a, b in zip(self.rows, other.rows)),
+                               self.ncols)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionError("shape mismatch in subtraction")
         f = self.field
-        return Matrix(f, [vsub(f, a, b) for a, b in zip(self.rows, other.rows)], ncols=self.ncols)
+        return Matrix._trusted(f, tuple(vsub(f, a, b) for a, b in zip(self.rows, other.rows)),
+                               self.ncols)
 
     def scale(self, c) -> "Matrix":
         f = self.field
         c = f.coerce(c)
-        return Matrix(f, [vscale(f, c, r) for r in self.rows], ncols=self.ncols)
+        return Matrix._trusted(f, tuple(vscale(f, c, r) for r in self.rows), self.ncols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._check_same_field(other)
@@ -290,15 +303,11 @@ class Matrix:
             raise DimensionError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        out = Matrix.__new__(Matrix)
-        out.field = self.field
-        out.nrows = self.nrows
-        out.ncols = other.ncols
-        out.rows = tuple(other.act_row(row) for row in self.rows)
-        return out
+        return Matrix._trusted(self.field, tuple(other.act_row(row) for row in self.rows),
+                               other.ncols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.rows)) if self.rows else [], ncols=self.nrows)
+        return Matrix._trusted(self.field, tuple(zip(*self.rows)), self.nrows)
 
     def act_row(self, v: Sequence) -> tuple:
         """Row vector times matrix: v @ self."""
@@ -327,7 +336,7 @@ class Matrix:
         return self.nrows == self.ncols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.rows for x in r)
+        return not any(itertools.chain.from_iterable(self.rows))
 
     def is_identity(self) -> bool:
         if not self.is_square:
@@ -361,7 +370,9 @@ def vec(m: Matrix) -> tuple:
 
 def unvec(field: Field, v: Sequence, nrows: int, ncols: int) -> Matrix:
     """Inverse of :func:`vec`."""
-    return Matrix(field, [v[i * ncols:(i + 1) * ncols] for i in range(nrows)], ncols=ncols)
+    v = tuple(v)
+    return Matrix._trusted(field, tuple(v[i * ncols:(i + 1) * ncols] for i in range(nrows)),
+                           ncols)
 
 
 def mcombine(field: Field, nrows: int, ncols: int, coeffs: Sequence,
@@ -402,7 +413,7 @@ def solve_columns(A: Matrix, B: Matrix) -> Optional[Matrix]:
     X = [vzero(field, k)] * m
     for row, c in zip(space.rows, space.pivots):
         X[c] = row[m:]
-    return Matrix(field, X, ncols=k)
+    return Matrix._trusted(field, tuple(X), k)
 
 
 def kernel_rows(A: Matrix) -> list:
@@ -440,8 +451,8 @@ def common_left_kernel(mats: Sequence[Matrix]) -> list:
     matrices placed side by side, all with the same row count.  Built
     directly as the kernel of the transpose, whose rows are the columns
     of every M in turn."""
-    columns = [col for m in mats for col in zip(*m.rows)]
-    return kernel_rows(Matrix(mats[0].field, columns, ncols=mats[0].nrows))
+    columns = tuple(col for m in mats for col in zip(*m.rows))
+    return kernel_rows(Matrix._trusted(mats[0].field, columns, mats[0].nrows))
 
 
 def invert(A: Matrix) -> Optional[Matrix]:
@@ -474,7 +485,7 @@ def kronecker(A: Matrix, B: Matrix) -> Matrix:
                 rows.append(tuple(a * b for a in ra for b in rb))
             else:
                 rows.append(tuple(a * b % p for a in ra for b in rb))
-    return Matrix(f, rows, ncols=A.ncols * B.ncols)
+    return Matrix._trusted(f, tuple(rows), A.ncols * B.ncols)
 
 
 def block_diag(field: Field, blocks: Sequence[Matrix]) -> Matrix:
@@ -487,7 +498,7 @@ def block_diag(field: Field, blocks: Sequence[Matrix]) -> Matrix:
             row[offset : offset + b.ncols] = list(r)
             rows.append(tuple(row))
         offset += b.ncols
-    return Matrix(field, rows, ncols=total_cols)
+    return Matrix._trusted(field, tuple(rows), total_cols)
 
 
 class RowSpace:
@@ -509,11 +520,11 @@ class RowSpace:
     def dim(self) -> int:
         return len(self.rows)
 
-    def reduce(self, v: Sequence) -> tuple:
-        """Canonical representative of v modulo the span; over GF(p) the
-        entries of v may be any ints."""
+    def _eliminate(self, v: list) -> list:
+        """Clear the pivot columns of the list v in place.  Over GF(p) an
+        entry of v may be any int: every entry this touches comes out in
+        ``range(p)``, the others are left as they are."""
         p = self.field.p
-        v = list(v) if p is None else [x % p for x in v]
         for row, c in zip(self.rows, self.pivots):
             fct = v[c]
             if fct == 0:
@@ -526,30 +537,42 @@ class RowSpace:
                 for j, b in enumerate(row):
                     if b != 0:
                         v[j] = (v[j] - fct * b) % p
-        return tuple(v)
+        return v
+
+    def reduce(self, v: Sequence) -> tuple:
+        """Canonical representative of v modulo the span; over GF(p) the
+        entries of v may be any ints."""
+        p = self.field.p
+        return tuple(self._eliminate(list(v) if p is None else [x % p for x in v]))
 
     def insert(self, v: Sequence) -> bool:
-        """Add v to the span; returns True when the dimension grew."""
+        """Add v to the span; returns True when the dimension grew.  Over
+        GF(p) the entries of v may be any ints, which the rescaling
+        reduces; over Q every integral entry is stored as an int."""
         if len(self.rows) == self.ncols:
             return False
         p = self.field.p
-        r = self.reduce(v)
-        c = next((j for j, x in enumerate(r) if x != 0), None)
-        if c is None:
+        r = self._eliminate(list(v))
+        # the pivot; an entry elimination left alone may be a multiple of p
+        for c, x in enumerate(r):
+            if x if p is None else x % p:
+                break
+        else:
             return False
         if p is None:
-            if r[c] != 1:
-                inv = 1 / Fraction(r[c])
-                r = tuple(inv * a for a in r)
+            if x != 1:
+                inv = 1 / Fraction(x)
+                r = [inv * a for a in r]
+            r = tuple(map(_normal, r))
         else:
-            inv = pow(r[c], -1, p)
+            inv = pow(x, -1, p)
             r = tuple(inv * a % p for a in r)
         # keep existing rows reduced against the new one
         for i, row in enumerate(self.rows):
             fct = row[c]
             if fct != 0:
                 if p is None:
-                    self.rows[i] = tuple(a - fct * b for a, b in zip(row, r))
+                    self.rows[i] = tuple(_normal(a - fct * b) for a, b in zip(row, r))
                 else:
                     self.rows[i] = tuple((a - fct * b) % p for a, b in zip(row, r))
         pos = bisect.bisect(self.pivots, c)
@@ -572,7 +595,7 @@ class RowSpace:
         return tuple(v[c] if p is None else v[c] % p for c in self.pivots)
 
     def basis_matrix(self) -> Matrix:
-        return Matrix(self.field, self.rows, ncols=self.ncols)
+        return Matrix._trusted(self.field, tuple(self.rows), self.ncols)
 
 
 class QuotientSpace:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from fdalg import algebras as alg
 from fdalg import forms, modules as mod
@@ -75,3 +76,14 @@ def corpus_small_posets():
         ps.Poset.from_covers(6, [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5)]),
     ]
     return out
+
+
+def assert_field_elements(field, values) -> None:
+    """Each value is a canonical element of ``field``: over GF(p) an int in
+    range(p), over Q an int or a Fraction whose denominator is > 1.  So no
+    float, bool or str ever appears, and no integral Fraction."""
+    for x in values:
+        if field.p is None:
+            assert type(x) is int or (type(x) is Fraction and x.denominator > 1), repr(x)
+        else:
+            assert type(x) is int and 0 <= x < field.p, repr(x)

@@ -1,9 +1,10 @@
 """Structure-constant algebras: constructors, radicals, idempotents."""
 
+import itertools
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fdalg import algebras as alg
 from fdalg.errors import (
@@ -11,9 +12,9 @@ from fdalg.errors import (
     UnsupportedCharacteristicError,
     VerificationError,
 )
-from fdalg.linalg import Field, Matrix, QQ
+from fdalg.linalg import Field, Matrix, QQ, invert
 
-from helpers import transpose_map
+from helpers import assert_field_elements, transpose_map
 
 F5 = Field(5)
 
@@ -306,3 +307,39 @@ def test_subalgebra_and_quotient_roundtrip():
     Q, quo = alg.quotient_algebra(ut, J)
     assert Q.dim == 2
     assert alg.jacobson_radical(Q) == []
+
+
+# -- scalars of algebras and of their invariants -----------------------
+
+def _split_algebras(field):
+    """Split algebras small enough for the radical over GF(5) (dim < 5)."""
+    M2, UT2 = alg.matrix_algebra(field, 2), alg.upper_triangular_algebra(field, 2)
+    F = alg.field_algebra(field)
+    small = [M2, UT2, alg.direct_product(F, F)]
+    if field.p == 5:
+        return small
+    return small + [alg.upper_triangular_algebra(field, 3), alg.direct_product(M2, UT2)]
+
+
+@given(st.sampled_from((QQ, F5, Field(2 ** 61 - 1))), st.data())
+@settings(max_examples=25, deadline=None)
+def test_algebra_scalars_are_canonical(field, data):
+    # a split algebra in a random basis with fractional entries, so that
+    # Fractions, integral ones included, run through every kernel
+    A = data.draw(st.sampled_from(_split_algebras(field)))
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    P = Matrix(field, data.draw(st.lists(st.lists(entry, min_size=A.dim, max_size=A.dim),
+                                         min_size=A.dim, max_size=A.dim)))
+    Pinv = invert(P)
+    assume(Pinv is not None)
+    table = [[Pinv.act_row(A.mul(x, y)) for y in P.rows] for x in P.rows]
+    B = alg.Algebra(field, A.basis_names, table, Pinv.act_row(A.unit))
+
+    def check(vectors):
+        assert_field_elements(field, itertools.chain.from_iterable(vectors))
+
+    check(itertools.chain.from_iterable(B.table))
+    check([B.unit])
+    check(alg.center(B).basis)
+    check(alg.jacobson_radical(B))
+    check(alg.primitive_idempotents(B))

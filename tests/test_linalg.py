@@ -1,7 +1,9 @@
 """Exact linear algebra: worked examples and law checks."""
 
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +31,8 @@ from fdalg.linalg import (
     _is_prime,
 )
 from fdalg.errors import DimensionError, FieldMismatchError
+
+from helpers import assert_field_elements
 
 F5 = Field(5)
 
@@ -337,3 +341,52 @@ def test_coordinates_round_trip(A, data):
         if not span.contains(e):
             assert coords.of(e) is None
 
+
+# -- how scalars are stored --------------------------------------------
+
+def test_matrix_coerces_at_the_boundary():
+    A = Matrix(QQ, [["1/2", "3"]])
+    assert A.rows == ((Fraction(1, 2), 3),)
+    assert_field_elements(QQ, vec(A))
+    assert Matrix(F5, [[7, -1]]).rows == ((2, 4),)
+    for field in (QQ, F5):
+        with pytest.raises(TypeError):
+            Matrix(field, [[1, 0.5]])
+
+
+SCALAR_FIELDS = (QQ, F5, Field(2 ** 61 - 1))
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# what the boundary accepts: ints, Fractions (some of them integral) and
+# their strings
+raw_scalars = st.one_of(st.integers(-7, 7), fractions, fractions.map(str))
+
+
+@given(st.sampled_from(SCALAR_FIELDS), st.integers(1, 4), st.integers(1, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_scalars_are_canonical_field_elements(field, n, m, data):
+    def draw_rows(nrows, ncols, entries):
+        return data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                                  min_size=nrows, max_size=nrows))
+
+    def check(*vectors):
+        assert_field_elements(field, itertools.chain.from_iterable(vectors))
+
+    raw = draw_rows(n, m, raw_scalars)
+    coerced = [[field.coerce(x) for x in row] for row in raw]
+    check(*coerced)
+    check([field.inv(x) for row in coerced for x in row if x != 0])
+    # RowSpace takes internal vectors as they are, integral Fractions too,
+    # or any ints over GF(p); what it stores is canonical all the same
+    internal = raw if field.p is None else draw_rows(n, m, st.integers(-12, 12))
+    space = RowSpace(field, m)
+    space.extend(tuple(Fraction(x) if field.p is None else x for x in row)
+                 for row in internal)
+    check(*space.rows)
+    A = Matrix(field, raw)
+    check(*A.rows, *kernel_rows(A), *common_left_kernel([A]))
+    X = solve_columns(A, Matrix(field, draw_rows(n, 2, raw_scalars)))
+    if X is not None:
+        check(*X.rows)
+    S = invert(Matrix(field, draw_rows(m, m, raw_scalars)))
+    if S is not None:
+        check(*S.rows)
