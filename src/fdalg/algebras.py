@@ -33,6 +33,7 @@ from .linalg import (
     common_left_kernel,
     invert,
     left_kernel_rows,
+    mcombine,
     solve_columns,
     unit_vector,
     vadd,
@@ -47,35 +48,50 @@ from .linalg import (
 class Algebra:
     """Associative unital algebra given by structure constants.
 
-    Associativity and the unit law are checked exhaustively on basis
-    triples at construction time.
+    ``Algebra(...)`` is where structure constants enter: it coerces them,
+    checks the shapes and verifies associativity and the unit law on all
+    basis triples.  Algebras derived from verified ones are built by
+    :meth:`_trusted` and inherit those laws; each derived construction
+    checks only what its derivation leaves open.
     """
 
-    def __init__(self, field: Field, basis_names: Sequence[str], table, unit, validate: bool = True):
+    def __init__(self, field: Field, basis_names: Sequence[str], table, unit):
+        dim = len(basis_names)
+        if dim == 0:
+            raise DimensionError("algebras must have positive dimension")
+        table = tuple(
+            tuple(tuple(field.coerce(x) for x in row) for row in block) for block in table
+        )
+        if len(table) != dim or any(
+            len(block) != dim or any(len(row) != dim for row in block) for block in table
+        ):
+            raise DimensionError("structure constant table must be dim x dim x dim")
+        unit = tuple(field.coerce(x) for x in unit)
+        if len(unit) != dim:
+            raise DimensionError("unit vector has wrong length")
+        self._store(field, basis_names, table, unit)
+        verify.require(verify.associative_unital(self))
+
+    @staticmethod
+    def _trusted(field: Field, basis_names: Sequence[str], table, unit) -> "Algebra":
+        """An algebra whose constants are already in ``field`` and whose laws
+        follow from how it was built: no coercion, no checks."""
+        out = Algebra.__new__(Algebra)
+        out._store(field, basis_names, table, unit)
+        return out
+
+    def _store(self, field: Field, basis_names: Sequence[str], table, unit) -> None:
         self.field = field
         self.basis_names = tuple(basis_names)
         self.dim = len(self.basis_names)
-        if self.dim == 0:
-            raise DimensionError("algebras must have positive dimension")
-        self.table = tuple(
-            tuple(tuple(field.coerce(x) for x in row) for row in block) for block in table
-        )
-        if len(self.table) != self.dim or any(
-            len(block) != self.dim or any(len(row) != self.dim for row in block)
-            for block in self.table
-        ):
-            raise DimensionError("structure constant table must be dim x dim x dim")
-        self.unit = tuple(field.coerce(x) for x in unit)
-        if len(self.unit) != self.dim:
-            raise DimensionError("unit vector has wrong length")
+        self.table = tuple(tuple(tuple(row) for row in block) for block in table)
+        self.unit = tuple(unit)
         # sparse view of the multiplication table, used by mul() and the
         # associativity check
         self._sparse = tuple(
             tuple(tuple((k, c) for k, c in enumerate(row) if c != 0) for row in block)
             for block in self.table
         )
-        if validate:
-            verify.require(verify.associative_unital(self))
 
     # -- element arithmetic -------------------------------------------
 
@@ -106,15 +122,23 @@ class Algebra:
             return tuple(out)
         return tuple(a % p for a in out)
 
+    @functools.cached_property
+    def _left_mults(self) -> tuple:
+        # L(e_m) has row i = e_m e_i = table[m][i]
+        return tuple(Matrix._trusted(self.field, rows, self.dim) for rows in self.table)
+
+    @functools.cached_property
+    def _right_mults(self) -> tuple:
+        # R(e_m) has row i = e_i e_m = table[i][m]
+        return tuple(Matrix._trusted(self.field, rows, self.dim) for rows in zip(*self.table))
+
     def left_mult_matrix(self, x: Sequence) -> Matrix:
         """Matrix L with [x*y] = [y] @ L."""
-        rows = tuple(self.mul(x, self.basis_vector(i)) for i in range(self.dim))
-        return Matrix._trusted(self.field, rows, self.dim)
+        return mcombine(self.field, self.dim, self.dim, x, self._left_mults)
 
     def right_mult_matrix(self, x: Sequence) -> Matrix:
         """Matrix R with [y*x] = [y] @ R."""
-        rows = tuple(self.mul(self.basis_vector(i), x) for i in range(self.dim))
-        return Matrix._trusted(self.field, rows, self.dim)
+        return mcombine(self.field, self.dim, self.dim, x, self._right_mults)
 
     def __eq__(self, other):
         return (
@@ -162,11 +186,11 @@ class AlgebraMap:
 
     @staticmethod
     def from_images(source: Algebra, target: Algebra, images: Sequence[Sequence],
-                    variance: str, validate: bool = True) -> "AlgebraMap":
+                    variance: str) -> "AlgebraMap":
         """Build a map from the list of images of the source basis."""
         cols = [target.coerce_element(v) for v in images]
         rows = [[cols[j][k] for j in range(source.dim)] for k in range(target.dim)]
-        return AlgebraMap(source, target, Matrix(target.field, rows), variance, validate)
+        return AlgebraMap(source, target, Matrix(target.field, rows), variance)
 
     def apply(self, x: Sequence) -> tuple:
         return self._transpose.act_row(x)
@@ -247,80 +271,50 @@ class CenterData:
 
 def field_algebra(field: Field) -> Algebra:
     """The ground field as a one-dimensional algebra."""
-    return Algebra(field, ["1"], [[[field.one]]], [field.one], validate=False)
+    return Algebra._trusted(field, ["1"], [[[field.one]]], [field.one])
+
+
+def matrix_unit_algebra(field: Field, pairs: Sequence[tuple], names: Sequence[str]) -> Algebra:
+    """The span of the matrix units e_ij, (i, j) in ``pairs``, in M_n(F).
+
+    ``pairs`` must be a reflexive and transitive relation: then the span is
+    a unital subalgebra of M_n(F) with unit sum_i e_ii, so its laws are
+    inherited and not checked again.  Covers M_n, the upper-triangular
+    matrices and incidence algebras of posets.
+    """
+    index = {p: t for t, p in enumerate(pairs)}
+    if not pairs or any((i, i) not in index or (j, j) not in index for i, j in pairs):
+        raise DimensionError("matrix units need a nonempty reflexive relation")
+    dim = len(pairs)
+    zero, one = field.zero, field.one
+    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
+    for a, (i, j) in enumerate(pairs):
+        for b, (k, l) in enumerate(pairs):
+            if j == k:
+                if (i, l) not in index:
+                    raise DimensionError("matrix units need a transitive relation")
+                table[a][b][index[(i, l)]] = one
+    unit = [one if i == j else zero for i, j in pairs]
+    return Algebra._trusted(field, names, table, unit)
 
 
 def matrix_algebra(field: Field, n: int) -> Algebra:
     """M_n(F) on the matrix-unit basis e_ij, ordered row-major."""
     if n < 1:
         raise ValueError("n must be positive")
-    dim = n * n
-    names = [f"e{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    zero, one = field.zero, field.one
-    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        table[i * n + j][k * n + l][i * n + l] = one
-    unit = [zero] * dim
-    for i in range(n):
-        unit[i * n + i] = one
-    return Algebra(field, names, table, unit)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    return matrix_unit_algebra(field, pairs, [f"e{i + 1}{j + 1}" for i, j in pairs])
 
 
 def matrix_algebra_over(A: Algebra, n: int) -> Algebra:
-    """M_n(A) on the basis E_ij (x) a_t, index (i,j,t) -> (i*n+j)*dim_A + t."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    field = A.field
-    d = A.dim
-    dim = n * n * d
-    names = [
-        f"E{i + 1}{j + 1}*{A.basis_names[t]}"
-        for i in range(n)
-        for j in range(n)
-        for t in range(d)
-    ]
-    zero = field.zero
-    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for s in range(d):
-                row_idx = (i * n + j) * d + s
-                for l in range(n):
-                    for t in range(d):
-                        col_idx = (j * n + l) * d + t
-                        prod = A.table[s][t]
-                        out = table[row_idx][col_idx]
-                        base = (i * n + l) * d
-                        for k, c in enumerate(prod):
-                            if c != 0:
-                                out[base + k] = c
-    unit = [zero] * dim
-    for i in range(n):
-        for t, c in enumerate(A.unit):
-            unit[(i * n + i) * d + t] = c
-    return Algebra(field, names, table, unit)
+    """M_n(A) = M_n(F) (x) A on the basis e_ij (x) a_t, index (i,j,t) -> (i*n+j)*dim_A + t."""
+    return tensor_product(matrix_algebra(A.field, n), A)
 
 
 def upper_triangular_algebra(field: Field, n: int) -> Algebra:
     """Upper-triangular n x n matrices on the basis {e_ij : i <= j}."""
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    index = {p: t for t, p in enumerate(pairs)}
-    dim = len(pairs)
-    names = [f"e{i + 1}{j + 1}" for i, j in pairs]
-    zero, one = field.zero, field.one
-    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            if j == k:
-                table[a][b][index[(i, l)]] = one
-    unit = [zero] * dim
-    for i in range(n):
-        unit[index[(i, i)]] = one
-    return Algebra(field, names, table, unit)
+    return matrix_unit_algebra(field, pairs, [f"e{i + 1}{j + 1}" for i, j in pairs])
 
 
 def quaternion_algebra(field: Field, a=-1, b=-1) -> Algebra:
@@ -374,63 +368,36 @@ def quadratic_extension(field: Field, d) -> Algebra:
 
 def opposite(A: Algebra) -> Algebra:
     """The opposite algebra: c_op[i][j] = c[j][i]."""
-    table = [[A.table[j][i] for j in range(A.dim)] for i in range(A.dim)]
-    return Algebra(A.field, A.basis_names, table, A.unit, validate=False)
+    return Algebra._trusted(A.field, A.basis_names, tuple(zip(*A.table)), A.unit)
 
 
 def direct_product(A: Algebra, B: Algebra) -> Algebra:
     if A.field != B.field:
         raise FieldMismatchError("direct product across different fields")
-    field = A.field
-    zero = field.zero
-    da, db = A.dim, B.dim
-    dim = da + db
+    za, zb = (A.field.zero,) * A.dim, (B.field.zero,) * B.dim
     names = [f"({n},0)" for n in A.basis_names] + [f"(0,{n})" for n in B.basis_names]
-    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(da):
-        for j in range(da):
-            for k, c in enumerate(A.table[i][j]):
-                table[i][j][k] = c
-    for i in range(db):
-        for j in range(db):
-            for k, c in enumerate(B.table[i][j]):
-                table[da + i][da + j][da + k] = c
-    unit = list(A.unit) + list(B.unit)
-    return Algebra(field, names, table, unit, validate=False)
+    table = ([[row + zb for row in block] + [za + zb] * B.dim for block in A.table]
+             + [[za + zb] * A.dim + [za + row for row in block] for block in B.table])
+    return Algebra._trusted(A.field, names, table, A.unit + B.unit)
 
 
 def tensor_product(A: Algebra, B: Algebra) -> Algebra:
     """A (x) B over F with lexicographic basis order (i,j) -> i*dim_B + j."""
     if A.field != B.field:
         raise FieldMismatchError("tensor product across different fields")
-    field = A.field
-    da, db = A.dim, B.dim
-    dim = da * db
+    field, db = A.field, B.dim
+    dim = A.dim * db
     names = [f"{na}*{nb}" for na in A.basis_names for nb in B.basis_names]
-    zero = field.zero
-    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(da):
-        for j in range(db):
-            rowblock = table[i * db + j]
-            for k in range(da):
-                for l in range(db):
-                    out = rowblock[k * db + l]
-                    pa = A.table[i][k]
-                    pb = B.table[j][l]
-                    for m, cm in enumerate(pa):
-                        if cm == 0:
-                            continue
-                        for nn, cn in enumerate(pb):
-                            if cn != 0:
-                                out[m * db + nn] = field.mul(cm, cn)
-    unit = [zero] * dim
-    for m, cm in enumerate(A.unit):
-        if cm == 0:
-            continue
-        for nn, cn in enumerate(B.unit):
-            if cn != 0:
-                unit[m * db + nn] = field.mul(cm, cn)
-    return Algebra(field, names, table, unit)
+    table = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
+    pairs = list(itertools.product(range(A.dim), range(db)))
+    for (i, j), (k, l) in itertools.product(pairs, repeat=2):
+        out = table[i * db + j][k * db + l]
+        for m, cm in A._sparse[i][k]:
+            for n, cn in B._sparse[j][l]:
+                out[m * db + n] = field.mul(cm, cn)
+    unit = [field.mul(a, b) for a in A.unit for b in B.unit]
+    # (a (x) b)(a' (x) b') = aa' (x) bb' carries the laws of A and B over
+    return Algebra._trusted(field, names, table, unit)
 
 
 def subalgebra(A: Algebra, spanning: Sequence[Sequence], unit_vec: Sequence,
@@ -462,14 +429,19 @@ def subalgebra(A: Algebra, spanning: Sequence[Sequence], unit_vec: Sequence,
         table.append(row)
     unit = space.coordinates(tuple(unit_vec))
     names = [f"{prefix}{i}" for i in range(d)]
-    return Algebra(field, names, table, unit), basis
+    # closed under the product of A, so associative; the unit is only designated
+    B = Algebra._trusted(field, names, table, unit)
+    verify.require(verify.unital(B))
+    return B, basis
 
 
 def quotient_algebra(A: Algebra, ideal_vectors: Sequence[Sequence], prefix: str = "q"):
     """A modulo the two-sided ideal spanned by ``ideal_vectors``.
 
     Returns (Algebra, QuotientSpace); the quotient basis is the
-    echelon-complement of the ideal.
+    echelon-complement of the ideal.  The span must be a two-sided ideal;
+    that is not checked, and the associativity and unit checks on the
+    quotient do not certify it (M_2 modulo the span of e12 passes them).
     """
     field = A.field
     space = RowSpace(field, A.dim)
@@ -481,7 +453,9 @@ def quotient_algebra(A: Algebra, ideal_vectors: Sequence[Sequence], prefix: str 
     table = [[quo.project(A.mul(x, y)) for y in lifts] for x in lifts]
     unit = quo.project(A.unit)
     names = [f"{prefix}{i}" for i in range(quo.dim)]
-    return Algebra(field, names, table, unit), quo
+    Q = Algebra._trusted(field, names, table, unit)
+    verify.require(verify.associative_unital(Q))
+    return Q, quo
 
 
 # -- center, radical, units -------------------------------------------
@@ -864,8 +838,8 @@ def _split_simple_corner(S: Algebra, u: Sequence, rng: random.Random) -> list:
     x = _find_zero_divisor(corner, rng)
     if x is None:
         raise UnsplitQuotientError(
-            "unsplit semisimple quotient: no zero divisor found in a "
-            f"simple factor of dimension {corner.dim}"
+            "no zero divisor found among the candidates tried in a simple factor "
+            f"of dimension {corner.dim}; it may still be split, so this is inconclusive"
         )
     f = _idempotent_generator(corner, x)
     g = vsub(corner.field, corner.unit, f)

@@ -19,7 +19,8 @@ class UnsupportedCharacteristicError(FdalgError):
 
 class UnsplitQuotientError(FdalgError):
     """The semisimple quotient has a factor that is not a matrix algebra
-    over the ground field; idempotent machinery cannot proceed."""
+    over the ground field, or no zero divisor was found in one (which is
+    inconclusive); idempotent machinery cannot proceed."""
 
 
 class InconclusiveError(FdalgError):

@@ -378,9 +378,12 @@ def unvec(field: Field, v: Sequence, nrows: int, ncols: int) -> Matrix:
 def mcombine(field: Field, nrows: int, ncols: int, coeffs: Sequence,
              mats: Sequence[Matrix]) -> Matrix:
     """sum_i coeffs[i] * mats[i] as an nrows x ncols matrix; only the
-    terms with a nonzero coefficient are flattened."""
-    terms = [(c, vec(m)) for c, m in zip(coeffs, mats) if c != 0]
-    flat = vcombine(field, nrows * ncols, [c for c, _ in terms], [v for _, v in terms])
+    terms with a nonzero coefficient are flattened, and a lone term with
+    coefficient 1 is returned as it is (matrices are immutable)."""
+    terms = [(c, m) for c, m in zip(coeffs, mats) if c != 0]
+    if len(terms) == 1 and terms[0][0] == 1:
+        return terms[0][1]
+    flat = vcombine(field, nrows * ncols, [c for c, _ in terms], [vec(m) for _, m in terms])
     return unvec(field, flat, nrows, ncols)
 
 

@@ -233,7 +233,9 @@ def endomorphism_algebra(M: Module):
     if unit is None:
         raise VerificationError("identity endomorphism missing from hom space")
     names = [f"w{i}" for i in range(d)]
-    return Algebra(field, names, table, unit), H
+    # closed under composition (coords_of above), which is associative with
+    # the identity as unit: the laws are inherited from matrix products
+    return Algebra._trusted(field, names, table, unit), H
 
 
 def is_isomorphic(M: Module, N: Module, seed: int = 0,

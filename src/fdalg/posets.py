@@ -13,7 +13,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import verify
-from .algebras import Algebra, primitive_idempotents
+from .algebras import Algebra, matrix_unit_algebra, primitive_idempotents
 from .errors import NotAPosetError, VerificationError
 from .linalg import Field
 # is_isomorphic is not called here; the binding stays because the
@@ -230,19 +230,7 @@ def incidence_pairs(P: Poset) -> list:
 def incidence_algebra(field: Field, P: Poset) -> Algebra:
     """Span of the matrix units e_ij for i <= j in P."""
     pairs = incidence_pairs(P)
-    index = {p: t for t, p in enumerate(pairs)}
-    dim = len(pairs)
-    zero, one = field.zero, field.one
-    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            if j == k:
-                table[a][b][index[(i, l)]] = one
-    unit = [zero] * dim
-    for i in range(P.size):
-        unit[index[(i, i)]] = one
-    names = [f"e_{i}_{j}" for i, j in pairs]
-    return Algebra(field, names, table, unit)
+    return matrix_unit_algebra(field, pairs, [f"e_{i}_{j}" for i, j in pairs])
 
 
 def poset_of_algebra(A: Algebra, seed: int = 0) -> Poset:

@@ -37,7 +37,12 @@ def associative_unital(A) -> Optional[str]:
                 for t in set(lhs) | set(rhs):
                     if lhs.get(t, field.zero) != rhs.get(t, field.zero):
                         return f"associativity fails at basis triple ({i}, {j}, {k})"
-    for i in range(d):
+    return unital(A)
+
+
+def unital(A) -> Optional[str]:
+    """1 e_i = e_i = e_i 1 on every basis element."""
+    for i in range(A.dim):
         e = A.basis_vector(i)
         if A.mul(A.unit, e) != e or A.mul(e, A.unit) != e:
             return f"unit law fails at basis element {i}"

@@ -6,13 +6,13 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fdalg import algebras as alg
+from fdalg import algebras as alg, modules as mod, posets as ps, verify
 from fdalg.errors import (
     UnsplitQuotientError,
     UnsupportedCharacteristicError,
     VerificationError,
 )
-from fdalg.linalg import Field, Matrix, QQ, invert
+from fdalg.linalg import Field, Matrix, QQ, invert, vadd
 
 from helpers import assert_field_elements, transpose_map
 
@@ -26,7 +26,7 @@ def test_matrix_algebra_basics():
     assert A.dim == 4
     e12, e21, e11 = A.basis_vector(1), A.basis_vector(2), A.basis_vector(0)
     assert A.mul(e12, e21) == e11
-    # associativity is checked exhaustively at construction
+    # matrix units inherit the laws of M_n; test_derived_algebras_keep_the_laws checks them
     alg.matrix_algebra(QQ, 3)
 
 
@@ -46,7 +46,7 @@ def test_products():
     assert all(x == 0 for x in P.mul(P.basis_vector(0), P.basis_vector(1)))
     M2 = alg.matrix_algebra(QQ, 2)
     T = alg.tensor_product(M2, M2)
-    assert T.dim == 16  # associativity checked at construction
+    assert T.dim == 16  # laws inherited; test_derived_algebras_keep_the_laws checks them
     # A (x) F = A up to the trivial reindexing
     AF = alg.tensor_product(M2, FQ)
     assert AF.table == M2.table and AF.unit == M2.unit
@@ -309,6 +309,41 @@ def test_subalgebra_and_quotient_roundtrip():
     assert alg.jacobson_radical(Q) == []
 
 
+def _random_poset(seed: int, size: int = 5) -> ps.Poset:
+    rng = random.Random(seed)
+    covers = [(i, j) for i in range(size) for j in range(i + 1, size) if rng.random() < 0.4]
+    return ps.Poset.from_covers(size, covers)
+
+
+@pytest.mark.parametrize("field", [QQ, F5, Field(2 ** 61 - 1)], ids=str)
+def test_derived_algebras_keep_the_laws(field):
+    # built without the d^3 check, because each inherits its laws; check them here
+    M2, M3 = alg.matrix_algebra(field, 2), alg.matrix_algebra(field, 3)
+    UT2, UT4 = alg.upper_triangular_algebra(field, 2), alg.upper_triangular_algebra(field, 4)
+    e = vadd(field, M3.basis_vector(0), M3.basis_vector(4))          # e11 + e22
+    span = [M3.mul(e, M3.mul(M3.basis_vector(i), e)) for i in range(9)]
+    corner, _ = alg.subalgebra(M3, span, e)                         # e M_3 e = M_2
+    strict = [UT4.basis_vector(t) for t, name in enumerate(UT4.basis_names) if name[1] != name[2]]
+    semisimple, _ = alg.quotient_algebra(UT4, strict)               # UT_4 / J(UT_4)
+    end, _ = mod.endomorphism_algebra(mod.free_module(UT2, 2))
+    derived = [M3, UT4, ps.incidence_algebra(field, _random_poset(7)),
+               alg.tensor_product(M2, UT2), alg.matrix_algebra_over(UT2, 2),
+               alg.opposite(UT4), alg.direct_product(M2, UT2), corner, semisimple, end]
+    for X in derived:
+        assert verify.associative_unital(X) is None
+
+
+def test_derived_algebras_check_what_they_do_not_inherit():
+    M2 = alg.matrix_algebra(QQ, 2)                  # basis e11, e12, e21, e22
+    e11, e12 = M2.basis_vector(0), M2.basis_vector(1)
+    # span{e11, e12} is closed, but e11 is only a left unit: e12 e11 = 0
+    with pytest.raises(VerificationError, match="unit law fails"):
+        alg.subalgebra(M2, [e11, e12], e11)
+    # span{e11} is not an ideal, and the quotient it gives is not associative
+    with pytest.raises(VerificationError, match=r"associativity fails at basis triple \(0, 1, 0\)"):
+        alg.quotient_algebra(M2, [e11])
+
+
 # -- scalars of algebras and of their invariants -----------------------
 
 def _split_algebras(field):
@@ -343,3 +378,22 @@ def test_algebra_scalars_are_canonical(field, data):
     check(alg.center(B).basis)
     check(alg.jacobson_radical(B))
     check(alg.primitive_idempotents(B))
+
+
+@pytest.mark.xfail(strict=True, raises=UnsplitQuotientError,
+                   reason="the zero-divisor search over Q is incomplete on split corners")
+def test_primitive_idempotents_of_a_split_algebra_in_a_pinned_basis():
+    # a basis drawn by test_algebra_scalars_are_canonical: B is M_2 x UT_2,
+    # so it is split, but the search finds no zero divisor in the M_2 corner
+    A = alg.direct_product(alg.matrix_algebra(QQ, 2), alg.upper_triangular_algebra(QQ, 2))
+    P = Matrix(QQ, [[2, -1, -1, "-1/2", -2, 1, "-4/3"],
+                    ["-3/2", -1, "4/3", -2, "-1/2", "1/2", 2],
+                    [1, "5/3", "-4/3", 0, 0, 0, 1],
+                    [-1, -2, 2, 2, -1, 2, 1],
+                    ["2/3", "1/2", "-5/3", 1, -2, 2, -2],
+                    [-2, "4/3", "2/3", -2, 2, -2, "-3/2"],
+                    [0, -2, 1, 0, 0, 0, 0]])
+    Pinv = invert(P)
+    table = [[Pinv.act_row(A.mul(x, y)) for y in P.rows] for x in P.rows]
+    B = alg.Algebra(QQ, A.basis_names, table, Pinv.act_row(A.unit))
+    assert len(alg.primitive_idempotents(B)) == 4

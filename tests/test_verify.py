@@ -49,11 +49,10 @@ def test_associative_unital():
     assert verify.associative_unital(M2) is None
     table = [[list(cell) for cell in row] for row in M2.table]
     table[1][2][0] += 1                  # e12 e21 = 2 e11
-    bad = alg.Algebra(QQ, M2.basis_names, table, M2.unit, validate=False)
+    bad = alg.Algebra._trusted(QQ, M2.basis_names, table, M2.unit)
     # (e12 e21) e12 = 2 e12 but e12 (e21 e12) = e12
     assert verify.associative_unital(bad) == "associativity fails at basis triple (1, 2, 1)"
-    unit = alg.Algebra(QQ, M2.basis_names, M2.table, bump_vector(M2.unit, 1),
-                       validate=False)
+    unit = alg.Algebra._trusted(QQ, M2.basis_names, M2.table, bump_vector(M2.unit, 1))
     assert verify.associative_unital(unit) == "unit law fails at basis element 0"
 
 
