@@ -8,7 +8,10 @@ built on the shared linear-algebra helpers, one small input
 more inputs pin one path of a command: ``orbit-quaternion-p1000003``
 needs the roots of minimal polynomials over GF(1000003), and its report
 was written when those roots were found by evaluating at every field
-element.  All runs use seed 0.
+element.  ``reduce-standard-transpose-q`` runs the transpose on M_3 of
+Q[s]/(s^2 - 3), and ``hyperbolic-simple-module-q`` takes the
+2-dimensional simple module of M_2(Q) as P instead of the regular
+module.  All runs use seed 0.
 
 A change that is meant to alter report bytes must say why, then rewrite
 the reports from the repository root with
@@ -36,9 +39,11 @@ CASES = {
     "orbit": ("orbit", cli.EXIT_OK),
     "orbit-quaternion-p1000003": ("orbit", cli.EXIT_OK),
     "hyperbolic": ("hyperbolic", cli.EXIT_OK),
+    "hyperbolic-simple-module-q": ("hyperbolic", cli.EXIT_OK),
     "anti-structure-m2": ("anti-structure-m2", cli.EXIT_OK),
     "transfer": ("transfer", cli.EXIT_OK),
     "reduce-standard": ("reduce-standard", cli.EXIT_OK),
+    "reduce-standard-transpose-q": ("reduce-standard", cli.EXIT_OK),
     "form-correspond": ("form-correspond", cli.EXIT_OK),
 }
 DEMO_EXITS = {name: cli.EXIT_OK for name in cli.DEMOS}
