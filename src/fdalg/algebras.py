@@ -189,8 +189,8 @@ class AlgebraMap:
                     variance: str) -> "AlgebraMap":
         """Build a map from the list of images of the source basis."""
         cols = [target.coerce_element(v) for v in images]
-        rows = [[cols[j][k] for j in range(source.dim)] for k in range(target.dim)]
-        return AlgebraMap(source, target, Matrix(target.field, rows), variance)
+        return AlgebraMap(source, target,
+                          Matrix._trusted(target.field, tuple(zip(*cols)), len(cols)), variance)
 
     def apply(self, x: Sequence) -> tuple:
         return self._transpose.act_row(x)
@@ -491,8 +491,8 @@ def jacobson_radical(A: Algebra) -> list:
             for m, c in A._sparse[i][j]:
                 acc = field.add(acc, field.mul(c, traces[m]))
             row.append(acc)
-        gram.append(row)
-    basis = left_kernel_rows(Matrix(field, gram))
+        gram.append(tuple(row))
+    basis = left_kernel_rows(Matrix._trusted(field, tuple(gram), A.dim))
     verify.require(verify.nilpotent_ideal(A, basis))
     return basis
 
@@ -920,13 +920,12 @@ def _idempotent_generator(C: Algebra, x: Sequence) -> tuple:
         space.insert(C.mul(x, C.basis_vector(i)))
     ideal = list(space.rows)
     r = len(ideal)
+    # row (t, comp) holds (ideal[s] ideal[t])[comp] over s; the right side is ideal[t][comp]
     rows = []
-    rhs = []
-    for t in range(r):
-        for comp in range(C.dim):
-            rows.append([C.mul(ideal[s], ideal[t])[comp] for s in range(r)])
-            rhs.append(ideal[t][comp])
-    sol = solve_columns(Matrix(field, rows, ncols=r), Matrix.column(field, rhs))
+    for t in ideal:
+        rows.extend(zip(*[C.mul(s, t) for s in ideal]))
+    rhs = [x for t in ideal for x in t]
+    sol = solve_columns(Matrix._trusted(field, tuple(rows), r), Matrix.column(field, rhs))
     if sol is None:
         raise VerificationError("right ideal admits no idempotent generator")
     f = vcombine(field, C.dim, sol.column_tuple(0), ideal)

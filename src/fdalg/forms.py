@@ -110,7 +110,7 @@ def type_of(K: DoubleModule) -> TypeTag:
             raise VerificationError("double module has no type on the center")
         coords.append(c)
     # sigma must be an automorphism of the center
-    if verify.bijective(Matrix(field, coords, ncols=cdata.dim)) is not None:
+    if verify.bijective(Matrix._trusted(field, tuple(coords), cdata.dim)) is not None:
         raise VerificationError("induced center map is not bijective")
     images = [vcombine(field, A.dim, c, cdata.basis) for c in coords]
     for i, zi in enumerate(cdata.basis):
@@ -174,8 +174,7 @@ class DualModule:
     """M^[i] = Hom(M, K_{1-i}) with the i-twisted action.
 
     ``maps`` (the basis of ``hom``) identifies abstract coordinates with
-    concrete hom matrices; ``evaluate`` applies an element to a vector of
-    the source module.
+    concrete hom matrices.
     """
 
     def __init__(self, source: Module, values: DoubleModule, index: int,
@@ -199,11 +198,6 @@ class DualModule:
 
     def coords_of(self, f: Matrix) -> Optional[tuple]:
         return self.hom.coords_of(f)
-
-    def evaluate(self, coords: Sequence, x: Sequence) -> tuple:
-        """(element with these coordinates)(x) in K."""
-        return vcombine(self.source.algebra.field, self.values.dim, coords,
-                        [m.act_row(x) for m in self.maps])
 
 
 def dual_module(M: Module, K: DoubleModule, i: int) -> DualModule:
@@ -257,8 +251,8 @@ def phi_map(M: Module, K: DoubleModule):
     field = M.algebra.field
     rows = []
     for i in range(M.dim):
-        x = unit_vector(field, M.dim, i)
-        ev = Matrix(field, [m.act_row(x) for m in dual1.maps], ncols=K.dim)
+        # row k is f_k(e_i)
+        ev = Matrix._trusted(field, tuple(m.rows[i] for m in dual1.maps), K.dim)
         coords = dual10.coords_of(ev)
         if coords is None:
             raise VerificationError("evaluation map leaves the double dual")
@@ -290,12 +284,12 @@ def adjoints(b: BilinearForm) -> AdjointData:
     left_rows = []
     right_rows = []
     for i in range(M.dim):
-        lmat = Matrix(field, [b.tensor[i][j] for j in range(M.dim)], ncols=K.dim)
+        lmat = Matrix._trusted(field, b.tensor[i], K.dim)
         coords = dual0.coords_of(lmat)
         if coords is None:
             raise VerificationError("left adjoint leaves the dual")
         left_rows.append(coords)
-        rmat = Matrix(field, [b.tensor[j][i] for j in range(M.dim)], ncols=K.dim)
+        rmat = Matrix._trusted(field, tuple(row[i] for row in b.tensor), K.dim)
         coords = dual1.coords_of(rmat)
         if coords is None:
             raise VerificationError("right adjoint leaves the dual")
@@ -358,40 +352,19 @@ def corresponding_anti_automorphism(b: BilinearForm,
     if end is None:
         end = EndData.of_module(M)
     d = M.dim
-    w_dim = end.algebra.dim
     # alpha(w_u) = sum_v x_v w_v where sum_v x_v b(e_i, w_v e_j) = b(w_u e_i, e_j)
-    # for all i, j; column v of this system lists b(e_i, w_v e_j) over (i, j, comp)
-    cols = []
-    for v in range(w_dim):
-        mv = end.maps[v]
-        col = []
-        for i in range(d):
-            for j in range(d):
-                for comp in range(K.dim):
-                    acc = field.zero
-                    for s in range(d):
-                        c = mv.rows[j][s]
-                        if c != 0:
-                            acc = field.add(acc, field.mul(c, b.tensor[i][s][comp]))
-                    col.append(acc)
-        cols.append(col)
-    system = Coordinates(field, cols, d * d * K.dim)
+    # for all i, j, listed over (i, j, comp).  Row s of B[i] is b(e_i, e_s), so
+    # b(e_i, w_v e_j) over (j, comp) is vec(w_v B[i]); row s of F is vec(B[s]),
+    # so b(w_u e_i, e_j) over (i, j, comp) is vec(w_u F).
+    B = [Matrix._trusted(field, row, K.dim) for row in b.tensor]
+    system = Coordinates(field, [tuple(x for Bi in B for x in vec(w * Bi)) for w in end.maps],
+                         d * d * K.dim)
     if not system.independent:
         raise VerificationError("values module not faithful enough: solution not unique")
+    F = Matrix._trusted(field, tuple(vec(Bs) for Bs in B), d * K.dim)
     images = []
-    for u in range(w_dim):
-        mu = end.maps[u]
-        rhs = []
-        for i in range(d):
-            for j in range(d):
-                for comp in range(K.dim):
-                    acc = field.zero
-                    for s in range(d):
-                        c = mu.rows[i][s]
-                        if c != 0:
-                            acc = field.add(acc, field.mul(c, b.tensor[s][j][comp]))
-                    rhs.append(acc)
-        x = system.of(rhs)
+    for w in end.maps:
+        x = system.of(vec(w * F))
         if x is None:
             raise VerificationError("values module not faithful enough: no solution")
         images.append(x)
@@ -407,14 +380,9 @@ def form_from_adjoint(M: Module, K: DoubleModule, dual1: DualModule,
     """The form with right adjoint f: M -> M^[1], i.e. b(x,y) = (f y)(x)."""
     if f.nrows != M.dim or f.ncols != dual1.dim:
         raise DimensionError("adjoint matrix has wrong shape")
-    tensor = []
-    for i in range(M.dim):
-        row = []
-        x = unit_vector(M.algebra.field, M.dim, i)
-        for j in range(M.dim):
-            row.append(dual1.evaluate(f.rows[j], x))
-        tensor.append(row)
-    return BilinearForm(M, K, tensor)
+    # f y_j as a map M -> K; its row i is b(e_i, e_j)
+    images = [dual1.matrix_of(row) for row in f.rows]
+    return BilinearForm(M, K, [[g.rows[i] for g in images] for i in range(M.dim)])
 
 
 class FormFromAntiResult:

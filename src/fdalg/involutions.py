@@ -28,7 +28,17 @@ from .errors import (
     NoSymmetricUnitError,
     VerificationError,
 )
-from .linalg import Matrix, common_left_kernel, invert, unit_vector, vadd, vsub, vzero
+from .linalg import (
+    Matrix,
+    common_left_kernel,
+    invert,
+    kronecker,
+    unit_vector,
+    unvec,
+    vadd,
+    vsub,
+    vzero,
+)
 from .modules import (
     Module,
     direct_sum,
@@ -131,17 +141,9 @@ def hyperbolic_involution(K: DoubleModule, theta: DoubleModuleInvolution,
     M = direct_sum([P, dual1.module])
     p, q = P.dim, dual1.dim
     zero = vzero(field, K.dim)
-    tensor = [[zero for _ in range(p + q)] for _ in range(p + q)]
-    for i in range(p):
-        x = unit_vector(field, p, i)
-        for j in range(q):
-            g = dual1.maps[j]
-            tensor[i][p + j] = g.act_row(x)
-    for i in range(q):
-        f = dual1.maps[i]
-        for j in range(p):
-            y = unit_vector(field, p, j)
-            tensor[p + i][j] = theta.apply(f.act_row(y))
+    # b(e_i, g) = g(e_i) and b(f, e_j) = theta(f(e_j))
+    tensor = ([[zero] * p + [g.rows[i] for g in dual1.maps] for i in range(p)]
+              + [list((f * theta.matrix).rows) + [zero] * q for f in dual1.maps])
     b = BilinearForm(M, K, tensor)
     if not b.is_symmetric_under(theta):
         raise VerificationError("hyperbolic form is not theta-symmetric")
@@ -197,42 +199,22 @@ def transpose_gamma(gamma: AlgebraMap, n: int) -> AlgebraMap:
     if gamma.variance != AlgebraMap.ANTI or not gamma.is_bijective():
         raise VerificationError("gamma must be an anti-automorphism")
     W = matrix_algebra_over(A, n)
-    field = A.field
-    d = A.dim
-    images = []
-    for i in range(n):
-        for j in range(n):
-            for t in range(d):
-                img = [field.zero] * W.dim
-                base = (j * n + i) * d
-                for k, c in enumerate(gamma.apply(A.basis_vector(t))):
-                    img[base + k] = c
-                images.append(tuple(img))
-    return AlgebraMap.from_images(W, W, images, AlgebraMap.ANTI)
+    # M_n(A) = M_n(F) (x) A, and S swaps e_ij and e_ji
+    S = Matrix._trusted(A.field, tuple(unit_vector(A.field, n * n, j * n + i)
+                                       for i in range(n) for j in range(n)), n * n)
+    return AlgebraMap(W, W, Matrix(A.field, kronecker(S, gamma.matrix).rows), AlgebraMap.ANTI)
 
 
 def matrix_ring_end_data(A: Algebra, n: int):
     """Identify M_n(A) with End_A(A^n): the matrix w acts by left
     multiplication on rows of length n."""
     W = matrix_algebra_over(A, n)
-    M = free_module(A, n)
     field = A.field
-    d = A.dim
-    maps = []
-    for i in range(n):
-        for j in range(n):
-            for t in range(d):
-                lam = A.left_mult_matrix(A.basis_vector(t))
-                rows = []
-                for jb in range(n):
-                    for tt in range(d):
-                        row = [field.zero] * (n * d)
-                        if jb == j:
-                            for s in range(d):
-                                row[i * d + s] = lam.rows[tt][s]
-                        rows.append(tuple(row))
-                maps.append(Matrix(field, rows, ncols=n * d))
-    return EndData(W, maps, M)
+    # e_ij (x) a_t sends the basis vector (j, s) to (i, a_t e_s): E_ji (x) L(a_t)
+    maps = [Matrix(field, kronecker(unvec(field, unit_vector(field, n * n, j * n + i), n, n),
+                                    A.left_mult_matrix(A.basis_vector(t))).rows)
+            for i in range(n) for j in range(n) for t in range(A.dim)]
+    return EndData(W, maps, free_module(A, n))
 
 
 class ReduceResult:

@@ -476,7 +476,11 @@ def invert(A: Matrix) -> Optional[Matrix]:
 
 
 def kronecker(A: Matrix, B: Matrix) -> Matrix:
-    """Kronecker product with lexicographic index order (i,j) -> i*dim_B + j."""
+    """Kronecker product with lexicographic index order (i,j) -> i*dim_B + j.
+
+    With the row-major :func:`vec`, vec(X F Y) = vec(F) (X^T (x) Y): a linear
+    condition on a matrix unknown F is a row vector times a Kronecker product.
+    """
     if A.field != B.field:
         raise FieldMismatchError("mixed fields in kronecker")
     f = A.field

@@ -26,9 +26,8 @@ from .linalg import (
     block_diag,
     invert,
     kernel_rows,
+    kronecker,
     mcombine,
-    solve_columns,
-    unit_vector,
     unvec,
     vcombine,
     vec,
@@ -176,33 +175,21 @@ def hom_space(M: Module, N: Module) -> HomSpace:
     nm = n * m
     if nm == 0:
         return HomSpace(M, N, RowSpace(field, 0))
-    basis_vecs: Optional[list] = None
-    for t in range(A.dim):
-        rhoM, rhoN = M.action[t], N.action[t]
-        if basis_vecs is None:
-            rows = []
-            for c in range(n):
-                for d in range(m):
-                    # vec(rhoM E_cd - E_cd rhoN), built sparsely
-                    row = [field.zero] * nm
-                    for a in range(n):
-                        if rhoM.rows[a][c] != 0:
-                            row[a * m + d] = field.add(row[a * m + d], rhoM.rows[a][c])
-                    for b in range(m):
-                        if rhoN.rows[d][b] != 0:
-                            row[c * m + b] = field.sub(row[c * m + b], rhoN.rows[d][b])
-                    rows.append(row)
-            ker = kernel_rows(Matrix(field, rows, ncols=nm).transpose())
-            basis_vecs = list(ker)
-        else:
-            if not basis_vecs:
-                break
-            mats = [unvec(field, v, n, m) for v in basis_vecs]
-            rows = [vec(rhoM * B - B * rhoN) for B in mats]
-            coeffs = kernel_rows(Matrix(field, rows, ncols=nm).transpose())
-            basis_vecs = [vcombine(field, nm, cf, basis_vecs) for cf in coeffs]
+    # vec(rhoM F - F rhoN) = vec(F) (rhoM^T (x) I - I (x) rhoN) (see kronecker),
+    # so vec(F) lies in the kernel of rhoM (x) I - I (x) rhoN^T
+    rhoM, rhoN = M.action[0], N.action[0]
+    basis_vecs = kernel_rows(kronecker(rhoM, Matrix.identity(field, m))
+                             - kronecker(Matrix.identity(field, n), rhoN.transpose()))
+    for rhoM, rhoN in zip(M.action[1:], N.action[1:]):
+        if not basis_vecs:
+            break
+        # restrict the solutions so far to this generator's equations
+        mats = [unvec(field, v, n, m) for v in basis_vecs]
+        rows = tuple(vec(rhoM * B - B * rhoN) for B in mats)
+        coeffs = kernel_rows(Matrix._trusted(field, rows, nm).transpose())
+        basis_vecs = [vcombine(field, nm, cf, basis_vecs) for cf in coeffs]
     space = RowSpace(field, nm)
-    space.extend(basis_vecs or [])
+    space.extend(basis_vecs)
     H = HomSpace(M, N, space)
     verify.require(verify.intertwines(M.action, N.action, *H.basis))
     return H
@@ -333,24 +320,15 @@ def is_projective(M: Module) -> bool:
     H = hom_space(M, regular_module(A))
     if H.dim == 0:
         return False
-    k = M.dim  # generators: the basis vectors of M
-    gens = [unit_vector(field, M.dim, i) for i in range(k)]
-    # seek s_i in Hom(M, A) with sum_i gens[i] . s_i(x) = x for all x;
-    # column (i,t) holds gens[i] . h_t(x) for every basis vector x
-    cols = []
+    k = M.dim
+    # seek s_i in Hom(M, A) with sum_i e_i . s_i(x) = x for every basis vector
+    # x of M.  Row a of G_i is e_i . a = row i of rho(a), so over x the values
+    # e_i . h(x) are the rows of h G_i: is vec(I) in the span of the vec(h G_i)?
+    span = RowSpace(field, k * k)
     for i in range(k):
-        for t in range(H.dim):
-            col = []
-            for xi in range(M.dim):
-                x = gens[xi]
-                a = H.basis[t].act_row(x)
-                col.extend(M.act(gens[i], a))
-            cols.append(col)
-    rhs = []
-    for xi in range(M.dim):
-        rhs.extend(gens[xi])
-    system = Matrix(field, cols, ncols=M.dim * M.dim).transpose()
-    return solve_columns(system, Matrix.column(field, rhs)) is not None
+        G = Matrix._trusted(field, tuple(rho.rows[i] for rho in M.action), k)
+        span.extend(vec(h * G) for h in H.basis)
+    return span.contains(vec(Matrix.identity(field, k)))
 
 
 def decompose(M: Module, seed: int = 0) -> list:

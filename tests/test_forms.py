@@ -339,3 +339,29 @@ def test_dependent_systems_keep_their_messages():
     K = forms.DoubleModule(P, 1, act, act)
     with pytest.raises(VerificationError, match="not faithful enough to carry a type"):
         forms.type_of(K)
+
+
+@pytest.mark.parametrize("field", [QQ, F5, Field(2 ** 61 - 1)], ids=str)
+@pytest.mark.parametrize("name", ["M2-transpose", "UT3-flip"])
+def test_corresponding_anti_automorphism_meets_its_definition(field, name):
+    # b(w_u e_i, e_j) = b(e_i, alpha(w_u) e_j) for every u, i, j, computed
+    # entrywise; an endomorphism w sends e_i to row i of its matrix
+    if name == "M2-transpose":
+        A = alg.matrix_algebra(field, 2)
+        gamma = transpose_map(A, 2)
+    else:
+        A = alg.upper_triangular_algebra(field, 3)
+        gamma = ut_flip_map(A, 3)
+    M = mod.regular_module(A)
+    K = forms.standard_double_module(A, gamma)
+    b = random_regular_form(M, K, seed=2)
+    alpha, end = forms.corresponding_anti_automorphism(b)
+    d, t = M.dim, b.tensor
+    for u, w in enumerate(end.maps):
+        aw = end.matrix_of(alpha.apply(end.algebra.basis_vector(u)))
+        for i in range(d):
+            for j in range(d):
+                for c in range(K.dim):
+                    lhs = sum(w[i, s] * t[s][j][c] for s in range(d))
+                    rhs = sum(aw[j, s] * t[i][s][c] for s in range(d))
+                    assert field.coerce(lhs) == field.coerce(rhs), (u, i, j, c)

@@ -6,7 +6,13 @@ from fdalg import algebras as alg, forms, involutions as inv, modules as mod, ve
 from fdalg.errors import NoSymmetricUnitError, VerificationError
 from fdalg.linalg import Field, Matrix, QQ
 
-from helpers import identity_anti, transpose_map, ut_flip_map
+from helpers import (
+    assert_field_elements,
+    identity_anti,
+    random_regular_form,
+    transpose_map,
+    ut_flip_map,
+)
 
 F5 = Field(5)
 
@@ -367,3 +373,28 @@ def test_find_anti_structure_skips_candidates_outside_the_space(field):
     for seed in range(10):
         s = inv.find_anti_structure(A, gamma, seed=seed)
         assert s is not None and verify.anti_structure(A, gamma, s.v) is None
+
+
+def test_forms_layer_scalars_are_canonical_over_q():
+    # every QQ scalar in these results is an int or a Fraction with
+    # denominator > 1; a Fraction(k, 1) from a matrix product must not leak
+    H = alg.quaternion_algebra(QQ, 2, 3)
+    conj = alg.quaternion_conjugation(H)
+    R = mod.regular_module(H)
+    K = forms.standard_double_module(H, conj)
+    mats = []
+    for i in (0, 1):
+        dual = forms.dual_module(R, K, i)
+        mats += [*dual.module.action, *dual.maps]
+    b = random_regular_form(R, K, seed=0)
+    adj = forms.adjoints(b)
+    alpha, end = forms.corresponding_anti_automorphism(b)
+    hyp = inv.hyperbolic_involution(K, forms.standard_involution(K, conj), R)
+    alpha2 = inv.anti_structure_m2_involution(inv.AntiStructure(H, conj, H.unit))
+    red = inv.reduce_to_standard(alpha2, H, 2)
+    beta = inv.transfer_involution(alpha2, H, 2).beta
+    mats += [adj.left, adj.right, alpha.matrix, *end.maps, hyp.involution.matrix,
+             red.gamma.matrix, red.psi, red.theta_pair.theta,
+             *red.values.action0, *red.values.action1, beta.matrix]
+    assert_field_elements(QQ, [x for m in mats for row in m.rows for x in row])
+    assert_field_elements(QQ, [x for row in hyp.form.tensor for cell in row for x in cell])

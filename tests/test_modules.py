@@ -174,3 +174,40 @@ def test_projective_and_generator_tests():
     triv = mod.Module(A, 1, [Matrix.identity(QQ, 1), Matrix.zeros(QQ, 1, 1)])
     assert not mod.is_projective(triv)
     assert mod.is_projective(mod.regular_module(A))
+
+
+def _intertwining_nullity(M, N):
+    """Nullity of rho_M(a) F = F rho_N(a) for every basis element a at once,
+    one equation per entry (i, l) of each, unknown F[j][k] in column j*m + k."""
+    field = M.algebra.field
+    n, m = M.dim, N.dim
+    rows = []
+    for rM, rN in zip(M.action, N.action):
+        for i in range(n):
+            for l in range(m):
+                row = [0] * (n * m)
+                for j in range(n):
+                    row[j * m + l] += rM[i, j]
+                for k in range(m):
+                    row[i * m + k] -= rN[k, l]
+                rows.append(row)
+    return n * m - Matrix(field, rows, ncols=n * m).rank()
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=str)
+def test_hom_space_dimension_is_the_nullity_of_all_equations(field):
+    UT3 = alg.upper_triangular_algebra(field, 3)
+    P = [mod.principal_right_module(UT3, UT3.basis_vector(t)) for t in (0, 3, 5)]
+    M2 = alg.matrix_algebra(field, 2)
+    Q = [mod.principal_right_module(M2, M2.basis_vector(t)) for t in (0, 3)]
+    pairs = [
+        (mod.direct_sum([P[0], P[1]]), mod.direct_sum([P[1], P[2], P[2]])),
+        (mod.direct_sum([P[2], P[0]]), mod.direct_sum([P[0], P[1]])),
+        (mod.direct_sum([Q[0], Q[1]]), mod.direct_sum([Q[0], Q[0], Q[1]])),
+    ]
+    dims = []
+    for M, N in pairs:
+        for X, Y in ((M, N), (N, M)):
+            dims.append(mod.hom_space(X, Y).dim)
+            assert dims[-1] == _intertwining_nullity(X, Y)
+    assert min(dims) > 0
