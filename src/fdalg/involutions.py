@@ -199,7 +199,8 @@ def transpose_gamma(gamma: AlgebraMap, n: int) -> AlgebraMap:
     if gamma.variance != AlgebraMap.ANTI or not gamma.is_bijective():
         raise VerificationError("gamma must be an anti-automorphism")
     W = matrix_algebra_over(A, n)
-    # M_n(A) = M_n(F) (x) A, and S swaps e_ij and e_ji
+    # M_n(A) = M_n(F) (x) A, and S swaps e_ij and e_ji; the result is coerced
+    # because over Q a Kronecker product may hold Fraction(k, 1) entries
     S = Matrix._trusted(A.field, tuple(unit_vector(A.field, n * n, j * n + i)
                                        for i in range(n) for j in range(n)), n * n)
     return AlgebraMap(W, W, Matrix(A.field, kronecker(S, gamma.matrix).rows), AlgebraMap.ANTI)
@@ -210,7 +211,8 @@ def matrix_ring_end_data(A: Algebra, n: int):
     multiplication on rows of length n."""
     W = matrix_algebra_over(A, n)
     field = A.field
-    # e_ij (x) a_t sends the basis vector (j, s) to (i, a_t e_s): E_ji (x) L(a_t)
+    # e_ij (x) a_t sends the basis vector (j, s) to (i, a_t e_s): E_ji (x) L(a_t),
+    # coerced as in transpose_gamma
     maps = [Matrix(field, kronecker(unvec(field, unit_vector(field, n * n, j * n + i), n, n),
                                     A.left_mult_matrix(A.basis_vector(t))).rows)
             for i in range(n) for j in range(n) for t in range(A.dim)]

@@ -393,8 +393,16 @@ def test_forms_layer_scalars_are_canonical_over_q():
     alpha2 = inv.anti_structure_m2_involution(inv.AntiStructure(H, conj, H.unit))
     red = inv.reduce_to_standard(alpha2, H, 2)
     beta = inv.transfer_involution(alpha2, H, 2).beta
+    # conjugation twisted by u = 1 + i + j has entries 1/2 and 3/2, so the
+    # Kronecker product in transpose_gamma meets Fraction(0, 1)
+    u = (1, 1, 1, 0)
+    uinv = alg.is_unit(H, u)
+    twisted = alg.AlgebraMap.from_images(
+        H, H, [H.mul(uinv, H.mul(conj.apply(H.basis_vector(t)), u)) for t in range(4)],
+        alg.AlgebraMap.ANTI)
     mats += [adj.left, adj.right, alpha.matrix, *end.maps, hyp.involution.matrix,
              red.gamma.matrix, red.psi, red.theta_pair.theta,
-             *red.values.action0, *red.values.action1, beta.matrix]
+             *red.values.action0, *red.values.action1, beta.matrix,
+             inv.transpose_gamma(twisted, 2).matrix]
     assert_field_elements(QQ, [x for m in mats for row in m.rows for x in row])
     assert_field_elements(QQ, [x for row in hyp.form.tensor for cell in row for x in cell])
