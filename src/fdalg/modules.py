@@ -169,8 +169,7 @@ def hom_space(M: Module, N: Module) -> HomSpace:
     """Solution space of the intertwining equations rho_M(a) F = F rho_N(a)."""
     if M.algebra != N.algebra:
         raise DimensionError("hom space across different algebras")
-    A = M.algebra
-    field = A.field
+    field = M.algebra.field
     n, m = M.dim, N.dim
     nm = n * m
     if nm == 0:
