@@ -24,6 +24,15 @@ def ut_flip_map(A: alg.Algebra, n: int) -> alg.AlgebraMap:
     return alg.AlgebraMap.from_images(A, A, imgs, alg.AlgebraMap.ANTI)
 
 
+def twisted_transpose_map(A: alg.Algebra) -> alg.AlgebraMap:
+    """X -> S^-1 X^T S on M_2 with S = diag(1, 2): an anti-automorphism other
+    than the transpose, so its standard double module differs from the
+    transpose's in action0 alone."""
+    half = Fraction(1, 2)
+    imgs = [A.basis_vector(0), [0, 0, half, 0], [0, 2, 0, 0], A.basis_vector(3)]
+    return alg.AlgebraMap.from_images(A, A, imgs, alg.AlgebraMap.ANTI)
+
+
 def identity_anti(A: alg.Algebra) -> alg.AlgebraMap:
     """The identity as an anti-automorphism (commutative algebras only)."""
     return alg.AlgebraMap(A, A, Matrix.identity(A.field, A.dim), alg.AlgebraMap.ANTI)

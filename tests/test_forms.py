@@ -5,7 +5,7 @@ import random
 import pytest
 
 from fdalg import algebras as alg, forms, modules as mod
-from fdalg.errors import VerificationError
+from fdalg.errors import DimensionError, VerificationError
 from fdalg.linalg import Field, Matrix, QQ, invert
 
 from helpers import (
@@ -13,6 +13,7 @@ from helpers import (
     random_adjoint,
     random_regular_form,
     transpose_map,
+    twisted_transpose_map,
     ut_flip_map,
 )
 
@@ -121,6 +122,32 @@ def test_orthogonal_sum_laws():
     degenerate = forms.BilinearForm(M1, K, [[[0]]])
     mixed = forms.orthogonal_sum(dot(2), degenerate)
     assert not forms.adjoints(mixed).right_regular
+
+
+def test_orthogonal_sum_accepts_an_equal_values_module():
+    A = alg.matrix_algebra(QQ, 2)
+    tr = transpose_map(A, 2)
+    K = forms.standard_double_module(A, tr)
+    K_copy = forms.standard_double_module(A, tr)
+    R = mod.regular_module(A)
+    b = random_regular_form(R, K, seed=1)
+    b2 = random_regular_form(R, K, seed=2)
+    b2_copy = forms.BilinearForm(R, K_copy, b2.tensor)
+    out = forms.orthogonal_sum(b, b2_copy)
+    ref = forms.orthogonal_sum(b, b2)
+    assert out.values is K
+    assert out.module.dim == ref.module.dim == 8
+    assert out.tensor == ref.tensor
+
+
+def test_orthogonal_sum_rejects_another_values_module():
+    A = alg.matrix_algebra(QQ, 2)
+    R = mod.regular_module(A)
+    b = random_regular_form(R, forms.standard_double_module(A, transpose_map(A, 2)), seed=1)
+    other = forms.standard_double_module(A, twisted_transpose_map(A))
+    b2 = random_regular_form(R, other, seed=1)
+    with pytest.raises(DimensionError, match="^orthogonal sum needs the same values module$"):
+        forms.orthogonal_sum(b, b2)
 
 
 def test_corresponding_anti_automorphism_requires_regular():

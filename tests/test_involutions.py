@@ -3,7 +3,7 @@
 import pytest
 
 from fdalg import algebras as alg, forms, involutions as inv, modules as mod, verify
-from fdalg.errors import NoSymmetricUnitError, VerificationError
+from fdalg.errors import DimensionError, NoSymmetricUnitError, VerificationError
 from fdalg.linalg import Field, Matrix, QQ
 
 from helpers import (
@@ -11,6 +11,7 @@ from helpers import (
     identity_anti,
     random_regular_form,
     transpose_map,
+    twisted_transpose_map,
     ut_flip_map,
 )
 
@@ -406,3 +407,29 @@ def test_forms_layer_scalars_are_canonical_over_q():
              inv.transpose_gamma(twisted, 2).matrix]
     assert_field_elements(QQ, [x for m in mats for row in m.rows for x in row])
     assert_field_elements(QQ, [x for row in hyp.form.tensor for cell in row for x in cell])
+
+
+def test_hyperbolic_accepts_theta_on_an_equal_double_module():
+    A = alg.matrix_algebra(F5, 2)
+    tr = transpose_map(A, 2)
+    K = forms.standard_double_module(A, tr)
+    K_copy = forms.standard_double_module(A, tr)
+    assert K_copy is not K
+    P = mod.regular_module(A)
+    res = inv.hyperbolic_involution(K, forms.standard_involution(K_copy, tr), P)
+    ref = inv.hyperbolic_involution(K, forms.standard_involution(K, tr), P)
+    assert res.involution == ref.involution
+    assert res.form.tensor == ref.form.tensor
+    assert res.values is K
+
+
+def test_hyperbolic_rejects_theta_of_another_double_module():
+    A = alg.matrix_algebra(QQ, 2)
+    tr, tw = transpose_map(A, 2), twisted_transpose_map(A)
+    K = forms.standard_double_module(A, tr)
+    other = forms.standard_double_module(A, tw)
+    # same algebra, dimension and action1; only action0 differs
+    assert other.action1 == K.action1 and other.action0 != K.action0
+    with pytest.raises(DimensionError, match="^theta does not belong to K$"):
+        inv.hyperbolic_involution(K, forms.standard_involution(other, tw),
+                                  mod.regular_module(A))
