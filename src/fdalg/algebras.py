@@ -45,14 +45,14 @@ from .linalg import (
 )
 
 
-class Algebra:
+class Algebra(verify.Verified):
     """Associative unital algebra given by structure constants.
 
     ``Algebra(...)`` is where structure constants enter: it coerces them,
     checks the shapes and verifies associativity and the unit law on all
     basis triples.  Algebras derived from verified ones are built by
-    :meth:`_trusted` and inherit those laws; each derived construction
-    checks only what its derivation leaves open.
+    ``Algebra._trusted`` (no coercion, no checks) and inherit those laws;
+    each derived construction checks only what its derivation leaves open.
     """
 
     def __init__(self, field: Field, basis_names: Sequence[str], table, unit):
@@ -71,14 +71,6 @@ class Algebra:
             raise DimensionError("unit vector has wrong length")
         self._store(field, basis_names, table, unit)
         verify.require(verify.associative_unital(self))
-
-    @staticmethod
-    def _trusted(field: Field, basis_names: Sequence[str], table, unit) -> "Algebra":
-        """An algebra whose constants are already in ``field`` and whose laws
-        follow from how it was built: no coercion, no checks."""
-        out = Algebra.__new__(Algebra)
-        out._store(field, basis_names, table, unit)
-        return out
 
     def _store(self, field: Field, basis_names: Sequence[str], table, unit) -> None:
         self.field = field
@@ -156,19 +148,23 @@ class Algebra:
         return f"Algebra(dim={self.dim}, field={self.field})"
 
 
-class AlgebraMap:
+class AlgebraMap(verify.Verified):
     """Linear map between algebras tagged as (anti-)homomorphism.
 
     The matrix is (target dim x source dim) and acts on column vectors.
-    Multiplicativity in the declared variance and unit preservation are
-    checked on all basis pairs.
+    ``AlgebraMap(...)`` checks multiplicativity in the declared variance and
+    unit preservation on all basis pairs; :meth:`compose` and :meth:`inverse`
+    build by ``AlgebraMap._trusted``.  Both check the variance and shapes.
     """
 
     HOMOMORPHISM = "homomorphism"
     ANTI = "anti_homomorphism"
 
-    def __init__(self, source: Algebra, target: Algebra, matrix: Matrix,
-                 variance: str, validate: bool = True):
+    def __init__(self, source: Algebra, target: Algebra, matrix: Matrix, variance: str):
+        self._store(source, target, matrix, variance)
+        self._validate()
+
+    def _store(self, source: Algebra, target: Algebra, matrix: Matrix, variance: str) -> None:
         if variance not in (self.HOMOMORPHISM, self.ANTI):
             raise ValueError(f"unknown variance {variance!r}")
         if matrix.nrows != target.dim or matrix.ncols != source.dim:
@@ -181,8 +177,6 @@ class AlgebraMap:
         self.variance = variance
         # apply() acts on row vectors: f(x) = x @ matrix^T
         self._transpose = matrix.transpose()
-        if validate:
-            self._validate()
 
     @staticmethod
     def from_images(source: Algebra, target: Algebra, images: Sequence[Sequence],
@@ -208,14 +202,14 @@ class AlgebraMap:
             if self.variance == other.variance
             else AlgebraMap.ANTI
         )
-        return AlgebraMap(other.source, self.target, self.matrix * other.matrix,
-                          variance, validate=False)
+        return AlgebraMap._trusted(other.source, self.target, self.matrix * other.matrix,
+                                   variance)
 
     def inverse(self) -> "AlgebraMap":
         inv = invert(self.matrix)
         if inv is None:
             raise VerificationError("algebra map is not bijective")
-        return AlgebraMap(self.target, self.source, inv, self.variance, validate=False)
+        return AlgebraMap._trusted(self.target, self.source, inv, self.variance)
 
     def is_bijective(self) -> bool:
         return verify.bijective(self.matrix) is None
@@ -979,8 +973,7 @@ def basic_algebra(A: Algebra, seed: int = 0) -> BasicAlgebraResult:
     mods = [modules.principal_right_module(A, e) for e in idems]
     reps = [idems[cls[0]] for cls in modules.isomorphism_classes(mods, seed=seed)]
     f = vcombine(A.field, A.dim, [A.field.one] * len(reps), reps)
-    span = [A.mul(f, A.mul(A.basis_vector(i), f)) for i in range(A.dim)]
-    B, emb = subalgebra(A, span, f, prefix="b")
+    B, emb = subalgebra(A, _corner_span(A, f), f, prefix="b")
     return BasicAlgebraResult(B, f, emb, reps)
 
 

@@ -70,12 +70,8 @@ def field_to_json(field: Field):
     return "Q" if field.p is None else {"p": field.p}
 
 
-def scalar_str(field: Field, x) -> str:
-    return field.format(x)
-
-
 def vector_json(field: Field, v) -> list:
-    return [scalar_str(field, x) for x in v]
+    return [field.format(x) for x in v]
 
 
 def matrix_json(m: Matrix) -> list:
@@ -141,7 +137,7 @@ def _check(name: str, ok: bool) -> dict:
 
 
 def verify_anti_map(A: _alg.Algebra, m: Matrix, label: str) -> list:
-    f = _alg.AlgebraMap(A, A, m, _alg.AlgebraMap.ANTI, validate=False)
+    f = _alg.AlgebraMap._trusted(A, A, m, _alg.AlgebraMap.ANTI)
     return [
         _check(f"{label}: unit preserved", verify.unit_preserved(f) is None),
         _check(f"{label}: anti-multiplicative on all basis pairs",

@@ -48,8 +48,8 @@ class DoubleModule:
         self.action0 = tuple(action0)
         self.action1 = tuple(action1)
         # K_0 and K_1; their constructors check the shapes of the actions
-        self._modules = (Module(algebra, dim, self.action0, validate=False),
-                         Module(algebra, dim, self.action1, validate=False))
+        self._modules = (Module._trusted(algebra, dim, self.action0),
+                         Module._trusted(algebra, dim, self.action1))
         verify.require(verify.double_module(algebra, self.action0, self.action1))
 
     def module(self, i: int) -> Module:
@@ -61,6 +61,11 @@ class DoubleModule:
 
     def act(self, k: Sequence, a: Sequence, i: int) -> tuple:
         return self.module(i).act(k, a)
+
+    def __eq__(self, other):
+        return isinstance(other, DoubleModule) and (
+            (self.algebra, self.action0, self.action1)
+            == (other.algebra, other.action0, other.action1))
 
     def __repr__(self):
         return f"DoubleModule(dim={self.dim} over dim-{self.algebra.dim} algebra)"
@@ -221,7 +226,7 @@ def dual_module(M: Module, K: DoubleModule, i: int) -> DualModule:
                 raise VerificationError("twisted action leaves the hom space")
             rows.append(coords)
         action.append(Matrix(field, rows, ncols=d))
-    module = Module(A, d, action, validate=False)
+    module = Module._trusted(A, d, action)
     return DualModule(M, K, i, module, H)
 
 
@@ -301,16 +306,24 @@ def adjoints(b: BilinearForm) -> AdjointData:
     return AdjointData(left, right, dual0, dual1, left_regular, right_regular)
 
 
-class EndData:
+class EndData(verify.Verified):
     """An endomorphism algebra with its identification by matrices.
 
     ``algebra`` has product w*v = w o v (apply on the left), realized on
-    matrices as mat(v) mat(w); this compatibility and the intertwining of
-    every map are verified at construction.
+    matrices as mat(v) mat(w).  ``EndData(...)`` checks this compatibility,
+    that the maps are independent and that each intertwines the module's
+    action; :meth:`of_module` inherits all three and uses ``EndData._trusted``.
     """
 
-    def __init__(self, algebra: Algebra, maps: Sequence[Matrix], module: Module,
-                 validate: bool = True):
+    def __init__(self, algebra: Algebra, maps: Sequence[Matrix], module: Module):
+        self._store(algebra, maps, module)
+        if not self._coords.independent:
+            raise VerificationError("endomorphism maps are linearly dependent")
+        verify.require(verify.intertwines(module.action, module.action, *self.maps))
+        # mat(w v) = mat(v) mat(w): the maps are a right action of the opposite
+        verify.require(verify.module_action(opposite(algebra), self.maps))
+
+    def _store(self, algebra: Algebra, maps: Sequence[Matrix], module: Module) -> None:
         self.algebra = algebra
         self.maps = list(maps)
         self.module = module
@@ -318,17 +331,11 @@ class EndData:
         # need not be in echelon form
         self._coords = Coordinates(algebra.field, [vec(m) for m in self.maps],
                                    module.dim * module.dim)
-        if validate:
-            if not self._coords.independent:
-                raise VerificationError("endomorphism maps are linearly dependent")
-            verify.require(verify.intertwines(module.action, module.action, *self.maps))
-            # mat(w v) = mat(v) mat(w): the maps are a right action of the opposite
-            verify.require(verify.module_action(opposite(algebra), self.maps))
 
     @staticmethod
     def of_module(M: Module) -> "EndData":
         algebra, H = endomorphism_algebra(M)
-        return EndData(algebra, H.basis, M, validate=False)
+        return EndData._trusted(algebra, H.basis, M)
 
     def matrix_of(self, coords: Sequence) -> Matrix:
         d = self.module.dim
@@ -532,12 +539,7 @@ def involution_from_goldman(K: DoubleModule) -> DoubleModuleInvolution:
 def orthogonal_sum(b: BilinearForm, b2: BilinearForm) -> BilinearForm:
     """Block form on the direct sum; regularity is checked to agree with
     the two summands on both sides."""
-    if b.values is not b2.values and not (
-        b.values.algebra == b2.values.algebra
-        and b.values.dim == b2.values.dim
-        and b.values.action0 == b2.values.action0
-        and b.values.action1 == b2.values.action1
-    ):
+    if b.values != b2.values:
         raise DimensionError("orthogonal sum needs the same values module")
     K = b.values
     M = direct_sum([b.module, b2.module])

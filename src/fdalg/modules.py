@@ -34,22 +34,27 @@ from .linalg import (
 )
 
 
-class Module:
-    """Right module given by action matrices on row vectors."""
+class Module(verify.Verified):
+    """Right module given by action matrices on row vectors.
 
-    def __init__(self, algebra: Algebra, dim: int, action: Sequence[Matrix],
-                 validate: bool = True, regular: bool = False):
+    ``Module(...)`` checks the module laws on all basis pairs.  The regular
+    module, sums, submodules, changes of basis and duals inherit them and
+    are built by ``Module._trusted``.  Both check the shapes.
+    """
+
+    def __init__(self, algebra: Algebra, dim: int, action: Sequence[Matrix]):
+        self._store(algebra, dim, action)
+        verify.require(verify.module_action(algebra, self.action))
+
+    def _store(self, algebra: Algebra, dim: int, action: Sequence[Matrix]) -> None:
         self.algebra = algebra
         self.dim = dim
         self.action = tuple(action)
-        self._regular = regular
         if len(self.action) != algebra.dim:
             raise DimensionError("one action matrix per algebra basis element required")
         for m in self.action:
             if m.nrows != dim or m.ncols != dim:
                 raise DimensionError("action matrices must be dim x dim")
-        if validate:
-            verify.require(verify.module_action(algebra, self.action))
 
     def action_of(self, a: Sequence) -> Matrix:
         """Matrix of the right action of an algebra element."""
@@ -68,7 +73,7 @@ class Module:
 def regular_module(A: Algebra) -> Module:
     """A as a right module over itself; dim = dim A."""
     action = [A.right_mult_matrix(A.basis_vector(i)) for i in range(A.dim)]
-    return Module(A, A.dim, action, validate=False, regular=True)
+    return Module._trusted(A, A.dim, action)
 
 
 def free_module(A: Algebra, n: int) -> Module:
@@ -85,7 +90,7 @@ def direct_sum(mods: Sequence[Module]) -> Module:
     action = [
         block_diag(A.field, [m.action[i] for m in mods]) for i in range(A.dim)
     ]
-    return Module(A, dim, action, validate=False)
+    return Module._trusted(A, dim, action)
 
 
 def submodule(M: Module, generators: Sequence[Sequence]):
@@ -120,7 +125,7 @@ def submodule(M: Module, generators: Sequence[Sequence]):
                 raise VerificationError("span is not action-invariant")
             rows.append(coords)
         action.append(Matrix(field, rows, ncols=d))
-    return Module(A, d, action, validate=False), basis
+    return Module._trusted(A, d, action), basis
 
 
 def principal_right_module(A: Algebra, e: Sequence) -> Module:
@@ -136,7 +141,7 @@ def change_of_basis(M: Module, T: Matrix) -> Module:
     if Tinv is None:
         raise DimensionError("change of basis must be invertible")
     action = [Tinv * m * T for m in M.action]
-    return Module(M.algebra, M.dim, action, validate=False)
+    return Module._trusted(M.algebra, M.dim, action)
 
 
 class HomSpace:
@@ -333,8 +338,8 @@ def is_projective(M: Module) -> bool:
 def decompose(M: Module, seed: int = 0) -> list:
     """Indecomposable summands of M, via primitive idempotents of End(M).
 
-    For the regular module the idempotents of the algebra itself are used
-    directly.
+    When M carries the regular action of its algebra A, the idempotents of
+    A itself are used directly.
     """
     return [mod for mod, _ in decompose_with_embeddings(M, seed=seed)]
 
@@ -344,7 +349,7 @@ def decompose_with_embeddings(M: Module, seed: int = 0) -> list:
     if M.dim == 0:
         return []
     A = M.algebra
-    if M._regular:
+    if M.action == regular_module(A).action:
         return [submodule(M, [A.mul(e, A.basis_vector(i)) for i in range(A.dim)])
                 for e in primitive_idempotents(A, seed=seed)]
     EndM, H = endomorphism_algebra(M)

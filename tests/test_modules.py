@@ -138,6 +138,26 @@ def test_krull_schmidt_random_basis_change():
         assert sorted(p.dim for p in parts) == [2, 2]
 
 
+@pytest.mark.parametrize("A", [alg.matrix_algebra(QQ, 2),
+                               alg.upper_triangular_algebra(Field(10007), 3)],
+                         ids=["M2-Q", "UT3-GF10007"])
+def test_decompose_sees_a_regular_action_built_from_json(A, monkeypatch):
+    from fdalg import cli
+
+    expected = mod.decompose_with_embeddings(mod.regular_module(A), seed=0)
+    # what module_from_json builds when the input spells out the regular action
+    rights = [A.right_mult_matrix(A.basis_vector(i)) for i in range(A.dim)]
+    M = cli.module_from_json(A, {"dim": A.dim, "action": [cli.matrix_json(r) for r in rights]})
+
+    def no_end(M):
+        raise AssertionError("the End(M) path was taken for a regular action")
+
+    monkeypatch.setattr(mod, "endomorphism_algebra", no_end)
+    got = mod.decompose_with_embeddings(M, seed=0)
+    assert [(S.dim, S.action, basis) for S, basis in got] == [
+        (S.dim, S.action, basis) for S, basis in expected]
+
+
 def test_decompose_scharlau_regular_module():
     from fdalg import posets as ps
 

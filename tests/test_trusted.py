@@ -1,0 +1,88 @@
+"""Objects built by the trusted constructors satisfy the laws that the
+checking constructors would verify, and no constructor grows a switch
+between the two paths again."""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import fdalg
+from fdalg import algebras as alg, forms, modules as mod, verify
+from fdalg.linalg import Field, Matrix, QQ
+
+from helpers import transpose_map, ut_flip_map
+
+FIELDS = (QQ, Field(5), Field(2 ** 61 - 1))
+CASES = {
+    "M2-transpose": lambda F: (alg.matrix_algebra(F, 2), lambda A: transpose_map(A, 2)),
+    "UT3-flip": lambda F: (alg.upper_triangular_algebra(F, 3), lambda A: ut_flip_map(A, 3)),
+}
+
+
+def _unitriangular(field: Field, n: int) -> Matrix:
+    return Matrix(field, [[1 if j >= i else 0 for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_trusted_constructions_inherit_their_laws(field, case):
+    A, make_gamma = CASES[case](field)
+    gamma = make_gamma(A)
+    R = mod.regular_module(A)
+    K = forms.standard_double_module(A, gamma)
+    e = A.basis_vector(0)  # the matrix unit e_11 in both algebras
+    built = {
+        "regular_module": R,
+        "direct_sum": mod.direct_sum([R, mod.principal_right_module(A, e)]),
+        "principal_right_module": mod.principal_right_module(A, e),
+        "change_of_basis": mod.change_of_basis(R, _unitriangular(field, A.dim)),
+        "dual_module 0": forms.dual_module(R, K, 0).module,
+        "dual_module 1": forms.dual_module(R, K, 1).module,
+        "DoubleModule.module 0": K.module(0),
+        "DoubleModule.module 1": K.module(1),
+    }
+    for name, M in built.items():
+        assert verify.module_action(A, M.action) is None, name
+
+    for name, f in {"compose": gamma.compose(gamma), "inverse": gamma.inverse(),
+                    "compose with inverse": gamma.compose(gamma.inverse())}.items():
+        assert verify.algebra_map(f) is None, name
+
+    for M in (R, built["principal_right_module"]):
+        end = forms.EndData.of_module(M)
+        assert end._coords.independent
+        assert verify.intertwines(M.action, M.action, *end.maps) is None
+        assert verify.module_action(alg.opposite(end.algebra), end.maps) is None
+
+
+def _fdalg_callables():
+    """(qualified name, callable) for every function, class and method
+    defined in an fdalg module, public or private."""
+    for info in pkgutil.iter_modules(fdalg.__path__):
+        module = importlib.import_module(f"fdalg.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj):
+                yield f"{module.__name__}.{name}", obj
+                for attr, member in vars(obj).items():
+                    if isinstance(member, (staticmethod, classmethod)):
+                        member = member.__func__
+                    if inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_no_constructor_takes_a_checking_switch():
+    seen = 0
+    for qualname, obj in _fdalg_callables():
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):
+            continue
+        seen += 1
+        assert not {"validate", "regular"} & set(params), qualname
+    assert seen > 200, seen

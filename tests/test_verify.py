@@ -30,7 +30,7 @@ def bump_vector(v, i: int) -> tuple:
 
 
 def anti(matrix: Matrix) -> alg.AlgebraMap:
-    return alg.AlgebraMap(M2, M2, matrix, alg.AlgebraMap.ANTI, validate=False)
+    return alg.AlgebraMap._trusted(M2, M2, matrix, alg.AlgebraMap.ANTI)
 
 
 def form_tensor():
