@@ -202,8 +202,7 @@ class AlgebraMap(verify.Verified):
             if self.variance == other.variance
             else AlgebraMap.ANTI
         )
-        return AlgebraMap._trusted(other.source, self.target, self.matrix * other.matrix,
-                                   variance)
+        return AlgebraMap._trusted(other.source, self.target, self.matrix * other.matrix, variance)
 
     def inverse(self) -> "AlgebraMap":
         inv = invert(self.matrix)
