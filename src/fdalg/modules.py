@@ -349,7 +349,7 @@ def decompose_with_embeddings(M: Module, seed: int = 0) -> list:
     if M.dim == 0:
         return []
     A = M.algebra
-    if M.action == regular_module(A).action:
+    if M.dim == A.dim and M.action == regular_module(A).action:
         return [submodule(M, [A.mul(e, A.basis_vector(i)) for i in range(A.dim)])
                 for e in primitive_idempotents(A, seed=seed)]
     EndM, H = endomorphism_algebra(M)
