@@ -2,16 +2,20 @@
 
 ``test_demo_determinism_bytes`` compares two runs of the same code; this
 file compares the current code against reports committed earlier.
-``tests/golden`` holds the report of every demo and, for each command
-built on the shared linear-algebra helpers, one small input
-(``<command>.in.json``) with its report (``<command>.json``).  A few
+``tests/golden`` holds the report of every demo and, for each command,
+one small input (``<command>.in.json``) with its report
+(``<command>.json``).  A few
 more inputs pin one path of a command: ``orbit-quaternion-p1000003``
 needs the roots of minimal polynomials over GF(1000003), and its report
 was written when those roots were found by evaluating at every field
 element.  ``reduce-standard-transpose-q`` runs the transpose on M_3 of
 Q[s]/(s^2 - 3), and ``hyperbolic-simple-module-q`` takes the
 2-dimensional simple module of M_2(Q) as P instead of the regular
-module.  All runs use seed 0.
+module.  ``poset-check`` runs the 3-chain and ``poset-check-scharlau``
+the Scharlau covers (exit 2); ``steinitz-unsolvable`` is the Z/48 twist
+of the ``azumaya-no-involution`` demo (exit 2); ``transfer-f2-exhaustive``
+is the transpose on M_2(GF(2)), whose unit search is exhaustive and finds
+nothing (exit 2, empty checks).  All runs use seed 0.
 
 A change that is meant to alter report bytes must say why, then rewrite
 the reports from the repository root with
@@ -45,6 +49,13 @@ CASES = {
     "reduce-standard": ("reduce-standard", cli.EXIT_OK),
     "reduce-standard-transpose-q": ("reduce-standard", cli.EXIT_OK),
     "form-correspond": ("form-correspond", cli.EXIT_OK),
+    "radical": ("radical", cli.EXIT_OK),
+    "incidence": ("incidence", cli.EXIT_OK),
+    "poset-check": ("poset-check", cli.EXIT_OK),
+    "poset-check-scharlau": ("poset-check", cli.EXIT_NEGATIVE),
+    "steinitz": ("steinitz", cli.EXIT_OK),
+    "steinitz-unsolvable": ("steinitz", cli.EXIT_NEGATIVE),
+    "transfer-f2-exhaustive": ("transfer", cli.EXIT_NEGATIVE),
 }
 DEMO_EXITS = {name: cli.EXIT_OK for name in cli.DEMOS}
 DEMO_EXITS.update({"scharlau": cli.EXIT_NEGATIVE, "azumaya-no-involution": cli.EXIT_NEGATIVE})
