@@ -1,14 +1,20 @@
 """Command-line front end.
 
 Reads JSON descriptions of algebras, posets and class groups, runs the
-named construction, and emits a JSON report whose "checks" section
-re-runs the :mod:`fdalg.verify` checkers on the returned objects (those of
-``radical`` and ``basic`` are still constant).
+named construction, and emits a JSON report.  Every report has the keys
+``command``, ``demo`` (demos only), ``seed``, ``description`` (demos
+only), ``result``, ``certificate`` and ``checks``, in that order.  The
+"checks" section re-runs the :mod:`fdalg.verify` checkers on the returned
+objects (those of ``radical`` and ``basic`` are still constant).  Each
+command and demo builds its report body through ``_report``, which
+refuses to build one when any check failed: the command then exits 1
+with an error naming the failed checks instead of a report.
 
 Exit codes: 0 success; 1 malformed or unsupported input, usage errors
-included; 2 a certified mathematical negative (no involution, impossible
-twist); 3 inconclusive searches.  Reports are UTF-8 JSON with fixed key
-order; the same seed and input always produce byte-identical output.
+and failed checks included; 2 a certified mathematical negative (no
+involution, impossible twist); 3 inconclusive searches.  Reports are
+UTF-8 JSON with fixed key order; the same seed and input always produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -42,27 +48,22 @@ EXIT_INPUT = 1
 EXIT_NEGATIVE = 2
 EXIT_INCONCLUSIVE = 3
 
-DEMOS = (
-    "scharlau",
-    "azumaya-no-involution",
-    "goldman",
-    "hyperbolic-quaternion",
-    "dyadic",
-    "rank-bounds",
-)
-
 
 # -- JSON (de)serialization ---------------------------------------------
+
+def _json_int(value, what: str) -> int:
+    """A count read from the JSON input, which must be a JSON integer."""
+    # int() would truncate 5.5 to 5, and bool is an int
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
 
 def field_from_json(obj) -> Field:
     if obj == "Q":
         return QQ
     if isinstance(obj, dict) and "p" in obj:
-        p = obj["p"]
-        # a JSON integer only: int() would truncate 5.5 to 5, and bool is an int
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise ValueError(f"field characteristic must be an integer, got {p!r}")
-        return Field(p)
+        return Field(_json_int(obj["p"], "field characteristic"))
     raise ValueError(f"unknown field spec {obj!r}")
 
 
@@ -110,7 +111,12 @@ def map_from_json(A: _alg.Algebra, obj, default_variance=_alg.AlgebraMap.ANTI) -
 
 
 def poset_from_json(obj) -> _posets.Poset:
-    return _posets.Poset.from_covers(int(obj["size"]), [tuple(p) for p in obj["cover"]])
+    size = _json_int(obj["size"], "poset size")
+    covers = [tuple(_json_int(i, "cover entry") for i in c) for c in obj["cover"]]
+    # a negative entry would index from the end, a large one raise IndexError
+    if size < 0 or any(not 0 <= i < size for c in covers for i in c):
+        raise ValueError(f"cover entries must lie in range(size), size {size}")
+    return _posets.Poset.from_covers(size, covers)
 
 
 def poset_to_json(P: _posets.Poset) -> dict:
@@ -118,13 +124,13 @@ def poset_to_json(P: _posets.Poset) -> dict:
 
 
 def module_from_json(A: _alg.Algebra, obj) -> _mod.Module:
-    dim = int(obj["dim"])
+    dim = _json_int(obj["dim"], "module dimension")
     action = [matrix_from_json(A.field, m, ncols=dim) for m in obj["action"]]
     return _mod.Module(A, dim, action)
 
 
 def double_module_from_json(A: _alg.Algebra, obj) -> _forms.DoubleModule:
-    dim = int(obj["dim"])
+    dim = _json_int(obj["dim"], "double module dimension")
     a0 = [matrix_from_json(A.field, m, ncols=dim) for m in obj["action0"]]
     a1 = [matrix_from_json(A.field, m, ncols=dim) for m in obj["action1"]]
     return _forms.DoubleModule(A, dim, a0, a1)
@@ -162,10 +168,20 @@ def verify_form_balance(b: _forms.BilinearForm, label: str) -> list:
     return [_check(f"{label}: balance laws on all basis triples", verify.balanced(b) is None)]
 
 
-def _all_pass(checks: list) -> None:
+def _report(result, checks: list, certificate=None, code=EXIT_OK, description=None):
+    """A command's report body, in report key order, and its exit code.
+
+    Refuses to build one unless every check passed: a failed check raises
+    VerificationError naming the failed checks, which ``run`` reports as
+    exit 1.
+    """
     failures = [c["name"] for c in checks if not c["pass"]]
     if failures:
         raise VerificationError("independent re-verification failed: " + "; ".join(failures))
+    body = {} if description is None else {"description": description}
+    body.update(result=result, certificate={} if certificate is None else certificate,
+                checks=checks)
+    return body, code
 
 
 # -- command implementations ---------------------------------------------
@@ -173,12 +189,9 @@ def _all_pass(checks: list) -> None:
 def cmd_radical(data, args):
     A = algebra_from_json(data["algebra"])
     J = _alg.jacobson_radical(A)
-    report = {
-        "result": {"dimension": len(J), "basis": [vector_json(A.field, v) for v in J]},
-        "certificate": {"quotient_dimension": A.dim - len(J)},
-        "checks": [_check("radical is a nilpotent two-sided ideal", True)],
-    }
-    return report, EXIT_OK
+    return _report({"dimension": len(J), "basis": [vector_json(A.field, v) for v in J]},
+                   [_check("radical is a nilpotent two-sided ideal", True)],
+                   {"quotient_dimension": A.dim - len(J)})
 
 
 def cmd_center(data, args):
@@ -186,13 +199,8 @@ def cmd_center(data, args):
     c = _alg.center(A)
     checks = [_check("center basis commutes with all basis elements",
                      verify.central(A, c.basis) is None)]
-    _all_pass(checks)
-    report = {
-        "result": {"dimension": c.dim, "basis": [vector_json(A.field, v) for v in c.basis]},
-        "certificate": {},
-        "checks": checks,
-    }
-    return report, EXIT_OK
+    return _report({"dimension": c.dim, "basis": [vector_json(A.field, v) for v in c.basis]},
+                   checks)
 
 
 def cmd_idempotents(data, args):
@@ -203,13 +211,8 @@ def cmd_idempotents(data, args):
         _check("pairwise orthogonal", verify.orthogonal(A, idems) is None),
         _check("sum is 1", verify.sum_to_unit(A, idems) is None),
     ]
-    _all_pass(checks)
-    report = {
-        "result": {"count": len(idems), "idempotents": [vector_json(A.field, e) for e in idems]},
-        "certificate": {},
-        "checks": checks,
-    }
-    return report, EXIT_OK
+    return _report({"count": len(idems), "idempotents": [vector_json(A.field, e) for e in idems]},
+                   checks)
 
 
 def cmd_basic(data, args):
@@ -220,17 +223,11 @@ def cmd_basic(data, args):
                A.mul(res.idempotent, res.idempotent) == res.idempotent),
         _check("basic algebra has one class per indecomposable projective", True),
     ]
-    _all_pass(checks)
-    report = {
-        "result": {
-            "dimension": res.algebra.dim,
-            "idempotent": vector_json(A.field, res.idempotent),
-            "algebra": algebra_to_json(res.algebra),
-        },
-        "certificate": {"class_count": len(res.class_representatives)},
-        "checks": checks,
-    }
-    return report, EXIT_OK
+    return _report({
+        "dimension": res.algebra.dim,
+        "idempotent": vector_json(A.field, res.idempotent),
+        "algebra": algebra_to_json(res.algebra),
+    }, checks, {"class_count": len(res.class_representatives)})
 
 
 def cmd_form_correspond(data, args):
@@ -242,17 +239,11 @@ def cmd_form_correspond(data, args):
     alpha, end = _forms.corresponding_anti_automorphism(b)
     checks = verify_anti_map(end.algebra, alpha.matrix, "corresponding map")
     checks += verify_form_balance(b, "input form")
-    _all_pass(checks)
-    report = {
-        "result": {
-            "endomorphism_dimension": end.algebra.dim,
-            "alpha": matrix_json(alpha.matrix),
-            "is_involution": alpha.is_involution(),
-        },
-        "certificate": {"values_dimension": dimK},
-        "checks": checks,
-    }
-    return report, EXIT_OK
+    return _report({
+        "endomorphism_dimension": end.algebra.dim,
+        "alpha": matrix_json(alpha.matrix),
+        "is_involution": alpha.is_involution(),
+    }, checks, {"values_dimension": dimK})
 
 
 def cmd_hyperbolic(data, args):
@@ -271,16 +262,10 @@ def cmd_hyperbolic(data, args):
     checks += verify_form_balance(res.form, "hyperbolic form")
     checks.append(_check("form is theta-symmetric",
                          res.form.is_symmetric_under(theta)))
-    _all_pass(checks)
-    report = {
-        "result": {
-            "endomorphism_dimension": res.algebra.dim,
-            "involution": matrix_json(res.involution.matrix),
-        },
-        "certificate": {"module_dimension": res.module.dim},
-        "checks": checks,
-    }
-    return report, EXIT_OK
+    return _report({
+        "endomorphism_dimension": res.algebra.dim,
+        "involution": matrix_json(res.involution.matrix),
+    }, checks, {"module_dimension": res.module.dim})
 
 
 def cmd_anti_structure_m2(data, args):
@@ -289,17 +274,12 @@ def cmd_anti_structure_m2(data, args):
     s = _inv.AntiStructure(A, gamma, data["v"])
     alpha = _inv.anti_structure_m2_involution(s)
     checks = verify_involution_map(alpha.source, alpha.matrix, "matrix-ring involution")
-    _all_pass(checks)
-    report = {
-        "result": {"dimension": alpha.source.dim, "involution": matrix_json(alpha.matrix)},
-        "certificate": {},
-        "checks": checks,
-    }
-    return report, EXIT_OK
+    return _report({"dimension": alpha.source.dim, "involution": matrix_json(alpha.matrix)},
+                   checks)
 
 
 def _alpha_on_matrix_ring(data, A):
-    n = int(data["n"])
+    n = _json_int(data["n"], "matrix size n")
     W = _alg.matrix_algebra_over(A, n)
     spec = data["alpha"]
     if spec == "transpose":
@@ -319,20 +299,14 @@ def cmd_reduce_standard(data, args):
     if red.theta_pair is not None:
         checks.append(_check("theta relation holds on all basis triples",
                              verify.theta_relation(A, red.gamma, red.theta_pair.theta) is None))
-    _all_pass(checks)
-    report = {
-        "result": {
-            "gamma": matrix_json(red.gamma.matrix),
-            "theta": matrix_json(red.theta_pair.theta) if red.theta_pair else None,
-        },
-        "certificate": {
-            "values_dimension": red.certificate["values_dim"],
-            "identification": matrix_json(red.psi),
-            "checks_performed": red.certificate["checks"],
-        },
-        "checks": checks,
-    }
-    return report, EXIT_OK
+    return _report({
+        "gamma": matrix_json(red.gamma.matrix),
+        "theta": matrix_json(red.theta_pair.theta) if red.theta_pair else None,
+    }, checks, {
+        "values_dimension": red.certificate["values_dim"],
+        "identification": matrix_json(red.psi),
+        "checks_performed": red.certificate["checks"],
+    })
 
 
 def cmd_transfer(data, args):
@@ -342,26 +316,17 @@ def cmd_transfer(data, args):
         res = _inv.transfer_involution(alpha, A, n, seed=args.seed,
                                        max_trials=args.max_trials)
     except NoSymmetricUnitError as e:
-        report = {
-            "result": {"transferred": False, "reason": str(e)},
-            "certificate": {"exhaustive": e.exhaustive},
-            "checks": [],
-        }
-        return report, (EXIT_NEGATIVE if e.exhaustive else EXIT_INCONCLUSIVE)
+        return _report({"transferred": False, "reason": str(e)}, [],
+                       {"exhaustive": e.exhaustive},
+                       EXIT_NEGATIVE if e.exhaustive else EXIT_INCONCLUSIVE)
     checks = verify_involution_map(A, res.beta.matrix, "transferred involution")
-    _all_pass(checks)
-    report = {
-        "result": {
-            "transferred": True,
-            "beta": matrix_json(res.beta.matrix),
-            "gamma": matrix_json(res.gamma.matrix),
-            "unit": vector_json(A.field, res.u),
-            "sign": res.sign,
-        },
-        "certificate": {"trials": res.trials},
-        "checks": checks,
-    }
-    return report, EXIT_OK
+    return _report({
+        "transferred": True,
+        "beta": matrix_json(res.beta.matrix),
+        "gamma": matrix_json(res.gamma.matrix),
+        "unit": vector_json(A.field, res.u),
+        "sign": res.sign,
+    }, checks, {"trials": res.trials})
 
 
 def cmd_orbit(data, args):
@@ -373,19 +338,13 @@ def cmd_orbit(data, args):
     checks = verify_anti_map(res.algebra, res.anti_automorphism.matrix, "orbit anti-automorphism")
     checks.append(_check("duality permutes the classes",
                          sorted(orb.permutation) == list(range(len(orb.permutation)))))
-    _all_pass(checks)
-    report = {
-        "result": {
-            "class_dimensions": [m.dim for m in orb.representatives],
-            "multiplicities": orb.multiplicities,
-            "permutation": orb.permutation,
-            "n": orb.n,
-            "endomorphism_dimension": res.algebra.dim,
-        },
-        "certificate": {},
-        "checks": checks,
-    }
-    return report, EXIT_OK
+    return _report({
+        "class_dimensions": [m.dim for m in orb.representatives],
+        "multiplicities": orb.multiplicities,
+        "permutation": orb.permutation,
+        "n": orb.n,
+        "endomorphism_dimension": res.algebra.dim,
+    }, checks)
 
 
 def cmd_poset_check(data, args):
@@ -396,18 +355,12 @@ def cmd_poset_check(data, args):
         _check("order-reversing maps verified by definition",
                all(verify.order_reversing(P.leq, m) is None for m in maps)),
     ]
-    _all_pass(checks)
-    report = {
-        "result": {
-            "connected": P.is_connected(),
-            "order_reversing": [list(m) for m in maps],
-            "involutions": [list(m) for m in invs],
-            "orders": sorted({_posets.perm_order(m) for m in maps}),
-        },
-        "certificate": {"search": "exhaustive backtracking"},
-        "checks": checks,
-    }
-    return report, (EXIT_OK if invs else EXIT_NEGATIVE)
+    return _report({
+        "connected": P.is_connected(),
+        "order_reversing": [list(m) for m in maps],
+        "involutions": [list(m) for m in invs],
+        "orders": sorted({_posets.perm_order(m) for m in maps}),
+    }, checks, {"search": "exhaustive backtracking"}, EXIT_OK if invs else EXIT_NEGATIVE)
 
 
 def cmd_incidence(data, args):
@@ -415,41 +368,27 @@ def cmd_incidence(data, args):
     P = poset_from_json(data)
     A = _posets.incidence_algebra(field, P)
     checks = [_check("associativity and unit laws", verify.associative_unital(A) is None)]
-    _all_pass(checks)
-    report = {
-        "result": {"dimension": A.dim, "algebra": algebra_to_json(A)},
-        "certificate": {},
-        "checks": checks,
-    }
-    return report, EXIT_OK
+    return _report({"dimension": A.dim, "algebra": algebra_to_json(A)}, checks)
 
 
 def cmd_poset_of_algebra(data, args):
     A = algebra_from_json(data["algebra"])
     P = _posets.poset_of_algebra(A, seed=args.seed)
     checks = [_check("relation is a partial order", verify.partial_order(P.leq) is None)]
-    _all_pass(checks)
-    report = {
-        "result": {"poset": poset_to_json(P)},
-        "certificate": {},
-        "checks": checks,
-    }
-    return report, EXIT_OK
+    return _report({"poset": poset_to_json(P)}, checks)
 
 
 def cmd_steinitz(data, args):
-    pic = _st.ClassGroup(tuple(int(d) for d in data["pic"]))
-    l = pic.element([int(c) for c in data["l"]])
-    j = pic.element([int(c) for c in data["j"]])
+    pic = _st.ClassGroup(tuple(_json_int(d, "invariant factor") for d in data["pic"]))
+    l = pic.element([_json_int(c, "class coordinate") for c in data["l"]])
+    j = pic.element([_json_int(c, "class coordinate") for c in data["j"]])
     rep = _st.example_12_check(pic, l, j)
     checks = [
         _check("solvability agrees with per-factor gcd certificate",
                rep["exists"] == all(c[3] for c in rep["certificate"])),
     ]
-    _all_pass(checks)
-    report = {"result": rep, "certificate": {"per_factor": rep["certificate"]},
-              "checks": checks}
-    return report, (EXIT_OK if rep["exists"] else EXIT_NEGATIVE)
+    return _report(rep, checks, {"per_factor": rep["certificate"]},
+                   EXIT_OK if rep["exists"] else EXIT_NEGATIVE)
 
 
 # -- demos ----------------------------------------------------------------
@@ -470,25 +409,19 @@ def demo_scharlau(args):
         _check("incidence algebra has one-dimensional center", c.dim == 1),
         _check("poset recovered from the algebra is isomorphic", iso is not None),
     ]
-    _all_pass(checks)
-    report = {
-        "description": "12-element poset with an order-reversing symmetry of "
-                       "order 4 and no order-reversing involution, after "
-                       "Scharlau's 1975 example; its incidence algebra has an "
-                       "anti-automorphism but no Morita-equivalent ring has an "
-                       "involution",
-        "result": {
-            "poset": poset_to_json(P),
-            "anti_automorphisms": [list(m) for m in maps],
-            "involutions": [list(m) for m in invs],
-            "incidence_dimension": A.dim,
-            "center_dimension": c.dim,
-            "recovered_poset_isomorphism": list(iso) if iso else None,
-        },
-        "certificate": {"order_reversing_count": len(maps)},
-        "checks": checks,
-    }
-    return report, EXIT_NEGATIVE
+    return _report({
+        "poset": poset_to_json(P),
+        "anti_automorphisms": [list(m) for m in maps],
+        "involutions": [list(m) for m in invs],
+        "incidence_dimension": A.dim,
+        "center_dimension": c.dim,
+        "recovered_poset_isomorphism": list(iso) if iso else None,
+    }, checks, {"order_reversing_count": len(maps)}, EXIT_NEGATIVE,
+        description="12-element poset with an order-reversing symmetry of "
+                    "order 4 and no order-reversing involution, after "
+                    "Scharlau's 1975 example; its incidence algebra has an "
+                    "anti-automorphism but no Morita-equivalent ring has an "
+                    "involution")
 
 
 def demo_azumaya(args):
@@ -502,17 +435,12 @@ def demo_azumaya(args):
         _check("[L] has order 16", rep["order_l"] == 16),
         _check("16 [L] = 0", rep["sixteen_l_zero"]),
     ]
-    _all_pass(checks)
-    report = {
-        "description": "rank-16 endomorphism algebra of a quaternion algebra "
-                       "twisted by a line bundle over a cubic number ring with "
-                       "class group Z/48: no anti-automorphism fixing the base "
-                       "exists, by the Steinitz-class solvability test",
-        "result": rep,
-        "certificate": {"per_factor": rep["certificate"]},
-        "checks": checks,
-    }
-    return report, EXIT_NEGATIVE
+    return _report(
+        rep, checks, {"per_factor": rep["certificate"]}, EXIT_NEGATIVE,
+        description="rank-16 endomorphism algebra of a quaternion algebra "
+                    "twisted by a line bundle over a cubic number ring with "
+                    "class group Z/48: no anti-automorphism fixing the base "
+                    "exists, by the Steinitz-class solvability test")
 
 
 def demo_goldman(args):
@@ -530,16 +458,12 @@ def demo_goldman(args):
     K = _forms.standard_double_module(M2, tr)
     theta = _forms.involution_from_goldman(K)
     checks += verify_double_involution(K, theta.matrix, "right-multiplication by g")
-    _all_pass(checks)
-    report = {
-        "description": "Goldman swap elements of M_n (x) M_n and the induced "
-                       "involution k -> k g on a first-kind double module",
-        "result": {"elements": results,
-                   "involution_on_standard_module": matrix_json(theta.matrix)},
-        "certificate": {},
-        "checks": checks,
-    }
-    return report, EXIT_OK
+    return _report(
+        {"elements": results,
+         "involution_on_standard_module": matrix_json(theta.matrix)},
+        checks,
+        description="Goldman swap elements of M_n (x) M_n and the induced "
+                    "involution k -> k g on a first-kind double module")
 
 
 def demo_hyperbolic_quaternion(args):
@@ -557,23 +481,17 @@ def demo_hyperbolic_quaternion(args):
     checks += verify_involution_map(alpha.source, alpha.matrix,
                                     "anti-structure involution on M_2")
     checks += verify_involution_map(H, tr.beta.matrix, "transferred involution")
-    _all_pass(checks)
-    report = {
-        "description": "hyperbolic involution on End(H + H^[1]) for the rational "
-                       "quaternions, the 2x2 anti-structure involution, and its "
-                       "transfer back to a quaternion involution",
-        "result": {
-            "hyperbolic_dimension": res.algebra.dim,
-            "hyperbolic_involution": matrix_json(res.involution.matrix),
-            "m2_involution_dimension": alpha.source.dim,
-            "transferred_beta": matrix_json(tr.beta.matrix),
-            "unit": vector_json(QQ, tr.u),
-            "sign": tr.sign,
-        },
-        "certificate": {"transfer_trials": tr.trials},
-        "checks": checks,
-    }
-    return report, EXIT_OK
+    return _report({
+        "hyperbolic_dimension": res.algebra.dim,
+        "hyperbolic_involution": matrix_json(res.involution.matrix),
+        "m2_involution_dimension": alpha.source.dim,
+        "transferred_beta": matrix_json(tr.beta.matrix),
+        "unit": vector_json(QQ, tr.u),
+        "sign": tr.sign,
+    }, checks, {"transfer_trials": tr.trials},
+        description="hyperbolic involution on End(H + H^[1]) for the rational "
+                    "quaternions, the 2x2 anti-structure involution, and its "
+                    "transfer back to a quaternion involution")
 
 
 def demo_dyadic(args):
@@ -597,16 +515,11 @@ def demo_dyadic(args):
         _check("no nonzero fixed point in 1000 samples", fixed_free),
         _check("zero is fixed", _st.dyadic_dual_rank(0) == 0),
     ]
-    _all_pass(checks)
-    report = {
-        "description": "the duality functor on the projectives of the infinite "
-                       "2x2-matrix limit acts on dyadic ranks by halving, so no "
-                       "nonzero projective is self-dual",
-        "result": {"orbit_of_2": orbit},
-        "certificate": {"samples": 1000},
-        "checks": checks,
-    }
-    return report, EXIT_OK
+    return _report(
+        {"orbit_of_2": orbit}, checks, {"samples": 1000},
+        description="the duality functor on the projectives of the infinite "
+                    "2x2-matrix limit acts on dyadic ranks by halving, so no "
+                    "nonzero projective is self-dual")
 
 
 def demo_rank_bounds(args):
@@ -620,20 +533,14 @@ def demo_rank_bounds(args):
         _check("equal-rank bound is 4 rank(A)",
                all(v == 4 * k for k, v in bounds.items())),
     ]
-    _all_pass(checks)
-    report = {
-        "description": "rank bookkeeping for hom modules, double modules and "
-                       "the 4 rank(A) bound on the algebra carrying the "
-                       "constructed involution",
-        "result": {
-            "rank_hom_4_4_4": str(hom),
-            "rank_double_module": {str(k): list(v) for k, v in doubles.items()},
-            "saltman_bound": {str(k): v for k, v in bounds.items()},
-        },
-        "certificate": {},
-        "checks": checks,
-    }
-    return report, EXIT_OK
+    return _report({
+        "rank_hom_4_4_4": str(hom),
+        "rank_double_module": {str(k): list(v) for k, v in doubles.items()},
+        "saltman_bound": {str(k): v for k, v in bounds.items()},
+    }, checks,
+        description="rank bookkeeping for hom modules, double modules and "
+                    "the 4 rank(A) bound on the algebra carrying the "
+                    "constructed involution")
 
 
 DEMO_FUNCS = {
@@ -644,6 +551,7 @@ DEMO_FUNCS = {
     "dyadic": demo_dyadic,
     "rank-bounds": demo_rank_bounds,
 }
+DEMOS = tuple(DEMO_FUNCS)
 
 COMMANDS = {
     "radical": cmd_radical,

@@ -368,3 +368,74 @@ def test_demo_goldman_reruns_the_goldman_checker(capsys, monkeypatch):
     assert code == cli.EXIT_INPUT
     assert json.loads(out)["error"].endswith("re-verification failed: " + "; ".join(
         f"n={n}: g^2 = 1 and swap law on all basis pairs" for n in (1, 2, 3)))
+
+
+@pytest.mark.parametrize("argv", [["demo", name] for name in cli.DEMOS] +
+                         [[command] for command in sorted(cli.COMMANDS)],
+                         ids=lambda argv: argv[-1])
+def test_no_report_ships_with_a_failed_check(capsys, monkeypatch, argv):
+    if argv[0] != "demo":
+        path = Path(__file__).parent / "golden" / f"{argv[0]}.in.json"
+        assert path.is_file()
+        argv = argv + ["--input", str(path)]
+    monkeypatch.setattr(cli, "_check", lambda name, ok: {"name": name, "pass": False})
+    code, out = run_cli(capsys, *argv)
+    assert code == cli.EXIT_INPUT
+    rep = json.loads(out)
+    assert "re-verification failed: " in rep["error"]
+    assert "result" not in rep
+
+
+_COUNT_INPUTS = {
+    "size": ("poset-check", {"size": 3, "cover": [[0, 1], [1, 2]]}, ("size",)),
+    "cover": ("poset-check", {"size": 3, "cover": [[0, 1], [1, 2]]}, ("cover", 0, 1)),
+    "module-dim": ("form-correspond", {
+        "algebra": q_field_algebra_json(),
+        "module": {"dim": 2, "action": [[["1", "0"], ["0", "1"]]]},
+        "values": {"dim": 1, "action0": [[["1"]]], "action1": [[["1"]]]},
+        "tensor": [[["1"], ["0"]], [["0"], ["1"]]],
+    }, ("module", "dim")),
+    "double-module-dim": ("form-correspond", {
+        "algebra": q_field_algebra_json(),
+        "module": {"dim": 2, "action": [[["1", "0"], ["0", "1"]]]},
+        "values": {"dim": 1, "action0": [[["1"]]], "action1": [[["1"]]]},
+        "tensor": [[["1"], ["0"]], [["0"], ["1"]]],
+    }, ("values", "dim")),
+    "n": ("reduce-standard", {"algebra": q_field_algebra_json(), "n": 2, "alpha": "transpose"},
+          ("n",)),
+    "pic": ("steinitz", {"pic": [48], "l": [3], "j": [1]}, ("pic", 0)),
+    "l": ("steinitz", {"pic": [48], "l": [3], "j": [1]}, ("l", 0)),
+    "j": ("steinitz", {"pic": [48], "l": [3], "j": [1]}, ("j", 0)),
+}
+
+
+@pytest.mark.parametrize("bad", ["fraction", "integral-float", "bool"])
+@pytest.mark.parametrize("field", sorted(_COUNT_INPUTS))
+def test_counts_must_be_json_integers(tmp_path, capsys, field, bad):
+    command, data, where = _COUNT_INPUTS[field]
+    data = json.loads(json.dumps(data))
+    slot = data
+    for key in where[:-1]:
+        slot = slot[key]
+    value = slot[where[-1]]
+    slot[where[-1]] = {"fraction": value + 0.5, "integral-float": float(value),
+                       "bool": True}[bad]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, command, "--input", str(path))
+    assert code == cli.EXIT_INPUT
+    assert "must be an integer, got" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("command", ["poset-check", "incidence"])
+@pytest.mark.parametrize("poset", [
+    {"size": 3, "cover": [[0, 5]]},     # was an IndexError traceback
+    {"size": 3, "cover": [[0, -1]]},    # was read as the cover (0, 2)
+    {"size": -2, "cover": []},          # was read as the empty poset
+])
+def test_cover_entries_must_be_points_of_the_poset(tmp_path, capsys, command, poset):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(poset))
+    code, out = run_cli(capsys, command, "--input", str(path))
+    assert code == cli.EXIT_INPUT
+    assert "cover entries must lie in range(size)" in json.loads(out)["error"]

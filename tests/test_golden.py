@@ -23,6 +23,7 @@ the reports from the repository root with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import json
 import os
 
 import pytest
@@ -95,6 +96,16 @@ def test_command_report_bytes(case, tmp_path):
     code, data = _run(argv, tmp_path / "out.json")
     assert code == CASES[case][1]
     assert data == _expected(golden)
+
+
+@pytest.mark.parametrize("name", sorted(f for f in os.listdir(GOLDEN)
+                                         if not f.endswith(".in.json")))
+def test_report_key_order(name):
+    with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
+        keys = list(json.load(fh))
+    demo = name.startswith("demo-")
+    assert keys == ["command"] + ["demo"] * demo + ["seed"] + ["description"] * demo + \
+        ["result", "certificate", "checks"]
 
 
 def _swap_first_two(field, factors):
