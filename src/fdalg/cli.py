@@ -178,10 +178,8 @@ def _report(result, checks: list, certificate=None, code=EXIT_OK, description=No
     failures = [c["name"] for c in checks if not c["pass"]]
     if failures:
         raise VerificationError("independent re-verification failed: " + "; ".join(failures))
-    body = {} if description is None else {"description": description}
-    body.update(result=result, certificate={} if certificate is None else certificate,
-                checks=checks)
-    return body, code
+    head = {} if description is None else {"description": description}
+    return {**head, "result": result, "certificate": certificate or {}, "checks": checks}, code
 
 
 # -- command implementations ---------------------------------------------

@@ -386,26 +386,25 @@ def test_no_report_ships_with_a_failed_check(capsys, monkeypatch, argv):
     assert "result" not in rep
 
 
+_CHAIN3 = {"size": 3, "cover": [[0, 1], [1, 2]]}
+_DOT_PRODUCT = {
+    "algebra": q_field_algebra_json(),
+    "module": {"dim": 2, "action": [[["1", "0"], ["0", "1"]]]},
+    "values": {"dim": 1, "action0": [[["1"]]], "action1": [[["1"]]]},
+    "tensor": [[["1"], ["0"]], [["0"], ["1"]]],
+}
+_TWIST = {"pic": [48], "l": [3], "j": [1]}
+# count -> (command, valid input, path to the count in it)
 _COUNT_INPUTS = {
-    "size": ("poset-check", {"size": 3, "cover": [[0, 1], [1, 2]]}, ("size",)),
-    "cover": ("poset-check", {"size": 3, "cover": [[0, 1], [1, 2]]}, ("cover", 0, 1)),
-    "module-dim": ("form-correspond", {
-        "algebra": q_field_algebra_json(),
-        "module": {"dim": 2, "action": [[["1", "0"], ["0", "1"]]]},
-        "values": {"dim": 1, "action0": [[["1"]]], "action1": [[["1"]]]},
-        "tensor": [[["1"], ["0"]], [["0"], ["1"]]],
-    }, ("module", "dim")),
-    "double-module-dim": ("form-correspond", {
-        "algebra": q_field_algebra_json(),
-        "module": {"dim": 2, "action": [[["1", "0"], ["0", "1"]]]},
-        "values": {"dim": 1, "action0": [[["1"]]], "action1": [[["1"]]]},
-        "tensor": [[["1"], ["0"]], [["0"], ["1"]]],
-    }, ("values", "dim")),
+    "size": ("poset-check", _CHAIN3, ("size",)),
+    "cover": ("poset-check", _CHAIN3, ("cover", 0, 1)),
+    "module-dim": ("form-correspond", _DOT_PRODUCT, ("module", "dim")),
+    "double-module-dim": ("form-correspond", _DOT_PRODUCT, ("values", "dim")),
     "n": ("reduce-standard", {"algebra": q_field_algebra_json(), "n": 2, "alpha": "transpose"},
           ("n",)),
-    "pic": ("steinitz", {"pic": [48], "l": [3], "j": [1]}, ("pic", 0)),
-    "l": ("steinitz", {"pic": [48], "l": [3], "j": [1]}, ("l", 0)),
-    "j": ("steinitz", {"pic": [48], "l": [3], "j": [1]}, ("j", 0)),
+    "pic": ("steinitz", _TWIST, ("pic", 0)),
+    "l": ("steinitz", _TWIST, ("l", 0)),
+    "j": ("steinitz", _TWIST, ("j", 0)),
 }
 
 
@@ -413,7 +412,7 @@ _COUNT_INPUTS = {
 @pytest.mark.parametrize("field", sorted(_COUNT_INPUTS))
 def test_counts_must_be_json_integers(tmp_path, capsys, field, bad):
     command, data, where = _COUNT_INPUTS[field]
-    data = json.loads(json.dumps(data))
+    data = json.loads(json.dumps(data))  # a copy: the inputs are shared
     slot = data
     for key in where[:-1]:
         slot = slot[key]
