@@ -30,6 +30,7 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     RowSpace,
+    _is_prime,
     common_left_kernel,
     invert,
     left_kernel_rows,
@@ -845,7 +846,9 @@ def _split_simple_corner(S: Algebra, u: Sequence, rng: random.Random) -> list:
 
 def _find_zero_divisor(C: Algebra, rng: random.Random) -> Optional[tuple]:
     """A nonzero non-invertible element of C, found via reducible minimal
-    polynomials of deterministic candidates, then seeded random combos."""
+    polynomials of deterministic candidates, then seeded random combos;
+    over Q a 4-dimensional C that defeats them is decided by
+    ``_quaternion_zero_divisor``."""
     field = C.field
 
     def try_candidate(x):
@@ -879,7 +882,143 @@ def _find_zero_divisor(C: Algebra, rng: random.Random) -> Optional[tuple]:
         z = try_candidate(x)
         if z is not None:
             return z
+    if field.p is None and C.dim == 4:
+        return _quaternion_zero_divisor(C)
     return None
+
+
+def _quaternion_zero_divisor(C: Algebra) -> tuple:
+    """A zero divisor of a 4-dimensional central simple C over Q.
+
+    On the trace-zero part C_0 (tr L_x = 0), x^2 is a scalar q(x).  For
+    v1, v2 in C_0 with v1 v2 = -v2 v1 and q(v1) = a, q(v2) = b != 0, C is
+    the quaternion algebra (a, b), and z + x v1 + y v2 is a zero divisor
+    when z^2 = a x^2 + b y^2 (its product with z - x v1 - y v2 is 0).  Of
+    the six ordered pairs of basis vectors of C_0 (made orthogonal) the one
+    whose a and b have the smallest product of numerators and denominators
+    is used, since ``_squarefree`` and ``_legendre`` factor them.
+    Raises UnsplitQuotientError when that equation has no solution, so C
+    is a division algebra, or when ``_factor`` gives up (inconclusive).
+    """
+    field = C.field
+    traces = [sum(C.table[i][j][j] for j in range(4)) for i in range(4)]
+    k = next(i for i, t in enumerate(traces) if t)
+    u = next(j for j, c in enumerate(C.unit) if c)
+
+    def q(x):
+        return Fraction(C.mul(x, x)[u]) / C.unit[u]
+
+    zero = [vsub(field, C.basis_vector(i),
+                 vscale(field, Fraction(traces[i]) / traces[k], C.basis_vector(k)))
+            for i in range(4) if i != k]
+    pairs = []
+    for v1, w in itertools.permutations(zero, 2):
+        a = q(v1)
+        if a == 0:
+            return C.coerce_element(v1)
+        # v2 = w - (b(v1, w) / a) v1, where 2 b(v1, w) = q(v1 + w) - a - q(w)
+        v2 = vsub(field, w, vscale(field, (q(vadd(field, v1, w)) - a - q(w)) / (2 * a), v1))
+        b = q(v2)
+        if b == 0:
+            return C.coerce_element(v2)
+        size = abs(a.numerator * a.denominator * b.numerator * b.denominator)
+        pairs.append((size, a, b, v1, v2))
+    _, a, b, v1, v2 = min(pairs, key=lambda t: t[0])
+    (a, r), (b, s) = _squarefree(a), _squarefree(b)
+    sol = _legendre(a, b)
+    if sol is None:
+        raise UnsplitQuotientError(
+            f"a simple factor of dimension 4 is the division algebra ({a}, {b}) over Q: "
+            f"{a} x^2 + {b} y^2 = z^2 has no nonzero rational solution")
+    x, y, z = sol
+    return C.coerce_element(vcombine(field, 4, [z, x / r, y / s], [C.unit, v1, v2]))
+
+
+def _factor(n: int) -> dict:
+    """Prime factorisation {p: e} of n >= 1.
+
+    Trial division by d < 1000, then Pollard's rho (Floyd's cycle on
+    x^2 + c, c = 1..8, at most 2^16 steps each) on the cofactors that
+    ``_is_prime`` rejects.  When rho fails, or a cofactor is past the
+    primality bound, it raises UnsplitQuotientError (inconclusive).
+    """
+    out, rest = {}, []
+    for d in range(2, 1000):
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+    if n > 1:
+        rest.append(n)
+    while rest:
+        n = rest.pop()
+        try:
+            if _is_prime(n):
+                out[n] = out.get(n, 0) + 1
+                continue
+        except ValueError:
+            pass
+        for c in range(1, 9):
+            x = y = d = 2
+            for _ in range(1 << 16):
+                x, y = (x * x + c) % n, (y * y + c) % n
+                y = (y * y + c) % n
+                d = math.gcd(x - y, n)
+                if d > 1:
+                    break
+            if 1 < d < n:
+                break
+        else:
+            raise UnsplitQuotientError(
+                f"could not factor {n}, so whether a simple factor of dimension 4 "
+                "splits is inconclusive")
+        rest += [d, n // d]
+    return out
+
+
+def _squarefree(c: Fraction) -> tuple:
+    """(a, r) with c = a r^2, a a square-free integer and r rational."""
+    n = c.numerator * c.denominator
+    a, r = (1 if n > 0 else -1), Fraction(1, c.denominator)
+    for p, e in _factor(abs(n)).items():
+        a *= p ** (e % 2)
+        r *= p ** (e // 2)
+    return a, r
+
+
+def _legendre(a: int, b: int) -> Optional[tuple]:
+    """Integers (x, y, z) != 0 with a x^2 + b y^2 = z^2, or None if there
+    are none; a and b are square-free.
+
+    Lagrange's descent: with |a| <= |b|, a primitive solution makes a a
+    square mod |b|, say t^2 with |t| <= |b| / 2; then t^2 - a = b c m^2 with
+    c square-free and |c| < |b|, and a solution (X, Y, Z) of
+    a X^2 + c Y^2 = Z^2 gives (t X + Z, c m Y, t Z + a X), because
+    z^2 - a x^2 is the norm of z + x sqrt(a) and norms are multiplicative.
+    """
+    if a == 1:
+        return (1, 0, 1)
+    if b == 1:
+        return (0, 1, 1)
+    if a < 0 and b < 0:
+        return None
+    if abs(a) > abs(b):
+        sol = _legendre(b, a)
+        return sol and (sol[1], sol[0], sol[2])
+    t, mod = 0, 1
+    for p in _factor(abs(b)):
+        roots = _poly_roots(Field(p), [-a % p, 0, 1])
+        if not roots:
+            return None
+        t += mod * ((roots[0] - t) * pow(mod, -1, p) % p)
+        mod *= p
+    if 2 * t > mod:
+        t -= mod
+    c, m = _squarefree(Fraction(t * t - a, b))
+    sol = _legendre(a, c)
+    if sol is None:
+        return None
+    X, Y, Z = sol
+    return (t * X + Z, c * m * Y, t * Z + a * X)
 
 
 def random_combinations(field: Field, n: int, basis: Sequence[Sequence],

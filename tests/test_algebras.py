@@ -1,6 +1,7 @@
 """Structure-constant algebras: constructors, radicals, idempotents."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -380,11 +381,10 @@ def test_algebra_scalars_are_canonical(field, data):
     check(alg.primitive_idempotents(B))
 
 
-@pytest.mark.xfail(strict=True, raises=UnsplitQuotientError,
-                   reason="the zero-divisor search over Q is incomplete on split corners")
 def test_primitive_idempotents_of_a_split_algebra_in_a_pinned_basis():
     # a basis drawn by test_algebra_scalars_are_canonical: B is M_2 x UT_2,
-    # so it is split, but the search finds no zero divisor in the M_2 corner
+    # so it is split, but no candidate of the search has a reducible minimal
+    # polynomial in the M_2 corner, and Legendre's equation gives the zero divisor
     A = alg.direct_product(alg.matrix_algebra(QQ, 2), alg.upper_triangular_algebra(QQ, 2))
     P = Matrix(QQ, [[2, -1, -1, "-1/2", -2, 1, "-4/3"],
                     ["-3/2", -1, "4/3", -2, "-1/2", "1/2", 2],
@@ -397,3 +397,45 @@ def test_primitive_idempotents_of_a_split_algebra_in_a_pinned_basis():
     table = [[Pinv.act_row(A.mul(x, y)) for y in P.rows] for x in P.rows]
     B = alg.Algebra(QQ, A.basis_names, table, Pinv.act_row(A.unit))
     assert len(alg.primitive_idempotents(B)) == 4
+
+
+def test_factor_multiplies_back_to_primes():
+    # 8536039 = 2347 * 3637 is one that rho with x^2 + 1 does not split
+    for n in (1, 12, 997 * 991, 8536039, 999983 * 1000003, 2 ** 2 * 3 ** 3 * 1000003 ** 2,
+              2 ** 61 - 1):
+        f = alg._factor(n)
+        assert math.prod(p ** e for p, e in f.items()) == n
+        assert all(Field(p) for p in f)
+
+
+def test_legendre_agrees_with_a_search():
+    # a x^2 + b y^2 = z^2 for square-free |a|, |b| <= 15: a solution must
+    # satisfy it, and None must leave none with 0 <= x, y < 40 to a search
+    small = [n for n in range(-15, 16) if n and all(n % (d * d) for d in range(2, 4))]
+    for a, b in itertools.product(small, small):
+        sol = alg._legendre(a, b)
+        values = (a * x * x + b * y * y for x in range(40) for y in range(40) if x or y)
+        assert (sol is not None) == any(v >= 0 and math.isqrt(v) ** 2 == v for v in values)
+        if sol is not None:
+            x, y, z = sol
+            assert any(sol) and a * x * x + b * y * y == z * z
+
+
+@pytest.mark.parametrize("a, b, split", [(-1, 2, True), (-19, 11, True), (-29, 22, True),
+                                         (-1, -1, False), (3, 5, False), (2, 5, False),
+                                         (-1, 3, False)])
+def test_primitive_idempotents_decide_quaternion_algebras_over_q(a, b, split):
+    # (a, b)_Q in a fixed basis with fractional entries: split ones give two
+    # idempotents, the others raise naming a division algebra.  In this basis
+    # no candidate of the search splits (-19, 11) or (-29, 22), although
+    # -19 + 11 * 2^2 = 5^2 and -29 + 22 * 3^2 = 13^2
+    H = alg.quaternion_algebra(QQ, a, b)
+    P = Matrix(QQ, [[1, 2, 0, -1], [0, 1, "1/2", 3], [2, 0, 1, 1], [-1, 1, 1, "2/3"]])
+    Pinv = invert(P)
+    table = [[Pinv.act_row(H.mul(x, y)) for y in P.rows] for x in P.rows]
+    B = alg.Algebra(QQ, H.basis_names, table, Pinv.act_row(H.unit))
+    if split:
+        assert len(alg.primitive_idempotents(B)) == 2
+    else:
+        with pytest.raises(UnsplitQuotientError, match="is the division algebra"):
+            alg.primitive_idempotents(B)
