@@ -20,6 +20,7 @@ from . import verify
 from .errors import (
     DimensionError,
     FieldMismatchError,
+    NotSplitError,
     UnsplitQuotientError,
     UnsupportedCharacteristicError,
     VerificationError,
@@ -32,6 +33,7 @@ from .linalg import (
     RowSpace,
     _is_prime,
     common_left_kernel,
+    coordinate_rows,
     invert,
     left_kernel_rows,
     mcombine,
@@ -409,19 +411,12 @@ def subalgebra(A: Algebra, spanning: Sequence[Sequence], unit_vec: Sequence,
     d = len(basis)
     if d == 0:
         raise DimensionError("empty subalgebra span")
-    if not space.contains(unit_vec):
-        raise VerificationError("designated unit lies outside the span")
-    table = []
-    for x in basis:
-        row = []
-        for y in basis:
-            prod = A.mul(x, y)
-            coords = space.coordinates(prod)
-            if coords is None:
-                raise VerificationError("span is not closed under multiplication")
-            row.append(coords)
-        table.append(row)
-    unit = space.coordinates(tuple(unit_vec))
+    (unit,) = coordinate_rows(space.coordinates, [unit_vec],
+                              "designated unit lies outside the span")
+    # product i * d + j is basis[i] basis[j]
+    products = coordinate_rows(space.coordinates, (A.mul(x, y) for x in basis for y in basis),
+                               "span is not closed under multiplication")
+    table = [products[i:i + d] for i in range(0, d * d, d)]
     names = [f"{prefix}{i}" for i in range(d)]
     # closed under the product of A, so associative; the unit is only designated
     B = Algebra._trusted(field, names, table, unit)
@@ -786,9 +781,8 @@ def _split_semisimple(S: Algebra, rng: random.Random) -> list:
         refined = []
         for u in centrals:
             corner, emb = subalgebra(S, _corner_span(S, u), u, prefix="c")
-            zu = Coordinates(field, emb, S.dim).of(S.mul(u, S.mul(z, u)))
-            if zu is None:
-                raise VerificationError("central element left the corner")
+            (zu,) = coordinate_rows(Coordinates(field, emb, S.dim).of, [S.mul(u, S.mul(z, u))],
+                                    "central element left the corner")
             m = minimal_polynomial(corner, zu)
             if _poly_deg(m) == 1:
                 refined.append(u)
@@ -798,7 +792,7 @@ def _split_semisimple(S: Algebra, rng: random.Random) -> list:
                 raise VerificationError("center element not semisimple in quotient")
             roots = _poly_roots(field, m)
             if len(roots) < _poly_deg(m):
-                raise UnsplitQuotientError(
+                raise NotSplitError(
                     "unsplit semisimple quotient: center minimal polynomial "
                     "has an irreducible factor of degree >= 2"
                 )
@@ -897,8 +891,9 @@ def _quaternion_zero_divisor(C: Algebra) -> tuple:
     the six ordered pairs of basis vectors of C_0 (made orthogonal) the one
     whose a and b have the smallest product of numerators and denominators
     is used, since ``_squarefree`` and ``_legendre`` factor them.
-    Raises UnsplitQuotientError when that equation has no solution, so C
-    is a division algebra, or when ``_factor`` gives up (inconclusive).
+    Raises NotSplitError when that equation has no solution, so C is a
+    division algebra, and UnsplitQuotientError when ``_factor`` gives up
+    (inconclusive).
     """
     field = C.field
     traces = [sum(C.table[i][j][j] for j in range(4)) for i in range(4)]
@@ -927,7 +922,7 @@ def _quaternion_zero_divisor(C: Algebra) -> tuple:
     (a, r), (b, s) = _squarefree(a), _squarefree(b)
     sol = _legendre(a, b)
     if sol is None:
-        raise UnsplitQuotientError(
+        raise NotSplitError(
             f"a simple factor of dimension 4 is the division algebra ({a}, {b}) over Q: "
             f"{a} x^2 + {b} y^2 = z^2 has no nonzero rational solution")
     x, y, z = sol
@@ -1169,13 +1164,8 @@ def restriction_to_center(f: AlgebraMap) -> AlgebraMap:
     A = f.source
     cdata = center(A)
     Z, emb = cdata.as_algebra()
-    in_center = Coordinates(A.field, emb, A.dim)
-    images = []
-    for row in emb:
-        coords = in_center.of(f.apply(row))
-        if coords is None:
-            raise VerificationError("map does not preserve the center")
-        images.append(coords)
+    images = coordinate_rows(Coordinates(A.field, emb, A.dim).of, map(f.apply, emb),
+                             "map does not preserve the center")
     # the restriction of an anti-automorphism to the (commutative) center
     # is a plain automorphism
     return AlgebraMap.from_images(Z, Z, images, AlgebraMap.HOMOMORPHISM)

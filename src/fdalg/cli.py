@@ -12,9 +12,9 @@ with an error naming the failed checks instead of a report.
 
 Exit codes: 0 success; 1 malformed or unsupported input, usage errors
 and failed checks included; 2 a certified mathematical negative (no
-involution, impossible twist); 3 inconclusive searches.  Reports are
-UTF-8 JSON with fixed key order; the same seed and input always produce
-byte-identical output.
+involution, impossible twist, a semisimple factor that does not split);
+3 inconclusive searches.  Reports are UTF-8 JSON with fixed key order;
+the same seed and input always produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .errors import (
     InconclusiveError,
     NoSymmetricUnitError,
     NotAPosetError,
+    NotSplitError,
     UnsplitQuotientError,
     UnsupportedCharacteristicError,
     VerificationError,
@@ -113,9 +114,6 @@ def map_from_json(A: _alg.Algebra, obj, default_variance=_alg.AlgebraMap.ANTI) -
 def poset_from_json(obj) -> _posets.Poset:
     size = _json_int(obj["size"], "poset size")
     covers = [tuple(_json_int(i, "cover entry") for i in c) for c in obj["cover"]]
-    # a negative entry would index from the end, a large one raise IndexError
-    if size < 0 or any(not 0 <= i < size for c in covers for i in c):
-        raise ValueError(f"cover entries must lie in range(size), size {size}")
     return _posets.Poset.from_covers(size, covers)
 
 
@@ -619,12 +617,12 @@ def run(argv=None) -> int:
     except UnsupportedCharacteristicError as e:
         _emit(args.output, {**report_head, "error": str(e)})
         return EXIT_INPUT
+    except (NotAPosetError, NotSplitError) as e:
+        _emit(args.output, {**report_head, "error": str(e)})
+        return EXIT_NEGATIVE
     except (UnsplitQuotientError, InconclusiveError) as e:
         _emit(args.output, {**report_head, "error": str(e)})
         return EXIT_INCONCLUSIVE
-    except NotAPosetError as e:
-        _emit(args.output, {**report_head, "error": str(e)})
-        return EXIT_NEGATIVE
     except (FdalgError, ValueError, KeyError, TypeError,
             json.JSONDecodeError, OSError) as e:
         _emit(args.output, {**report_head, "error": f"{type(e).__name__}: {e}"})

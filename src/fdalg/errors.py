@@ -19,8 +19,14 @@ class UnsupportedCharacteristicError(FdalgError):
 
 class UnsplitQuotientError(FdalgError):
     """The semisimple quotient has a factor that is not a matrix algebra
-    over the ground field, or no zero divisor was found in one (which is
-    inconclusive); idempotent machinery cannot proceed."""
+    over the ground field (certified: :class:`NotSplitError`), or no zero
+    divisor was found in one (inconclusive); idempotent machinery cannot
+    proceed."""
+
+
+class NotSplitError(UnsplitQuotientError):
+    """Certified: a factor of the semisimple quotient is not a matrix
+    algebra over the ground field."""
 
 
 class InconclusiveError(FdalgError):

@@ -20,6 +20,7 @@ from .linalg import (
     Matrix,
     QuotientSpace,
     RowSpace,
+    coordinate_rows,
     mcombine,
     unit_vector,
     unvec,
@@ -108,14 +109,10 @@ def type_of(K: DoubleModule) -> TypeTag:
                              K.dim * K.dim)
     if not in_action1.independent:
         raise VerificationError("values module is not faithful enough to carry a type")
-    coords = []
-    for z in cdata.basis:
-        c = in_action1.of(vec(K.action_matrix(z, 0)))
-        if c is None:
-            raise VerificationError("double module has no type on the center")
-        coords.append(c)
+    coords = coordinate_rows(in_action1.of, (vec(K.action_matrix(z, 0)) for z in cdata.basis),
+                             "double module has no type on the center")
     # sigma must be an automorphism of the center
-    if verify.bijective(Matrix._trusted(field, tuple(coords), cdata.dim)) is not None:
+    if verify.bijective(Matrix._trusted(field, coords, cdata.dim)) is not None:
         raise VerificationError("induced center map is not bijective")
     images = [vcombine(field, A.dim, c, cdata.basis) for c in coords]
     for i, zi in enumerate(cdata.basis):
@@ -216,16 +213,9 @@ def dual_module(M: Module, K: DoubleModule, i: int) -> DualModule:
     field = A.field
     d = H.dim
     twist = K.action0 if i == 0 else K.action1
-    action = []
-    for t in range(A.dim):
-        rows = []
-        for f in H.basis:
-            g = f * twist[t]
-            coords = H.coords_of(g)
-            if coords is None:
-                raise VerificationError("twisted action leaves the hom space")
-            rows.append(coords)
-        action.append(Matrix(field, rows, ncols=d))
+    action = [Matrix(field, coordinate_rows(H.coords_of, (f * t for f in H.basis),
+                                            "twisted action leaves the hom space"), ncols=d)
+              for t in twist]
     module = Module._trusted(A, d, action)
     return DualModule(M, K, i, module, H)
 
@@ -236,13 +226,8 @@ def dual_morphism(f: Matrix, dual_target: DualModule, dual_source: DualModule) -
     ``dual_source`` is the dual of N', ``dual_target`` the dual of N; the
     image of g is g o f.
     """
-    rows = []
-    for g in dual_source.maps:
-        comp = f * g
-        coords = dual_target.coords_of(comp)
-        if coords is None:
-            raise VerificationError("dualized morphism leaves the hom space")
-        rows.append(coords)
+    rows = coordinate_rows(dual_target.coords_of, (f * g for g in dual_source.maps),
+                           "dualized morphism leaves the hom space")
     return Matrix(dual_target.source.algebra.field, rows, ncols=dual_target.dim)
 
 
@@ -254,14 +239,10 @@ def phi_map(M: Module, K: DoubleModule):
     dual1 = dual_module(M, K, 1)
     dual10 = dual_module(dual1.module, K, 0)
     field = M.algebra.field
-    rows = []
-    for i in range(M.dim):
-        # row k is f_k(e_i)
-        ev = Matrix._trusted(field, tuple(m.rows[i] for m in dual1.maps), K.dim)
-        coords = dual10.coords_of(ev)
-        if coords is None:
-            raise VerificationError("evaluation map leaves the double dual")
-        rows.append(coords)
+    # row k of the i-th evaluation is f_k(e_i)
+    evals = (Matrix._trusted(field, tuple(m.rows[i] for m in dual1.maps), K.dim)
+             for i in range(M.dim))
+    rows = coordinate_rows(dual10.coords_of, evals, "evaluation map leaves the double dual")
     return Matrix(field, rows, ncols=dual10.dim), dual1, dual10
 
 
@@ -286,21 +267,13 @@ def adjoints(b: BilinearForm) -> AdjointData:
     field = M.algebra.field
     dual0 = dual_module(M, K, 0)
     dual1 = dual_module(M, K, 1)
-    left_rows = []
-    right_rows = []
-    for i in range(M.dim):
-        lmat = Matrix._trusted(field, b.tensor[i], K.dim)
-        coords = dual0.coords_of(lmat)
-        if coords is None:
-            raise VerificationError("left adjoint leaves the dual")
-        left_rows.append(coords)
-        rmat = Matrix._trusted(field, tuple(row[i] for row in b.tensor), K.dim)
-        coords = dual1.coords_of(rmat)
-        if coords is None:
-            raise VerificationError("right adjoint leaves the dual")
-        right_rows.append(coords)
-    left = Matrix(field, left_rows, ncols=dual0.dim)
-    right = Matrix(field, right_rows, ncols=dual1.dim)
+    # b(e_i, -) is row i of the tensor, b(-, e_i) its column i
+    left = Matrix(field, coordinate_rows(
+        dual0.coords_of, (Matrix._trusted(field, row, K.dim) for row in b.tensor),
+        "left adjoint leaves the dual"), ncols=dual0.dim)
+    right = Matrix(field, coordinate_rows(
+        dual1.coords_of, (Matrix._trusted(field, col, K.dim) for col in zip(*b.tensor)),
+        "right adjoint leaves the dual"), ncols=dual1.dim)
     left_regular = verify.bijective(left) is None
     right_regular = verify.bijective(right) is None
     return AdjointData(left, right, dual0, dual1, left_regular, right_regular)
@@ -369,12 +342,8 @@ def corresponding_anti_automorphism(b: BilinearForm,
     if not system.independent:
         raise VerificationError("values module not faithful enough: solution not unique")
     F = Matrix._trusted(field, tuple(vec(Bs) for Bs in B), d * K.dim)
-    images = []
-    for w in end.maps:
-        x = system.of(vec(w * F))
-        if x is None:
-            raise VerificationError("values module not faithful enough: no solution")
-        images.append(x)
+    images = coordinate_rows(system.of, (vec(w * F) for w in end.maps),
+                             "values module not faithful enough: no solution")
     # images[u] = coordinates of alpha(w_u)
     alpha = AlgebraMap.from_images(end.algebra, end.algebra, images, AlgebraMap.ANTI)
     if not alpha.is_bijective():

@@ -31,6 +31,7 @@ from .errors import (
 from .linalg import (
     Matrix,
     common_left_kernel,
+    coordinate_rows,
     invert,
     kronecker,
     unit_vector,
@@ -101,13 +102,11 @@ def check_type_on_center(alpha: AlgebraMap, end: EndData, tag: TypeTag) -> None:
     """Assert alpha(rho(z)) = rho(sigma(z)) for all central z, where rho
     embeds the center of the base algebra into End(M)."""
     M = end.module
-    for z, img in zip(tag.center.basis, tag.images):
-        emb = end.coords_of(M.action_of(z))
-        emb_img = end.coords_of(M.action_of(img))
-        if emb is None or emb_img is None:
-            raise VerificationError("center does not embed into the endomorphisms")
-        if alpha.apply(emb) != emb_img:
-            raise VerificationError("constructed map has the wrong type on the center")
+    failure = "center does not embed into the endomorphisms"
+    embs = coordinate_rows(end.coords_of, map(M.action_of, tag.center.basis), failure)
+    emb_imgs = coordinate_rows(end.coords_of, map(M.action_of, tag.images), failure)
+    if any(alpha.apply(e) != e_img for e, e_img in zip(embs, emb_imgs)):
+        raise VerificationError("constructed map has the wrong type on the center")
 
 
 class HyperbolicResult:

@@ -19,9 +19,9 @@ import bisect
 import itertools
 import operator
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import DimensionError, FieldMismatchError
+from .errors import DimensionError, FieldMismatchError, VerificationError
 
 
 # Miller-Rabin with the prime bases 2..37 is exact below this bound
@@ -660,3 +660,17 @@ class Coordinates:
         if p is None:
             return tuple(-a for a in r[n:])
         return tuple(-a % p for a in r[n:])
+
+
+def coordinate_rows(of: Callable[[Sequence], Optional[tuple]], vectors: Iterable[Sequence],
+                    failure: str) -> tuple:
+    """``of(v)`` for each v in ``vectors``, where ``of`` returns None for a
+    vector outside its span (``RowSpace.coordinates``, ``Coordinates.of``).
+
+    A None raises VerificationError: ``failure``, then the index of the
+    first vector outside the span and the number of vectors.
+    """
+    rows = tuple(map(of, vectors))
+    if None in rows:
+        raise VerificationError(f"{failure}: vector {rows.index(None)} of {len(rows)}")
+    return rows

@@ -15,15 +15,12 @@ from typing import Optional, Sequence
 
 from . import verify
 from .algebras import Algebra, primitive_idempotents
-from .errors import (
-    DimensionError,
-    InconclusiveError,
-    VerificationError,
-)
+from .errors import DimensionError, InconclusiveError
 from .linalg import (
     Matrix,
     RowSpace,
     block_diag,
+    coordinate_rows,
     invert,
     kernel_rows,
     kronecker,
@@ -115,16 +112,9 @@ def submodule(M: Module, generators: Sequence[Sequence]):
         frontier = new_frontier
     basis = list(space.rows)
     d = len(basis)
-    action = []
-    for i in range(A.dim):
-        rows = []
-        for b in basis:
-            moved = M.action[i].act_row(b)
-            coords = space.coordinates(moved)
-            if coords is None:
-                raise VerificationError("span is not action-invariant")
-            rows.append(coords)
-        action.append(Matrix(field, rows, ncols=d))
+    action = [Matrix(field, coordinate_rows(space.coordinates, map(rho.act_row, basis),
+                                            "span is not action-invariant"), ncols=d)
+              for rho in M.action]
     return Module._trusted(A, d, action), basis
 
 
@@ -210,19 +200,12 @@ def endomorphism_algebra(M: Module):
     d = H.dim
     if d == 0:
         raise DimensionError("endomorphism algebra of the zero module")
-    table = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            comp = H.basis[j] * H.basis[i]
-            coords = H.coords_of(comp)
-            if coords is None:
-                raise VerificationError("hom space is not closed under composition")
-            row.append(coords)
-        table.append(row)
-    unit = H.coords_of(Matrix.identity(field, M.dim))
-    if unit is None:
-        raise VerificationError("identity endomorphism missing from hom space")
+    # product i * d + j is w_i o w_j, with matrix mat(w_j) mat(w_i)
+    products = coordinate_rows(H.coords_of, (g * f for f in H.basis for g in H.basis),
+                               "hom space is not closed under composition")
+    table = [products[i:i + d] for i in range(0, d * d, d)]
+    (unit,) = coordinate_rows(H.coords_of, [Matrix.identity(field, M.dim)],
+                              "identity endomorphism missing from hom space")
     names = [f"w{i}" for i in range(d)]
     # closed under composition (coords_of above), which is associative with
     # the identity as unit: the laws are inherited from matrix products

@@ -34,6 +34,9 @@ class Poset:
     @staticmethod
     def from_covers(size: int, covers: Sequence[Sequence[int]]) -> "Poset":
         """Reflexive-transitive closure of a cover list."""
+        # a negative entry would index from the end, a large one raise IndexError
+        if size < 0 or any(not 0 <= i < size for c in covers for i in c):
+            raise ValueError(f"cover entries must lie in range(size), size {size}")
         leq = [[i == j for j in range(size)] for i in range(size)]
         for i, j in covers:
             leq[i][j] = True

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -25,7 +26,7 @@ class ClassGroup:
 
     def __post_init__(self):
         object.__setattr__(self, "invariant_factors",
-                           tuple(int(d) for d in self.invariant_factors))
+                           tuple(map(operator.index, self.invariant_factors)))
         if any(d < 1 for d in self.invariant_factors):
             raise ValueError("invariant factors must be >= 1")
 
@@ -40,7 +41,7 @@ class ClassGroup:
     def element(self, coords: Sequence[int]) -> "ClassElement":
         if len(coords) != self.rank:
             raise ValueError("coordinate count mismatch")
-        return ClassElement(self, tuple(int(c) % d for c, d in
+        return ClassElement(self, tuple(operator.index(c) % d for c, d in
                                         zip(coords, self.invariant_factors)))
 
     @property

@@ -345,6 +345,18 @@ def test_derived_algebras_check_what_they_do_not_inherit():
         alg.quotient_algebra(M2, [e11])
 
 
+def test_subalgebra_refuses_a_unit_outside_or_an_open_span():
+    M2 = alg.matrix_algebra(QQ, 2)                  # basis e11, e12, e21, e22
+    e11, e12, e21, e22 = (M2.basis_vector(i) for i in range(4))
+    with pytest.raises(VerificationError,
+                       match="^designated unit lies outside the span: vector 0 of 1$"):
+        alg.subalgebra(M2, [e11, e12], e22)
+    # echelon basis 1, e12, e21; product 1 * 3 + 2 is e12 e21 = e11
+    with pytest.raises(VerificationError,
+                       match="^span is not closed under multiplication: vector 5 of 9$"):
+        alg.subalgebra(M2, [M2.unit, e12, e21], M2.unit)
+
+
 # -- scalars of algebras and of their invariants -----------------------
 
 def _split_algebras(field):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from fdalg import cli, verify
+from fdalg import algebras as alg, cli, verify
 from fdalg.linalg import QQ
 
 
@@ -124,6 +124,19 @@ def test_radical_and_center_commands(tmp_path, capsys):
     code, out = run_cli(capsys, "basic", "--input", str(path))
     assert code == cli.EXIT_OK
     assert json.loads(out)["result"]["dimension"] == 3
+
+
+@pytest.mark.parametrize("algebra", [
+    cli.algebra_to_json(alg.quaternion_algebra(QQ)),         # the division algebra (-1, -1)
+    {"field": "Q", "basis": ["1", "s"], "unit": ["1", "0"],  # Q(sqrt 2): s^2 = 2
+     "table": [[["1", "0"], ["0", "1"]], [["0", "1"], ["2", "0"]]]},
+])
+def test_idempotents_of_a_certified_non_split_algebra_exit_2(tmp_path, capsys, algebra):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"algebra": algebra}))
+    code, out = run_cli(capsys, "idempotents", "--input", str(path))
+    assert code == cli.EXIT_NEGATIVE
+    assert "error" in json.loads(out)
 
 
 def test_poset_check_exit_codes(tmp_path, capsys):

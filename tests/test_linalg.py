@@ -16,6 +16,7 @@ from fdalg.linalg import (
     RowSpace,
     QuotientSpace,
     common_left_kernel,
+    coordinate_rows,
     invert,
     kernel_basis,
     kernel_rows,
@@ -30,7 +31,7 @@ from fdalg.linalg import (
     _PRIME_BOUND,
     _is_prime,
 )
-from fdalg.errors import DimensionError, FieldMismatchError
+from fdalg.errors import DimensionError, FieldMismatchError, VerificationError
 
 from helpers import assert_field_elements
 
@@ -340,6 +341,16 @@ def test_coordinates_round_trip(A, data):
         e = unit_vector(field, n, i)
         if not span.contains(e):
             assert coords.of(e) is None
+
+
+def test_coordinate_rows_name_the_first_vector_outside_the_span():
+    space = RowSpace(QQ, 3)
+    space.extend([(1, 0, 1), (0, 1, 0)])
+    rows = coordinate_rows(space.coordinates, [(2, 3, 2), (0, 0, 0)], "unused")
+    assert rows == ((2, 3), (0, 0))
+    coords = Coordinates(QQ, [(1, 0, 1), (0, 1, 0)], 3)
+    with pytest.raises(VerificationError, match=r"^image leaves the span: vector 1 of 3$"):
+        coordinate_rows(coords.of, [(1, 1, 1), (0, 0, 1), (1, 0, 0)], "image leaves the span")
 
 
 # -- how scalars are stored --------------------------------------------

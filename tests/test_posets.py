@@ -19,6 +19,13 @@ def test_poset_axioms_enforced():
     assert P.leq[0][2]
 
 
+@pytest.mark.parametrize("size, covers", [(3, [(0, -1)]), (3, [(0, 5)]), (-2, [])])
+def test_from_covers_refuses_entries_outside_the_poset(size, covers):
+    # (0, -1) was read as the cover (0, 2), (0, 5) raised IndexError
+    with pytest.raises(ValueError, match=rf"cover entries must lie in range\(size\), size {size}"):
+        ps.Poset.from_covers(size, covers)
+
+
 def test_order_reversing_chain():
     P = ps.chain(3)
     maps = ps.order_reversing_maps(P)

@@ -25,6 +25,14 @@ def test_group_and_element_arithmetic():
     assert g.element([1, 1]).order() == 12
 
 
+def test_class_group_refuses_non_integers():
+    # int() truncated these to Z/48 and the class 3
+    with pytest.raises(TypeError):
+        stz.ClassGroup((48.9,))
+    with pytest.raises(TypeError):
+        _zn(48).element([3.7])
+
+
 def test_symbol_ops():
     g = _zn(48)
     c3 = stz.symbol(g, 3, [0])
