@@ -292,7 +292,8 @@ class EndData(verify.Verified):
         self._store(algebra, maps, module)
         if not self._coords.independent:
             raise VerificationError("endomorphism maps are linearly dependent")
-        verify.require(verify.intertwines(module.action, module.action, *self.maps))
+        verify.require(verify.intertwines(module.algebra, module.action, module.action,
+                                          *self.maps))
         # mat(w v) = mat(v) mat(w): the maps are a right action of the opposite
         verify.require(verify.module_action(opposite(algebra), self.maps))
 
@@ -395,11 +396,11 @@ def form_from_anti_automorphism(M: Module, alpha: AlgebraMap,
     d = M.dim
     dd = d * d
     rel = RowSpace(field, dd)
-    alpha_mats = [end.matrix_of(alpha.apply(end.algebra.basis_vector(u)))
-                  for u in range(end.algebra.dim)]
-    for u in range(end.algebra.dim):
+    # R_w(m, n) = alpha(w) m (x) n - m (x) w n over the generators w: the relations
+    # of 1 are 0 and R_{w o v}(m, n) = R_v(alpha(w) m, n) + R_w(m, v n)
+    for u in end.algebra.generators:
         w = end.maps[u]
-        wa = alpha_mats[u]
+        wa = end.matrix_of(alpha.apply(end.algebra.basis_vector(u)))
         for i in range(d):
             for j in range(d):
                 # (alpha(w) e_i) (x) e_j  -  e_i (x) (w e_j)
@@ -427,21 +428,20 @@ def form_from_anti_automorphism(M: Module, alpha: AlgebraMap,
         # y (x) x -> x (x) y
         return vec(unvec(field, v, d, d).transpose())
 
-    lifts = [quo.lift(unit_vector(field, k_dim, l)) for l in range(k_dim)]
-    action0 = []
-    action1 = []
-    for t in range(A.dim):
+    # the actions must preserve the relation space; both are right actions,
+    # so the elements of A whose action does form a subalgebra holding 1
+    for t in A.generators:
         rho = M.action[t]
-        rows0 = [quo.project(tensor_action(l, rho, 0)) for l in lifts]
-        rows1 = [quo.project(tensor_action(l, rho, 1)) for l in lifts]
-        action0.append(Matrix(field, rows0, ncols=k_dim))
-        action1.append(Matrix(field, rows1, ncols=k_dim))
-        # the actions must preserve the relation space
         for r in rel.rows:
             if not rel.contains(tensor_action(r, rho, 0)):
                 raise VerificationError("action0 does not preserve the relations")
             if not rel.contains(tensor_action(r, rho, 1)):
                 raise VerificationError("action1 does not preserve the relations")
+    lifts = [quo.lift(unit_vector(field, k_dim, l)) for l in range(k_dim)]
+    action0, action1 = (
+        [Matrix(field, [quo.project(tensor_action(l, rho, side)) for l in lifts], ncols=k_dim)
+         for rho in M.action]
+        for side in (0, 1))
     K = DoubleModule(A, k_dim, action0, action1)
     tensor = []
     for i in range(d):

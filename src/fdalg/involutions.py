@@ -249,7 +249,7 @@ def reduce_to_standard(alpha: AlgebraMap, A: Algebra, n: int,
     psi_inv = invert(psi)
     checks = []
     # transported action1 is literally right multiplication: psi intertwines
-    verify.require(verify.intertwines(K.action1, reg.action, psi))
+    verify.require(verify.intertwines(A, K.action1, reg.action, psi))
     checks.append("action1 is right multiplication")
     gamma_images = []
     act0 = []

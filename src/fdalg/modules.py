@@ -25,6 +25,7 @@ from .linalg import (
     kernel_rows,
     kronecker,
     mcombine,
+    unit_vector,
     unvec,
     vcombine,
     vec,
@@ -34,7 +35,8 @@ from .linalg import (
 class Module(verify.Verified):
     """Right module given by action matrices on row vectors.
 
-    ``Module(...)`` checks the module laws on all basis pairs.  The regular
+    ``Module(...)`` checks the module laws on the pairs (e_i, e_g) of a basis
+    element and a generator (see :func:`verify.module_action`).  The regular
     module, sums, submodules, changes of basis and duals inherit them and
     are built by ``Module._trusted``.  Both check the shapes.
     """
@@ -169,15 +171,21 @@ def hom_space(M: Module, N: Module) -> HomSpace:
     nm = n * m
     if nm == 0:
         return HomSpace(M, N, RowSpace(field, 0))
-    # vec(rhoM F - F rhoN) = vec(F) (rhoM^T (x) I - I (x) rhoN) (see kronecker),
-    # so vec(F) lies in the kernel of rhoM (x) I - I (x) rhoN^T
-    rhoM, rhoN = M.action[0], N.action[0]
-    basis_vecs = kernel_rows(kronecker(rhoM, Matrix.identity(field, m))
-                             - kronecker(Matrix.identity(field, n), rhoN.transpose()))
-    for rhoM, rhoN in zip(M.action[1:], N.action[1:]):
+    # F intertwines all of A once it intertwines every generator (and 1)
+    gens = M.algebra.generators
+    if not gens:
+        basis_vecs = [unit_vector(field, nm, i) for i in range(nm)]
+    else:
+        # vec(rhoM F - F rhoN) = vec(F) (rhoM^T (x) I - I (x) rhoN) (see kronecker),
+        # so vec(F) lies in the kernel of rhoM (x) I - I (x) rhoN^T
+        rhoM, rhoN = M.action[gens[0]], N.action[gens[0]]
+        basis_vecs = kernel_rows(kronecker(rhoM, Matrix.identity(field, m))
+                                 - kronecker(Matrix.identity(field, n), rhoN.transpose()))
+    for t in gens[1:]:
         if not basis_vecs:
             break
         # restrict the solutions so far to this generator's equations
+        rhoM, rhoN = M.action[t], N.action[t]
         mats = [unvec(field, v, n, m) for v in basis_vecs]
         rows = tuple(vec(rhoM * B - B * rhoN) for B in mats)
         coeffs = kernel_rows(Matrix._trusted(field, rows, nm).transpose())
@@ -185,7 +193,7 @@ def hom_space(M: Module, N: Module) -> HomSpace:
     space = RowSpace(field, nm)
     space.extend(basis_vecs)
     H = HomSpace(M, N, space)
-    verify.require(verify.intertwines(M.action, N.action, *H.basis))
+    verify.require(verify.intertwines(M.algebra, M.action, N.action, *H.basis))
     return H
 
 

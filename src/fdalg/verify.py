@@ -113,16 +113,25 @@ def goldman(T, d: int, g: Sequence) -> Optional[str]:
     return None
 
 
-def nilpotent_ideal(A, basis: Sequence[Sequence]) -> Optional[str]:
-    """The span of ``basis`` is a two-sided ideal and a power of it is 0."""
+def ideal(A, vectors: Sequence[Sequence]) -> Optional[str]:
+    """The span I of ``vectors`` is a two-sided ideal: I e_g and e_g I lie in I for
+    every generator e_g, enough as {a : I a + a I in I} is a subalgebra holding 1."""
     space = RowSpace(A.field, A.dim)
-    space.extend(basis)
-    for k, v in enumerate(basis):
-        for i in range(A.dim):
+    space.extend(vectors)
+    for k, v in enumerate(vectors):
+        for i in A.generators:
             e = A.basis_vector(i)
             if not space.contains(A.mul(v, e)) or not space.contains(A.mul(e, v)):
                 return f"ideal law fails at (vector {k}, basis element {i})"
-    current = list(space.rows)
+    return None
+
+
+def nilpotent_ideal(A, basis: Sequence[Sequence]) -> Optional[str]:
+    """The span of ``basis`` is a two-sided ideal and a power of it is 0."""
+    msg = ideal(A, basis)
+    if msg is not None:
+        return msg
+    current = list(basis)
     for _ in range(A.dim):
         nxt = RowSpace(A.field, A.dim)
         for u in current:
@@ -174,23 +183,27 @@ def primitive(A, elems: Sequence[Sequence]) -> Optional[str]:
 
 
 def module_action(A, action: Sequence[Matrix]) -> Optional[str]:
-    """rho(1) = 1 and rho(e_i) rho(e_j) = rho(e_i e_j) on all basis pairs."""
+    """rho(1) = 1 and rho(e_i) rho(e_g) = rho(e_i e_g) for every basis element e_i
+    and generator e_g: then {b : rho(a b) = rho(a) rho(b) for all a} is a
+    subalgebra holding 1 and every e_g, so it is A."""
     n = action[0].nrows
     if not mcombine(A.field, n, n, A.unit, action).is_identity():
         return "unit does not act as the identity"
     for i in range(A.dim):
-        for j in range(A.dim):
+        for j in A.generators:
             if action[i] * action[j] != mcombine(A.field, n, n, A.table[i][j], action):
                 return f"action is not multiplicative at basis pair ({i}, {j})"
     return None
 
 
-def intertwines(src_actions: Sequence[Matrix], dst_actions: Sequence[Matrix],
+def intertwines(A, src_actions: Sequence[Matrix], dst_actions: Sequence[Matrix],
                 *maps: Matrix) -> Optional[str]:
-    """src(e_t) f = f dst(e_t) for every t and every given f: each f is a module map."""
+    """src(e_t) f = f dst(e_t) for every generator e_t and every given f, so each
+    f is a module map: for two module actions of A, the a with src(a) f =
+    f dst(a) form a subalgebra holding 1."""
     for k, f in enumerate(maps):
-        for t, (s, d) in enumerate(zip(src_actions, dst_actions)):
-            if s * f != f * d:
+        for t in A.generators:
+            if src_actions[t] * f != f * dst_actions[t]:
                 return f"intertwining law fails at (basis element {t}, map {k})"
     return None
 
@@ -201,14 +214,14 @@ def double_module(A, action0: Sequence[Matrix], action1: Sequence[Matrix]) -> Op
         msg = module_action(A, action)
         if msg is not None:
             return f"action{i}: {msg}"
-    msg = intertwines(action0, action0, *action1)
+    msg = intertwines(A, action0, action0, *action1)
     return None if msg is None else f"the two actions do not commute: {msg}"
 
 
 def swaps_actions(K, T: Matrix) -> Optional[str]:
-    """(k .i e_t) T = (k T) .(1-i) e_t for i = 0, 1 and every t."""
+    """(k .i e_t) T = (k T) .(1-i) e_t for i = 0, 1 and every generator e_t."""
     for i, (src, dst) in enumerate(((K.action0, K.action1), (K.action1, K.action0))):
-        msg = intertwines(src, dst, T)
+        msg = intertwines(K.algebra, src, dst, T)
         if msg is not None:
             return f"swap law for action{i}: {msg}"
     return None

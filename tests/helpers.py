@@ -33,6 +33,13 @@ def twisted_transpose_map(A: alg.Algebra) -> alg.AlgebraMap:
     return alg.AlgebraMap.from_images(A, A, imgs, alg.AlgebraMap.ANTI)
 
 
+def in_basis(A: alg.Algebra, P: Matrix) -> alg.Algebra:
+    """A on the basis given by the rows of the invertible matrix P."""
+    Pinv = invert(P)
+    table = [[Pinv.act_row(A.mul(x, y)) for y in P.rows] for x in P.rows]
+    return alg.Algebra(A.field, A.basis_names, table, Pinv.act_row(A.unit))
+
+
 def identity_anti(A: alg.Algebra) -> alg.AlgebraMap:
     """The identity as an anti-automorphism (commutative algebras only)."""
     return alg.AlgebraMap(A, A, Matrix.identity(A.field, A.dim), alg.AlgebraMap.ANTI)

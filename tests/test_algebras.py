@@ -13,9 +13,9 @@ from fdalg.errors import (
     UnsupportedCharacteristicError,
     VerificationError,
 )
-from fdalg.linalg import Field, Matrix, QQ, invert, vadd
+from fdalg.linalg import Field, Matrix, QQ, RowSpace, common_left_kernel, invert, vadd
 
-from helpers import assert_field_elements, transpose_map
+from helpers import assert_field_elements, in_basis, transpose_map
 
 F5 = Field(5)
 
@@ -340,9 +340,21 @@ def test_derived_algebras_check_what_they_do_not_inherit():
     # span{e11, e12} is closed, but e11 is only a left unit: e12 e11 = 0
     with pytest.raises(VerificationError, match="unit law fails"):
         alg.subalgebra(M2, [e11, e12], e11)
-    # span{e11} is not an ideal, and the quotient it gives is not associative
-    with pytest.raises(VerificationError, match=r"associativity fails at basis triple \(0, 1, 0\)"):
+    # span{e11} is not an ideal: e11 e12 = e12 leaves it (e12 is generator 1)
+    with pytest.raises(VerificationError,
+                       match=r"^ideal law fails at \(vector 0, basis element 1\)$"):
         alg.quotient_algebra(M2, [e11])
+
+
+def test_quotient_algebra_refuses_a_one_sided_ideal():
+    M2 = alg.matrix_algebra(QQ, 2)                  # basis e11, e12, e21, e22
+    # span{e12} is closed under e12 on both sides, but e12 e21 = e11
+    with pytest.raises(VerificationError,
+                       match=r"^ideal law fails at \(vector 0, basis element 2\)$"):
+        alg.quotient_algebra(M2, [M2.basis_vector(1)])
+    UT2 = alg.upper_triangular_algebra(QQ, 2)       # basis e11, e12, e22
+    Q, _ = alg.quotient_algebra(UT2, [UT2.basis_vector(1)])
+    assert Q.dim == 2 and verify.associative_unital(Q) is None
 
 
 def test_subalgebra_refuses_a_unit_outside_or_an_open_span():
@@ -391,6 +403,59 @@ def test_algebra_scalars_are_canonical(field, data):
     check(alg.center(B).basis)
     check(alg.jacobson_radical(B))
     check(alg.primitive_idempotents(B))
+
+
+# -- generating sets -----------------------------------------------------
+
+def _generated_dim(A, generators):
+    """Dimension of the span of 1 closed under right multiplication by the
+    given basis elements: the subalgebra they generate."""
+    space = RowSpace(A.field, A.dim)
+    space.insert(A.unit)
+    frontier = [A.unit]
+    while frontier:
+        frontier = [w for w in (A.mul(x, A.basis_vector(g)) for x in frontier
+                                for g in generators) if space.insert(w)]
+    return space.dim
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_generators_of_matrix_unit_algebras_are_idempotents_and_arrows(n):
+    Mn, UTn = alg.matrix_algebra(QQ, n), alg.upper_triangular_algebra(QQ, n)
+    assert len(Mn.generators) == len(UTn.generators) == 2 * n - 2
+    # UT_n: e_ii for i < n and the arrows e_i,i+1
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    assert [pairs[g] for g in UTn.generators] == sorted(
+        [(i, i) for i in range(n - 1)] + [(i, i + 1) for i in range(n - 1)])
+
+
+def test_generators_of_small_algebras():
+    H, F = alg.quaternion_algebra(QQ), alg.field_algebra(QQ)
+    assert H.generators == (1, 2)                               # i and j
+    assert F.generators == ()
+    assert alg.matrix_algebra(QQ, 2).generators == (1, 2)      # e12 and e21
+    for A in (H, F, alg.matrix_algebra(F5, 3), alg.upper_triangular_algebra(QQ, 4)):
+        every = [A.right_mult_matrix(e) - A.left_mult_matrix(e)
+                 for e in map(A.basis_vector, range(A.dim))]
+        assert alg.center(A).basis == tuple(common_left_kernel(every))
+
+
+@given(st.sampled_from((QQ, F5, Field(2 ** 61 - 1))), st.data())
+@settings(max_examples=25, deadline=None)
+def test_generators_certify_the_algebra(field, data):
+    # random bases, as in test_algebra_scalars_are_canonical
+    A = data.draw(st.sampled_from(_split_algebras(field)))
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    P = Matrix(field, data.draw(st.lists(st.lists(entry, min_size=A.dim, max_size=A.dim),
+                                         min_size=A.dim, max_size=A.dim)))
+    assume(invert(P) is not None)
+    B = in_basis(A, P)
+    assert list(B.generators) == sorted(set(B.generators))
+    assert _generated_dim(B, B.generators) == B.dim
+    # the center from the generators is the one from every basis element
+    every = [B.right_mult_matrix(e) - B.left_mult_matrix(e)
+             for e in map(B.basis_vector, range(B.dim))]
+    assert alg.center(B).basis == tuple(common_left_kernel(every))
 
 
 def test_primitive_idempotents_of_a_split_algebra_in_a_pinned_basis():

@@ -9,7 +9,9 @@ from fdalg.errors import DimensionError, VerificationError
 from fdalg.linalg import Field, Matrix, QQ, invert
 
 from helpers import (
+    assert_field_elements,
     identity_anti,
+    in_basis,
     random_adjoint,
     random_regular_form,
     transpose_map,
@@ -392,3 +394,27 @@ def test_corresponding_anti_automorphism_meets_its_definition(field, name):
                     lhs = sum(w[i, s] * t[s][j][c] for s in range(d))
                     rhs = sum(aw[j, s] * t[i][s][c] for s in range(d))
                     assert field.coerce(lhs) == field.coerce(rhs), (u, i, j, c)
+
+
+def test_coordinate_matrices_are_canonical_over_q():
+    # M_2 in a fractional basis: Fraction products hand Fraction(k, 1) coordinates
+    # to submodule, dual_module and dual_morphism, whose Matrix(...) coerces them.
+    # phi_map and adjoints read theirs off canonical entries (dual maps, form
+    # values), so no input gives them one; they are checked all the same
+    A = alg.matrix_algebra(QQ, 2)
+    P = Matrix(QQ, [[2, 1, -2, -1], [-1, "-1/2", "2/3", "1/3"],
+                    ["-1/3", 1, "-1/3", -1], [1, 1, 0, -1]])
+    B, Pinv, tr = in_basis(A, P), invert(P), transpose_map(A, 2)
+    gamma = alg.AlgebraMap.from_images(B, B, [Pinv.act_row(tr.apply(x)) for x in P.rows],
+                                       alg.AlgebraMap.ANTI)
+    K = forms.standard_double_module(B, gamma)
+    M = mod.regular_module(B)
+    sub, _ = mod.submodule(M, [Pinv.act_row(A.basis_vector(0))])       # e11 B
+    dual0, dual1 = forms.dual_module(M, K, 0), forms.dual_module(M, K, 1)
+    H = mod.hom_space(M, M)
+    f = H.matrix_from_coords([QQ.coerce(f"{k + 1}/2") for k in range(H.dim)])
+    phi, _, _ = forms.phi_map(M, K)
+    adj = forms.adjoints(random_regular_form(M, K, seed=0))
+    mats = [*sub.action, *dual0.module.action, *dual1.module.action,
+            forms.dual_morphism(f, dual1, dual1), phi, adj.left, adj.right]
+    assert_field_elements(QQ, [x for m in mats for row in m.rows for x in row])

@@ -6,7 +6,9 @@ import pytest
 
 from fdalg import algebras as alg, modules as mod
 from fdalg.errors import DimensionError
-from fdalg.linalg import Field, Matrix, QQ, block_diag, invert
+from fdalg.linalg import Field, Matrix, QQ, RowSpace, block_diag, invert, kernel_rows, vec
+
+from helpers import in_basis
 
 
 F5 = Field(5)
@@ -196,9 +198,10 @@ def test_projective_and_generator_tests():
     assert mod.is_projective(mod.regular_module(A))
 
 
-def _intertwining_nullity(M, N):
-    """Nullity of rho_M(a) F = F rho_N(a) for every basis element a at once,
-    one equation per entry (i, l) of each, unknown F[j][k] in column j*m + k."""
+def _intertwining_solutions(M, N):
+    """Reduced echelon basis of the solutions F of rho_M(a) F = F rho_N(a) for
+    every basis element a at once, one equation per entry (i, l) of each,
+    unknown F[j][k] in column j*m + k."""
     field = M.algebra.field
     n, m = M.dim, N.dim
     rows = []
@@ -211,7 +214,13 @@ def _intertwining_nullity(M, N):
                 for k in range(m):
                     row[i * m + k] -= rN[k, l]
                 rows.append(row)
-    return n * m - Matrix(field, rows, ncols=n * m).rank()
+    space = RowSpace(field, n * m)
+    space.extend(kernel_rows(Matrix(field, rows, ncols=n * m)))
+    return space.rows
+
+
+def _assert_hom_space_solves_every_equation(X, Y):
+    assert [vec(f) for f in mod.hom_space(X, Y).basis] == _intertwining_solutions(X, Y)
 
 
 @pytest.mark.parametrize("field", [QQ, F5], ids=str)
@@ -229,5 +238,34 @@ def test_hom_space_dimension_is_the_nullity_of_all_equations(field):
     for M, N in pairs:
         for X, Y in ((M, N), (N, M)):
             dims.append(mod.hom_space(X, Y).dim)
-            assert dims[-1] == _intertwining_nullity(X, Y)
+            _assert_hom_space_solves_every_equation(X, Y)
     assert min(dims) > 0
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=str)
+def test_hom_space_in_a_random_basis_solves_every_equation(field):
+    # UT_3 in a basis with fractional entries, so no basis element is a
+    # matrix unit; its modules meet the generators in that basis only
+    rng = random.Random(3)
+    UT3 = alg.upper_triangular_algebra(field, 3)
+    while True:
+        P = Matrix(field, [[field.coerce(f"{rng.randint(-2, 2)}/{rng.randint(1, 3)}")
+                            for _ in range(6)] for _ in range(6)])
+        Pinv = invert(P)
+        if Pinv is not None:
+            break
+    B = in_basis(UT3, P)
+    R = mod.regular_module(B)
+    # e_ii B for the idempotents e11, e22, e33 of UT_3
+    parts = [mod.principal_right_module(B, Pinv.act_row(UT3.basis_vector(t))) for t in (0, 3, 5)]
+    for X, Y in [(R, R), *((X, Y) for X in parts for Y in parts), (parts[0], R)]:
+        _assert_hom_space_solves_every_equation(X, Y)
+
+
+def test_hom_space_over_a_one_dimensional_algebra_is_every_matrix():
+    F = alg.field_algebra(QQ)
+    M = mod.free_module(F, 2)
+    N = mod.free_module(F, 3)
+    assert F.generators == ()
+    assert mod.hom_space(M, N).dim == 6
+    _assert_hom_space_solves_every_equation(M, N)

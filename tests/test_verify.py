@@ -118,16 +118,29 @@ def test_module_action():
     assert verify.module_action(M2, REG.action) is None
     action = list(REG.action)
     action[1] = bump(action[1], 0, 0)
+    # pairs (e_i, e_g) with e_g a generator (e12, e21): (0, 1) and (0, 2) hold
     assert verify.module_action(M2, action) == \
-        "action is not multiplicative at basis pair (1, 0)"
+        "action is not multiplicative at basis pair (1, 1)"
     unit = [bump(m, 0, 0) if t in (0, 3) else m for t, m in enumerate(REG.action)]
     assert verify.module_action(M2, unit) == "unit does not act as the identity"
 
 
+def test_module_action_checks_basis_elements_that_are_not_generators():
+    assert 0 not in M2.generators                   # e11
+    E = bump(Matrix.zeros(QQ, 4, 4), 1, 1)
+    action = list(REG.action)
+    action[0] = action[0] + E
+    assert verify.module_action(M2, action) == "unit does not act as the identity"
+    # the same change taken off rho(e22) keeps rho(1) = 1, but rho(e11) rho(e21) != 0
+    action[3] = action[3] - E
+    assert verify.module_action(M2, action) == \
+        "action is not multiplicative at basis pair (0, 2)"
+
+
 def test_intertwines():
     H = mod.hom_space(REG, REG)
-    assert verify.intertwines(REG.action, REG.action, *H.basis) is None
-    assert verify.intertwines(REG.action, REG.action, H.basis[0], bump(H.basis[1], 0, 0)) \
+    assert verify.intertwines(M2, REG.action, REG.action, *H.basis) is None
+    assert verify.intertwines(M2, REG.action, REG.action, H.basis[0], bump(H.basis[1], 0, 0)) \
         == "intertwining law fails at (basis element 1, map 1)"
 
 
