@@ -5,7 +5,8 @@ A double module carries two commuting right actions (written here as
 action0/action1); a bilinear form b: M x M -> K satisfies the balance
 laws b(xr,y) = b(x,y).0 r and b(x,yr) = b(x,y).1 r.  The i-dual of a
 module is Hom(M, K_{1-i}) with the i-twisted action.  Defining equations
-are verified exhaustively on basis tuples at construction time.
+are verified at construction time on basis tuples, or on the algebra's
+generators where the equation is multiplicative in the algebra element.
 """
 
 from __future__ import annotations
