@@ -15,7 +15,13 @@ module.  ``poset-check`` runs the 3-chain and ``poset-check-scharlau``
 the Scharlau covers (exit 2); ``steinitz-unsolvable`` is the Z/48 twist
 of the ``azumaya-no-involution`` demo (exit 2); ``transfer-f2-exhaustive``
 is the transpose on M_2(GF(2)), whose unit search is exhaustive and finds
-nothing (exit 2, empty checks).  All runs use seed 0.
+nothing (exit 2, empty checks).  ``idempotents-random-basis-q`` is
+M_2 x Q x Q and ``basic-random-basis-gfp`` is M_2 x UT_2 over GF(101),
+each on the basis given by the rows of a fixed integer matrix with
+entries in [-2, 2] (as ``helpers.in_basis`` builds it), so that the
+central splitting runs on a center with no basis vector among the
+central idempotents; ``idempotents-not-split-q`` is Q x Q(sqrt 2), which
+the central splitting refuses (exit 2).  All runs use seed 0.
 
 A change that is meant to alter report bytes must say why, then rewrite
 the reports from the repository root with
@@ -39,7 +45,10 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 CASES = {
     "center": ("center", cli.EXIT_OK),
     "idempotents": ("idempotents", cli.EXIT_OK),
+    "idempotents-random-basis-q": ("idempotents", cli.EXIT_OK),
+    "idempotents-not-split-q": ("idempotents", cli.EXIT_NEGATIVE),
     "basic": ("basic", cli.EXIT_OK),
+    "basic-random-basis-gfp": ("basic", cli.EXIT_OK),
     "poset-of-algebra": ("poset-of-algebra", cli.EXIT_OK),
     "orbit": ("orbit", cli.EXIT_OK),
     "orbit-quaternion-p1000003": ("orbit", cli.EXIT_OK),
@@ -104,8 +113,12 @@ def test_report_key_order(name):
     with open(os.path.join(GOLDEN, name), encoding="utf-8") as fh:
         keys = list(json.load(fh))
     demo = name.startswith("demo-")
-    assert keys == ["command"] + ["demo"] * demo + ["seed"] + ["description"] * demo + \
-        ["result", "certificate", "checks"]
+    head = ["command"] + ["demo"] * demo + ["seed"]
+    if "error" in keys:
+        # a refused input: the head, then the error text alone
+        assert keys == head + ["error"]
+    else:
+        assert keys == head + ["description"] * demo + ["result", "certificate", "checks"]
 
 
 def _swap_first_two(field, factors):
