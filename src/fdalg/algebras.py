@@ -471,7 +471,7 @@ def subalgebra(A: Algebra, spanning: Sequence[Sequence], unit_vec: Sequence,
     return B, basis
 
 
-def quotient_algebra(A: Algebra, ideal_vectors: Sequence[Sequence], prefix: str = "q"):
+def quotient_algebra(A: Algebra, ideal_vectors: Sequence[Sequence]):
     """A modulo the two-sided ideal spanned by ``ideal_vectors``.
 
     Returns (Algebra, QuotientSpace); the quotient basis is the
@@ -479,6 +479,11 @@ def quotient_algebra(A: Algebra, ideal_vectors: Sequence[Sequence], prefix: str 
     (:func:`verify.ideal`); the quotient then inherits the laws of A.
     """
     verify.require(verify.ideal(A, ideal_vectors))
+    return _quotient(A, ideal_vectors)
+
+
+def _quotient(A: Algebra, ideal_vectors: Sequence[Sequence]):
+    """:func:`quotient_algebra` by a span already certified an ideal."""
     field = A.field
     space = RowSpace(field, A.dim)
     space.extend(ideal_vectors)
@@ -488,7 +493,7 @@ def quotient_algebra(A: Algebra, ideal_vectors: Sequence[Sequence], prefix: str 
     lifts = [quo.lift(unit_vector(field, quo.dim, i)) for i in range(quo.dim)]
     table = [[quo.project(A.mul(x, y)) for y in lifts] for x in lifts]
     unit = quo.project(A.unit)
-    names = [f"{prefix}{i}" for i in range(quo.dim)]
+    names = [f"q{i}" for i in range(quo.dim)]
     # the quotient of an algebra by a two-sided ideal inherits its laws
     return Algebra._trusted(field, names, table, unit), quo
 
@@ -795,10 +800,10 @@ def _equal_degree_split(field: Field, f: list, d: int, rng: random.Random) -> Op
 def primitive_idempotents(A: Algebra, seed: int = 0) -> list:
     """A complete orthogonal set of primitive idempotents summing to 1.
 
-    Splits the semisimple quotient (center splitting via minimal
-    polynomials, then rank-one peeling inside each simple factor), then
-    lifts modulo the radical with e -> 3e^2 - 2e^3.  Requires the
-    quotient to be split over the ground field.
+    Splits A/J (:func:`_split_semisimple`), J certified once by
+    :func:`jacobson_radical`, then lifts modulo J with e -> 3e^2 - 2e^3.
+    Requires A/J to be split over the ground field.  The result is
+    certified complete, orthogonal and primitive.
     """
     J = jacobson_radical(A)
     if J and A.field.characteristic in (2, 3):
@@ -807,7 +812,8 @@ def primitive_idempotents(A: Algebra, seed: int = 0) -> list:
         )
     rng = random.Random(seed)
     if J:
-        Abar, quo = quotient_algebra(A, J)
+        # jacobson_radical certified J a (nilpotent) ideal
+        Abar, quo = _quotient(A, J)
         idems = _lift_idempotents(A, quo, _split_semisimple(Abar, rng))
         images = [quo.project(e) for e in idems]
     else:
@@ -820,42 +826,40 @@ def primitive_idempotents(A: Algebra, seed: int = 0) -> list:
 
 
 def _split_semisimple(S: Algebra, rng: random.Random) -> list:
-    """Primitive idempotents of a semisimple algebra (must be split)."""
+    """Primitive idempotents of a split semisimple algebra S.
+
+    Central primitive idempotents are spectral projectors of the center
+    (Friedl & Ronyai, STOC 1985): the minimal polynomial m of a central z
+    is square-free, and when it has deg m roots lam, the idempotents u so
+    far are refined to the nonzero u P_lam, P_lam = prod_{mu != lam}
+    (z - mu) / (lam - mu) (u-major, lam sorted); fewer roots mean S is not
+    split.  Each simple uS is then split by :func:`_split_simple_corner`.
+    """
     field = S.field
     centrals = [S.unit]
-    zbasis = center(S).basis
-    for z in zbasis:
-        refined = []
-        for u in centrals:
-            corner, emb = subalgebra(S, _corner_span(S, u), u, prefix="c")
-            (zu,) = coordinate_rows(Coordinates(field, emb, S.dim).of, [S.mul(u, S.mul(z, u))],
-                                    "central element left the corner")
-            m = minimal_polynomial(corner, zu)
-            if _poly_deg(m) == 1:
-                refined.append(u)
-                continue
-            sf = _poly_gcd(field, m, _poly_deriv(field, m))
-            if _poly_deg(sf) > 0:
-                raise VerificationError("center element not semisimple in quotient")
-            roots = _poly_roots(field, m)
-            if len(roots) < _poly_deg(m):
-                raise NotSplitError(
-                    "unsplit semisimple quotient: center minimal polynomial "
-                    "has an irreducible factor of degree >= 2"
-                )
-            for lam in roots:
-                proj = corner.unit
-                for mu in roots:
-                    if mu == lam:
-                        continue
-                    shifted = vsub(field, zu, vscale(field, mu, corner.unit))
-                    proj = corner.mul(proj, vscale(field, field.inv(field.sub(lam, mu)), shifted))
-                refined.append(vcombine(field, S.dim, proj, emb))
-        centrals = refined
-    out = []
-    for u in centrals:
-        out.extend(_split_simple_corner(S, u, rng))
-    return out
+    for z in center(S).basis:
+        m = minimal_polynomial(S, z)
+        if _poly_deg(m) == 1:
+            continue
+        if _poly_deg(_poly_gcd(field, m, _poly_deriv(field, m))) > 0:
+            raise VerificationError("center element not semisimple in quotient")
+        roots = _poly_roots(field, m)
+        if len(roots) < _poly_deg(m):
+            raise NotSplitError(
+                "unsplit semisimple quotient: center minimal polynomial "
+                "has an irreducible factor of degree >= 2"
+            )
+        projectors = []
+        for lam in roots:
+            proj = S.unit
+            for mu in roots:
+                if mu != lam:
+                    shifted = vsub(field, z, vscale(field, mu, S.unit))
+                    proj = S.mul(proj, vscale(field, field.inv(field.sub(lam, mu)), shifted))
+            projectors.append(proj)
+        centrals = [w for u in centrals for w in (S.mul(u, P) for P in projectors)
+                    if not vec_is_zero(w)]
+    return [e for u in centrals for e in _split_simple_corner(S, u, rng)]
 
 
 def _corner_span(S: Algebra, u: Sequence) -> list:
@@ -863,13 +867,11 @@ def _corner_span(S: Algebra, u: Sequence) -> list:
 
 
 def _split_simple_corner(S: Algebra, u: Sequence, rng: random.Random) -> list:
-    """Rank-one idempotents inside the simple corner uSu, in S-coordinates."""
+    """Rank-one idempotents inside the simple corner uSu, in S-coordinates
+    (certified primitive by :func:`primitive_idempotents`)."""
     corner, emb = subalgebra(S, _corner_span(S, u), u, prefix="c")
     if corner.dim == 1:
         return [tuple(u)]
-    zcheck = center(corner)
-    if zcheck.dim != 1:
-        raise VerificationError("corner is not central simple after center splitting")
     x = _find_zero_divisor(corner, rng)
     if x is None:
         raise UnsplitQuotientError(
@@ -1149,9 +1151,7 @@ def basic_algebra(A: Algebra, seed: int = 0) -> BasicAlgebraResult:
     isomorphism class of indecomposable projectives."""
     from . import modules
 
-    idems = primitive_idempotents(A, seed=seed)
-    mods = [modules.principal_right_module(A, e) for e in idems]
-    reps = [idems[cls[0]] for cls in modules.isomorphism_classes(mods, seed=seed)]
+    reps = [e for e, _, _ in modules.projective_classes(A, seed=seed)]
     f = vcombine(A.field, A.dim, [A.field.one] * len(reps), reps)
     B, emb = subalgebra(A, _corner_span(A, f), f, prefix="b")
     return BasicAlgebraResult(B, f, emb, reps)

@@ -102,11 +102,11 @@ def algebra_to_json(A: _alg.Algebra) -> dict:
     }
 
 
-def map_from_json(A: _alg.Algebra, obj, default_variance=_alg.AlgebraMap.ANTI) -> _alg.AlgebraMap:
+def map_from_json(A: _alg.Algebra, obj) -> _alg.AlgebraMap:
+    anti = _alg.AlgebraMap.ANTI
     if obj == "identity":
-        m = Matrix.identity(A.field, A.dim)
-        return _alg.AlgebraMap(A, A, m, default_variance)
-    variance = obj.get("variance", default_variance) if isinstance(obj, dict) else default_variance
+        return _alg.AlgebraMap(A, A, Matrix.identity(A.field, A.dim), anti)
+    variance = obj.get("variance", anti) if isinstance(obj, dict) else anti
     mat = matrix_from_json(A.field, obj["matrix"])
     return _alg.AlgebraMap(A, A, mat, variance)
 

@@ -243,8 +243,9 @@ def phi_map(M: Module, K: DoubleModule):
     # row k of the i-th evaluation is f_k(e_i)
     evals = (Matrix._trusted(field, tuple(m.rows[i] for m in dual1.maps), K.dim)
              for i in range(M.dim))
+    # coordinates in an echelon basis are entries of these canonical maps
     rows = coordinate_rows(dual10.coords_of, evals, "evaluation map leaves the double dual")
-    return Matrix(field, rows, ncols=dual10.dim), dual1, dual10
+    return Matrix._trusted(field, rows, dual10.dim), dual1, dual10
 
 
 # -- adjoints and the correspondence -----------------------------------
@@ -268,13 +269,14 @@ def adjoints(b: BilinearForm) -> AdjointData:
     field = M.algebra.field
     dual0 = dual_module(M, K, 0)
     dual1 = dual_module(M, K, 1)
-    # b(e_i, -) is row i of the tensor, b(-, e_i) its column i
-    left = Matrix(field, coordinate_rows(
+    # b(e_i, -) is row i of the tensor, b(-, e_i) its column i; their
+    # coordinates are entries of coerced form values, so canonical
+    left = Matrix._trusted(field, coordinate_rows(
         dual0.coords_of, (Matrix._trusted(field, row, K.dim) for row in b.tensor),
-        "left adjoint leaves the dual"), ncols=dual0.dim)
-    right = Matrix(field, coordinate_rows(
+        "left adjoint leaves the dual"), dual0.dim)
+    right = Matrix._trusted(field, coordinate_rows(
         dual1.coords_of, (Matrix._trusted(field, col, K.dim) for col in zip(*b.tensor)),
-        "right adjoint leaves the dual"), ncols=dual1.dim)
+        "right adjoint leaves the dual"), dual1.dim)
     left_regular = verify.bijective(left) is None
     right_regular = verify.bijective(right) is None
     return AdjointData(left, right, dual0, dual1, left_regular, right_regular)

@@ -44,11 +44,10 @@ from .modules import (
     Module,
     direct_sum,
     free_module,
-    decompose,
     is_generator,
     is_projective,
     is_isomorphic,
-    isomorphism_classes,
+    projective_classes,
     regular_module,
 )
 from .forms import (
@@ -380,10 +379,9 @@ class OrbitResult:
 def duality_orbit(A: Algebra, K: DoubleModule, seed: int = 0) -> OrbitResult:
     """The action of the duality functor [1] on the isomorphism classes of
     indecomposable projectives, and the minimal n with R^([1]^n) = R."""
-    pieces = decompose(regular_module(A), seed=seed)
-    classes = isomorphism_classes(pieces, seed=seed)
-    reps = [pieces[cls[0]] for cls in classes]
-    mults = [len(cls) for cls in classes]
+    classes = projective_classes(A, seed=seed)
+    reps = [P for _, P, _ in classes]
+    mults = [count for _, _, count in classes]
     perm = []
     for r in reps:
         dual = dual_module(r, K, 1).module

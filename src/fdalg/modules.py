@@ -95,23 +95,18 @@ def direct_sum(mods: Sequence[Module]) -> Module:
 def submodule(M: Module, generators: Sequence[Sequence]):
     """The submodule generated by the given vectors.
 
-    Returns (Module, basis_rows); errors if the span is not invariant.
+    Returns (Module, basis_rows), the basis in reduced echelon form; errors
+    if the span is not invariant.
     """
     A = M.algebra
     field = A.field
     space = RowSpace(field, M.dim)
-    frontier = [tuple(g) for g in generators]
-    for g in frontier:
-        space.insert(g)
-    # close under the action
+    frontier = [g for g in generators if space.insert(g)]
+    # rho is multiplicative and rho(1) = I, so a span closed under the
+    # algebra generators is closed under all of A (certified below)
     while frontier:
-        new_frontier = []
-        for v in frontier:
-            for i in range(A.dim):
-                w = M.action[i].act_row(v)
-                if space.insert(w):
-                    new_frontier.append(w)
-        frontier = new_frontier
+        frontier = [w for w in (M.action[g].act_row(v) for v in frontier for g in A.generators)
+                    if space.insert(w)]
     basis = list(space.rows)
     d = len(basis)
     action = [Matrix(field, coordinate_rows(space.coordinates, map(rho.act_row, basis),
@@ -121,11 +116,8 @@ def submodule(M: Module, generators: Sequence[Sequence]):
 
 
 def principal_right_module(A: Algebra, e: Sequence) -> Module:
-    """The right ideal eA as a module."""
-    reg = regular_module(A)
-    gens = [A.mul(e, A.basis_vector(i)) for i in range(A.dim)]
-    mod, _ = submodule(reg, gens)
-    return mod
+    """The right ideal eA as a module, spun from e."""
+    return submodule(regular_module(A), [e])[0]
 
 
 def change_of_basis(M: Module, T: Matrix) -> Module:
@@ -220,10 +212,10 @@ def endomorphism_algebra(M: Module):
     return Algebra._trusted(field, names, table, unit), H
 
 
-def is_isomorphic(M: Module, N: Module, seed: int = 0,
-                  max_trials: int = 200) -> Optional[Matrix]:
+def is_isomorphic(M: Module, N: Module, seed: int = 0) -> Optional[Matrix]:
     """An invertible intertwiner M -> N, or None (certified).
 
+    After the hom-space basis, 200 seeded random combinations are tried.
     None is returned only on a proven obstruction (dimension mismatch or
     hom-space ranks) or when an exhaustive sweep over a small finite
     field found nothing.  Otherwise the search raises InconclusiveError.
@@ -246,7 +238,7 @@ def is_isomorphic(M: Module, N: Module, seed: int = 0,
             return b
     rng = random.Random(seed)
     p = field.p
-    for trial in range(max_trials):
+    for trial in range(200):
         height = min(5, 1 + trial // 40)
         if p is None:
             coeffs = [field.coerce(rng.randint(-height, height)) for _ in range(H.dim)]
@@ -275,22 +267,24 @@ def is_isomorphic(M: Module, N: Module, seed: int = 0,
     )
 
 
-def isomorphism_classes(mods: Sequence[Module], seed: int = 0) -> list:
-    """Group modules into isomorphism classes in order of first appearance.
+def projective_classes(A: Algebra, seed: int = 0) -> list:
+    """One (e, eA, count) per isomorphism class of indecomposable projectives.
 
-    Returns one list of indices into ``mods`` per class; the first index
-    of a class is its representative, and each module is tested against
-    the representatives only.
+    The modules eA of the primitive idempotents e of A are grouped in order
+    of first appearance, each tested against the first module of every
+    class so far; e and eA are that first one, and count is the size of
+    the class, the multiplicity of eA in A_A.
     """
     classes: list = []
-    for i, m in enumerate(mods):
+    for e in primitive_idempotents(A, seed=seed):
+        P = principal_right_module(A, e)
         for cls in classes:
-            if is_isomorphic(m, mods[cls[0]], seed=seed) is not None:
-                cls.append(i)
+            if is_isomorphic(P, cls[1], seed=seed) is not None:
+                cls[2] += 1
                 break
         else:
-            classes.append([i])
-    return classes
+            classes.append([e, P, 1])
+    return [tuple(cls) for cls in classes]
 
 
 def is_generator(M: Module) -> bool:
@@ -341,8 +335,7 @@ def decompose_with_embeddings(M: Module, seed: int = 0) -> list:
         return []
     A = M.algebra
     if M.dim == A.dim and M.action == regular_module(A).action:
-        return [submodule(M, [A.mul(e, A.basis_vector(i)) for i in range(A.dim)])
-                for e in primitive_idempotents(A, seed=seed)]
+        return [submodule(M, [e]) for e in primitive_idempotents(A, seed=seed)]
     EndM, H = endomorphism_algebra(M)
     return [submodule(M, H.matrix_from_coords(eps).rows)
             for eps in primitive_idempotents(EndM, seed=seed)]

@@ -13,12 +13,12 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import verify
-from .algebras import Algebra, matrix_unit_algebra, primitive_idempotents
+from .algebras import Algebra, matrix_unit_algebra
 from .errors import NotAPosetError, VerificationError
 from .linalg import Field
 # is_isomorphic is not called here; the binding stays because the
 # benchmark's tracer and its tests address it as posets.is_isomorphic
-from .modules import is_isomorphic, isomorphism_classes, principal_right_module  # noqa: F401
+from .modules import is_isomorphic, projective_classes  # noqa: F401
 
 
 class Poset:
@@ -242,9 +242,7 @@ def poset_of_algebra(A: Algebra, seed: int = 0) -> Poset:
     Raises NotAPosetError when the extracted relation fails a poset axiom
     (possible for algebras that are not incidence algebras).
     """
-    idems = primitive_idempotents(A, seed=seed)
-    mods = [principal_right_module(A, e) for e in idems]
-    reps = [idems[cls[0]] for cls in isomorphism_classes(mods, seed=seed)]
+    reps = [e for e, _, _ in projective_classes(A, seed=seed)]
     t = len(reps)
     leq = [[False] * t for _ in range(t)]
     for a, e in enumerate(reps):

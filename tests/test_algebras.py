@@ -516,3 +516,14 @@ def test_primitive_idempotents_decide_quaternion_algebras_over_q(a, b, split):
     else:
         with pytest.raises(UnsplitQuotientError, match="is the division algebra"):
             alg.primitive_idempotents(B)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(101)], ids=str)
+def test_basic_algebra_and_poset_take_one_idempotent_per_projective_class(field):
+    A = alg.direct_product(alg.matrix_algebra(field, 2), alg.upper_triangular_algebra(field, 2))
+    classes = mod.projective_classes(A)
+    assert len(classes) == 3
+    res = alg.basic_algebra(A)
+    assert res.class_representatives == [e for e, _, _ in classes]
+    assert res.algebra.dim == 4                                 # F x UT_2
+    assert ps.poset_of_algebra(A).size == len(classes)

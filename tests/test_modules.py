@@ -1,14 +1,16 @@
 """Right modules, hom spaces, isomorphism testing, decompositions."""
 
+import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from fdalg import algebras as alg, modules as mod
+from fdalg import algebras as alg, forms, involutions as inv, modules as mod, posets as ps
 from fdalg.errors import DimensionError
 from fdalg.linalg import Field, Matrix, QQ, RowSpace, block_diag, invert, kernel_rows, vec
 
-from helpers import in_basis
+from helpers import in_basis, transpose_map, ut_flip_map
 
 
 F5 = Field(5)
@@ -269,3 +271,115 @@ def test_hom_space_over_a_one_dimensional_algebra_is_every_matrix():
     assert F.generators == ()
     assert mod.hom_space(M, N).dim == 6
     _assert_hom_space_solves_every_equation(M, N)
+
+
+def _m2_x_ut2(field):
+    return alg.direct_product(alg.matrix_algebra(field, 2), alg.upper_triangular_algebra(field, 2))
+
+
+@pytest.mark.parametrize("build, counts", [
+    (lambda: alg.matrix_algebra(QQ, 3), [3]),
+    (lambda: alg.upper_triangular_algebra(QQ, 3), [1, 1, 1]),
+    (lambda: _m2_x_ut2(QQ), [1, 1, 2]),
+    (lambda: ps.incidence_algebra(QQ, ps.scharlau_poset()), [1] * 12),
+], ids=["M3", "UT3", "M2xUT2", "scharlau"])
+def test_projective_classes_group_the_principal_modules(build, counts):
+    A = build()
+    idems = alg.primitive_idempotents(A)
+    classes = mod.projective_classes(A)
+    assert sorted(n for _, _, n in classes) == counts
+    # each class is named by the first idempotent whose eA lies in it
+    firsts = [idems.index(e) for e, _, _ in classes]
+    assert firsts[0] == 0 and firsts == sorted(firsts)
+    for e, P, _ in classes:
+        Q = mod.principal_right_module(A, e)
+        assert (P.dim, P.action) == (Q.dim, Q.action)
+    for (_, P, _), (_, Q, _) in itertools.combinations(classes, 2):
+        assert mod.is_isomorphic(P, Q) is None
+
+
+def _componentwise_transpose(A, n):
+    """On M_n x F: the transpose on M_n and the identity on F."""
+    tr = transpose_map(alg.matrix_algebra(A.field, n), n)
+    imgs = [tr.apply(A.basis_vector(i)[:n * n]) + (0,) for i in range(n * n)]
+    return alg.AlgebraMap.from_images(A, A, imgs + [A.basis_vector(n * n)], alg.AlgebraMap.ANTI)
+
+
+def _m3_transpose():
+    A = alg.matrix_algebra(QQ, 3)
+    return A, transpose_map(A, 3)
+
+
+def _ut3_flip():
+    A = alg.upper_triangular_algebra(QQ, 3)
+    return A, ut_flip_map(A, 3)
+
+
+def _m2_x_f_transpose():
+    A = alg.direct_product(alg.matrix_algebra(QQ, 2), alg.field_algebra(QQ))
+    return A, _componentwise_transpose(A, 2)
+
+
+@pytest.mark.parametrize("build", [_m3_transpose, _ut3_flip, _m2_x_f_transpose],
+                         ids=["M3", "UT3", "M2xF"])
+def test_duality_orbit_reads_the_projective_classes(build):
+    A, gamma = build()
+    classes = mod.projective_classes(A)
+    orb = inv.duality_orbit(A, forms.standard_double_module(A, gamma))
+    assert orb.multiplicities == [n for _, _, n in classes]
+    assert [(P.dim, P.action) for P in orb.representatives] == \
+        [(P.dim, P.action) for _, P, _ in classes]
+
+
+def _random_basis(field, data, A):
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    P = Matrix(field, data.draw(st.lists(st.lists(entry, min_size=A.dim, max_size=A.dim),
+                                         min_size=A.dim, max_size=A.dim)))
+    assume(invert(P) is not None)
+    return in_basis(A, P)
+
+
+@given(st.sampled_from((QQ, F5, Field(2 ** 61 - 1))), st.data())
+@settings(max_examples=25, deadline=None)
+def test_principal_module_spun_from_e_is_the_whole_right_ideal(field, data):
+    F = alg.field_algebra(field)
+    A = data.draw(st.sampled_from([alg.matrix_algebra(field, 2), alg.upper_triangular_algebra(field, 3),
+                                   alg.direct_product(F, F), _m2_x_ut2(field)]))
+    B = _random_basis(field, data, A)
+    e = B.coerce_element(data.draw(st.lists(st.integers(-2, 2), min_size=B.dim, max_size=B.dim)))
+    R = mod.regular_module(B)
+    whole, whole_basis = mod.submodule(R, [B.mul(e, B.basis_vector(i)) for i in range(B.dim)])
+    spun, spun_basis = mod.submodule(R, [e])
+    assert (spun.dim, spun.action, spun_basis) == (whole.dim, whole.action, whole_basis)
+    P = mod.principal_right_module(B, e)
+    assert (P.dim, P.action) == (whole.dim, whole.action)
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=str)
+def test_submodule_of_a_non_regular_module_is_closed_under_every_basis_action(field):
+    A = _m2_x_ut2(field)
+    assert len(A.generators) < A.dim
+    summands = mod.direct_sum([mod.regular_module(A), mod.principal_right_module(A, A.basis_vector(0)),
+                               mod.principal_right_module(A, A.basis_vector(6))])
+    rng = random.Random(3)
+    while True:
+        T = Matrix(field, [[rng.randint(-2, 2) for _ in range(summands.dim)]
+                           for _ in range(summands.dim)])
+        if invert(T) is not None:
+            break
+    M = mod.change_of_basis(summands, T)
+    # x in the sum is x T in M; draw x inside one summand or two
+    for lo, hi in [(0, 7), (7, 9), (9, 10), (7, 10), (0, 7), (0, 9)]:
+        gens = [T.act_row([field.coerce(rng.choice((0, 1, -1, 2))) if lo <= j < hi else 0
+                           for j in range(M.dim)]) for _ in range(rng.randint(1, 2))]
+        # reference: close the span under the action of every basis element
+        space, frontier = RowSpace(field, M.dim), list(gens)
+        space.extend(gens)
+        while frontier:
+            frontier = [w for w in (rho.act_row(v) for v in frontier for rho in M.action)
+                        if space.insert(w)]
+        S, basis = mod.submodule(M, gens)
+        assert basis == space.rows
+        d = len(basis)
+        assert S.action == tuple(Matrix(field, [space.coordinates(rho.act_row(b)) for b in basis],
+                                        ncols=d) for rho in M.action)
