@@ -331,21 +331,18 @@ def test_duality_orbit_reads_the_projective_classes(build):
         [(P.dim, P.action) for _, P, _ in classes]
 
 
-def _random_basis(field, data, A):
-    entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
-    P = Matrix(field, data.draw(st.lists(st.lists(entry, min_size=A.dim, max_size=A.dim),
-                                         min_size=A.dim, max_size=A.dim)))
-    assume(invert(P) is not None)
-    return in_basis(A, P)
-
-
 @given(st.sampled_from((QQ, F5, Field(2 ** 61 - 1))), st.data())
 @settings(max_examples=25, deadline=None)
 def test_principal_module_spun_from_e_is_the_whole_right_ideal(field, data):
     F = alg.field_algebra(field)
-    A = data.draw(st.sampled_from([alg.matrix_algebra(field, 2), alg.upper_triangular_algebra(field, 3),
+    A = data.draw(st.sampled_from([alg.matrix_algebra(field, 2),
+                                   alg.upper_triangular_algebra(field, 3),
                                    alg.direct_product(F, F), _m2_x_ut2(field)]))
-    B = _random_basis(field, data, A)
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    P = Matrix(field, data.draw(st.lists(st.lists(entry, min_size=A.dim, max_size=A.dim),
+                                         min_size=A.dim, max_size=A.dim)))
+    assume(invert(P) is not None)
+    B = in_basis(A, P)
     e = B.coerce_element(data.draw(st.lists(st.integers(-2, 2), min_size=B.dim, max_size=B.dim)))
     R = mod.regular_module(B)
     whole, whole_basis = mod.submodule(R, [B.mul(e, B.basis_vector(i)) for i in range(B.dim)])
@@ -359,7 +356,9 @@ def test_principal_module_spun_from_e_is_the_whole_right_ideal(field, data):
 def test_submodule_of_a_non_regular_module_is_closed_under_every_basis_action(field):
     A = _m2_x_ut2(field)
     assert len(A.generators) < A.dim
-    summands = mod.direct_sum([mod.regular_module(A), mod.principal_right_module(A, A.basis_vector(0)),
+    # A + e11 A + (0, e22) A: dimensions 7, 2 and 1
+    summands = mod.direct_sum([mod.regular_module(A),
+                               mod.principal_right_module(A, A.basis_vector(0)),
                                mod.principal_right_module(A, A.basis_vector(6))])
     rng = random.Random(3)
     while True:
