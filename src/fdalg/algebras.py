@@ -182,6 +182,13 @@ class Algebra(verify.Verified):
         """Matrix R with [y*x] = [y] @ R."""
         return mcombine(self.field, self.dim, self.dim, x, self._right_mults)
 
+    def corner(self, e: Sequence, f: Sequence) -> list:
+        """Vectors spanning e A f: r f for each row r of the echelon basis
+        of e A, which the rows e e_i of ``left_mult_matrix(e)`` span."""
+        space = RowSpace(self.field, self.dim)
+        space.extend(self.left_mult_matrix(e).rows)
+        return [self.mul(r, f) for r in space.rows]
+
     def __eq__(self, other):
         return (
             isinstance(other, Algebra)
@@ -797,32 +804,40 @@ def _equal_degree_split(field: Field, f: list, d: int, rng: random.Random) -> Op
 
 # -- idempotents -------------------------------------------------------
 
-def primitive_idempotents(A: Algebra, seed: int = 0) -> list:
-    """A complete orthogonal set of primitive idempotents summing to 1.
+def idempotent_classes(A: Algebra, seed: int = 0) -> list:
+    """Primitive idempotents of A, one list per simple block of A/J.
 
     Splits A/J (:func:`_split_semisimple`), J certified once by
     :func:`jacobson_radical`, then lifts modulo J with e -> 3e^2 - 2e^3.
-    Requires A/J to be split over the ground field.  The result is
-    certified complete, orthogonal and primitive.
+    A projective is determined by its top, so eA and fA are isomorphic
+    exactly when e and f lie in one block.  Requires A/J to be split over
+    the ground field.  Certified complete, orthogonal and primitive, and
+    the grouping by :func:`verify.same_block`.
     """
     J = jacobson_radical(A)
     if J and A.field.characteristic in (2, 3):
         raise UnsupportedCharacteristicError(
             "idempotent lifting needs char not in {2,3} when the radical is nonzero"
         )
-    rng = random.Random(seed)
+    # jacobson_radical certified J a (nilpotent) ideal
+    Abar, quo = _quotient(A, J) if J else (A, None)
+    blocks = _split_semisimple(Abar, random.Random(seed))
+    verify.require(verify.same_block(Abar, blocks))
+    idems = images = [e for block in blocks for e in block]
     if J:
-        # jacobson_radical certified J a (nilpotent) ideal
-        Abar, quo = _quotient(A, J)
-        idems = _lift_idempotents(A, quo, _split_semisimple(Abar, rng))
+        idems = _lift_idempotents(A, quo, images)
         images = [quo.project(e) for e in idems]
-    else:
-        Abar = A
-        idems = images = _split_semisimple(A, rng)
     verify.require(verify.complete_orthogonal(A, idems))
     verify.require(verify.primitive(Abar, images))
     # the kernels may carry an integral rational as Fraction(k, 1)
-    return [A.coerce_element(e) for e in idems]
+    it = iter(idems)
+    return [[A.coerce_element(next(it)) for _ in block] for block in blocks]
+
+
+def primitive_idempotents(A: Algebra, seed: int = 0) -> list:
+    """A complete orthogonal set of primitive idempotents summing to 1: the
+    blocks of :func:`idempotent_classes` one after the other."""
+    return [e for cls in idempotent_classes(A, seed=seed) for e in cls]
 
 
 def _split_semisimple(S: Algebra, rng: random.Random) -> list:
@@ -833,7 +848,8 @@ def _split_semisimple(S: Algebra, rng: random.Random) -> list:
     is square-free, and when it has deg m roots lam, the idempotents u so
     far are refined to the nonzero u P_lam, P_lam = prod_{mu != lam}
     (z - mu) / (lam - mu) (u-major, lam sorted); fewer roots mean S is not
-    split.  Each simple uS is then split by :func:`_split_simple_corner`.
+    split.  Each simple uS is then split by :func:`_split_simple_corner`:
+    one list of idempotents per central primitive idempotent u.
     """
     field = S.field
     centrals = [S.unit]
@@ -859,17 +875,13 @@ def _split_semisimple(S: Algebra, rng: random.Random) -> list:
             projectors.append(proj)
         centrals = [w for u in centrals for w in (S.mul(u, P) for P in projectors)
                     if not vec_is_zero(w)]
-    return [e for u in centrals for e in _split_simple_corner(S, u, rng)]
-
-
-def _corner_span(S: Algebra, u: Sequence) -> list:
-    return [S.mul(u, S.mul(S.basis_vector(i), u)) for i in range(S.dim)]
+    return [_split_simple_corner(S, u, rng) for u in centrals]
 
 
 def _split_simple_corner(S: Algebra, u: Sequence, rng: random.Random) -> list:
     """Rank-one idempotents inside the simple corner uSu, in S-coordinates
-    (certified primitive by :func:`primitive_idempotents`)."""
-    corner, emb = subalgebra(S, _corner_span(S, u), u, prefix="c")
+    (certified primitive by :func:`idempotent_classes`)."""
+    corner, emb = subalgebra(S, S.corner(u, u), u, prefix="c")
     if corner.dim == 1:
         return [tuple(u)]
     x = _find_zero_divisor(corner, rng)
@@ -1149,11 +1161,9 @@ class BasicAlgebraResult:
 def basic_algebra(A: Algebra, seed: int = 0) -> BasicAlgebraResult:
     """The basic algebra fAf, f a sum of one primitive idempotent per
     isomorphism class of indecomposable projectives."""
-    from . import modules
-
-    reps = [e for e, _, _ in modules.projective_classes(A, seed=seed)]
+    reps = [cls[0] for cls in idempotent_classes(A, seed=seed)]
     f = vcombine(A.field, A.dim, [A.field.one] * len(reps), reps)
-    B, emb = subalgebra(A, _corner_span(A, f), f, prefix="b")
+    B, emb = subalgebra(A, A.corner(f, f), f, prefix="b")
     return BasicAlgebraResult(B, f, emb, reps)
 
 

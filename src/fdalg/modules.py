@@ -14,7 +14,7 @@ import random
 from typing import Optional, Sequence
 
 from . import verify
-from .algebras import Algebra, primitive_idempotents
+from .algebras import Algebra, idempotent_classes, primitive_idempotents
 from .errors import DimensionError, InconclusiveError
 from .linalg import (
     Matrix,
@@ -270,21 +270,12 @@ def is_isomorphic(M: Module, N: Module, seed: int = 0) -> Optional[Matrix]:
 def projective_classes(A: Algebra, seed: int = 0) -> list:
     """One (e, eA, count) per isomorphism class of indecomposable projectives.
 
-    The modules eA of the primitive idempotents e of A are grouped in order
-    of first appearance, each tested against the first module of every
-    class so far; e and eA are that first one, and count is the size of
-    the class, the multiplicity of eA in A_A.
+    The classes are the blocks of :func:`idempotent_classes`, in its
+    order: e is the first idempotent of its block, and count, the size of
+    the block, is the multiplicity of eA in A_A.
     """
-    classes: list = []
-    for e in primitive_idempotents(A, seed=seed):
-        P = principal_right_module(A, e)
-        for cls in classes:
-            if is_isomorphic(P, cls[1], seed=seed) is not None:
-                cls[2] += 1
-                break
-        else:
-            classes.append([e, P, 1])
-    return [tuple(cls) for cls in classes]
+    return [(cls[0], principal_right_module(A, cls[0]), len(cls))
+            for cls in idempotent_classes(A, seed=seed)]
 
 
 def is_generator(M: Module) -> bool:

@@ -13,12 +13,12 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import verify
-from .algebras import Algebra, matrix_unit_algebra
+from .algebras import Algebra, idempotent_classes, matrix_unit_algebra
 from .errors import NotAPosetError, VerificationError
 from .linalg import Field
 # is_isomorphic is not called here; the binding stays because the
 # benchmark's tracer and its tests address it as posets.is_isomorphic
-from .modules import is_isomorphic, projective_classes  # noqa: F401
+from .modules import is_isomorphic  # noqa: F401
 
 
 class Poset:
@@ -237,21 +237,11 @@ def incidence_algebra(field: Field, P: Poset) -> Algebra:
 
 
 def poset_of_algebra(A: Algebra, seed: int = 0) -> Poset:
-    """Classes of primitive idempotents ordered by e A f != 0.
+    """The blocks of :func:`idempotent_classes`, named by their first
+    idempotents and ordered by e A f != 0.
 
     Raises NotAPosetError when the extracted relation fails a poset axiom
     (possible for algebras that are not incidence algebras).
     """
-    reps = [e for e, _, _ in projective_classes(A, seed=seed)]
-    t = len(reps)
-    leq = [[False] * t for _ in range(t)]
-    for a, e in enumerate(reps):
-        for b, f in enumerate(reps):
-            nonzero = False
-            for i in range(A.dim):
-                v = A.mul(e, A.mul(A.basis_vector(i), f))
-                if any(x != 0 for x in v):
-                    nonzero = True
-                    break
-            leq[a][b] = nonzero
-    return Poset(leq)
+    reps = [cls[0] for cls in idempotent_classes(A, seed=seed)]
+    return Poset([[any(map(any, A.corner(e, f))) for f in reps] for e in reps])

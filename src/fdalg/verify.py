@@ -175,10 +175,23 @@ def primitive(A, elems: Sequence[Sequence]) -> Optional[str]:
     """Each idempotent e of the semisimple algebra A spans e A e."""
     for k, e in enumerate(elems):
         space = RowSpace(A.field, A.dim)
-        for i in range(A.dim):
-            space.insert(A.mul(e, A.mul(A.basis_vector(i), e)))
+        space.extend(A.corner(e, e))
         if space.dim != 1:
             return f"idempotent {k} is not primitive: e A e has dimension {space.dim}"
+    return None
+
+
+def same_block(A, blocks: Sequence[Sequence[Sequence]]) -> Optional[str]:
+    """For primitive idempotents e, f of a split semisimple A, Hom(fA, eA) is
+    e A f, so eA and fA are isomorphic iff e A f != 0: the first e of each
+    block has e A f != 0 exactly for the f of its own block."""
+    for a, block in enumerate(blocks):
+        e = block[0]
+        for b, other in enumerate(blocks):
+            for k, f in enumerate(other):
+                if any(map(any, A.corner(e, f))) != (a == b):
+                    return ("e A f != 0 iff f is in the block of e fails at "
+                            f"(block {a}, block {b}, element {k})")
     return None
 
 

@@ -40,6 +40,17 @@ def in_basis(A: alg.Algebra, P: Matrix) -> alg.Algebra:
     return alg.Algebra(A.field, A.basis_names, table, Pinv.act_row(A.unit))
 
 
+def two_cycle_algebra(field) -> alg.Algebra:
+    """e1, e2, a, b with e1 a e2 = a, e2 b e1 = b and ab = ba = 0.  Its
+    projectives e1 A and e2 A have one dimension and nonzero maps both
+    ways, yet are not isomorphic: their tops differ."""
+    # nonzero products of basis elements: (i, j) -> k for e_i e_j = e_k
+    prod = {(0, 0): 0, (0, 2): 2, (1, 1): 1, (1, 3): 3, (2, 1): 2, (3, 0): 3}
+    table = [[[int(prod.get((i, j)) == k) for k in range(4)] for j in range(4)]
+             for i in range(4)]
+    return alg.Algebra(field, ["e1", "e2", "a", "b"], table, [1, 1, 0, 0])
+
+
 def identity_anti(A: alg.Algebra) -> alg.AlgebraMap:
     """The identity as an anti-automorphism (commutative algebras only)."""
     return alg.AlgebraMap(A, A, Matrix.identity(A.field, A.dim), alg.AlgebraMap.ANTI)

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 from fdalg import algebras as alg, cli, verify
-from fdalg.linalg import QQ
+from fdalg.linalg import Field, QQ
+
+from helpers import two_cycle_algebra
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +172,21 @@ def test_incidence_and_poset_of_algebra_roundtrip(tmp_path, capsys):
     assert rep["result"]["poset"]["size"] == 2
     assert rep["result"]["poset"]["cover"] == [[0, 1]] or \
         rep["result"]["poset"]["cover"] == [[1, 0]]
+
+
+@pytest.mark.parametrize("field", [QQ, Field(101)], ids=str)
+def test_projective_classes_of_the_two_cycle_algebra(tmp_path, capsys, field):
+    # e1 A and e2 A have one dimension and nonzero maps both ways but are not
+    # isomorphic; over Q no isomorphism search can tell, the blocks of A/J do
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"algebra": cli.algebra_to_json(two_cycle_algebra(field))}))
+    code, out = run_cli(capsys, "basic", "--input", str(path))
+    assert code == cli.EXIT_OK
+    rep = json.loads(out)
+    assert (rep["certificate"]["class_count"], rep["result"]["dimension"]) == (2, 4)
+    code, out = run_cli(capsys, "poset-of-algebra", "--input", str(path))
+    assert code == cli.EXIT_NEGATIVE
+    assert "antisymmetry fails at (0, 1)" in json.loads(out)["error"]
 
 
 def test_steinitz_command(tmp_path, capsys):

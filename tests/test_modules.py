@@ -7,10 +7,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fdalg import algebras as alg, forms, involutions as inv, modules as mod, posets as ps
-from fdalg.errors import DimensionError
+from fdalg.errors import DimensionError, InconclusiveError
 from fdalg.linalg import Field, Matrix, QQ, RowSpace, block_diag, invert, kernel_rows, vec
 
-from helpers import in_basis, transpose_map, ut_flip_map
+from helpers import in_basis, transpose_map, two_cycle_algebra, ut_flip_map
 
 
 F5 = Field(5)
@@ -296,6 +296,32 @@ def test_projective_classes_group_the_principal_modules(build, counts):
         assert (P.dim, P.action) == (Q.dim, Q.action)
     for (_, P, _), (_, Q, _) in itertools.combinations(classes, 2):
         assert mod.is_isomorphic(P, Q) is None
+
+
+@given(st.sampled_from((QQ, Field(101), Field(2 ** 61 - 1))), st.data())
+@settings(max_examples=25, deadline=None)
+def test_idempotent_classes_group_as_is_isomorphic_does(field, data):
+    F = alg.field_algebra(field)
+    A = data.draw(st.sampled_from([
+        _m2_x_ut2(field),
+        alg.direct_product(alg.matrix_algebra(field, 2), alg.direct_product(F, F)),
+        alg.direct_product(alg.upper_triangular_algebra(field, 3), F),
+        two_cycle_algebra(field)]))
+    P = Matrix(field, data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=A.dim,
+                                                  max_size=A.dim),
+                                         min_size=A.dim, max_size=A.dim)))
+    assume(invert(P) is not None)
+    B = in_basis(A, P)
+    classes = alg.idempotent_classes(B)
+    assert [e for cls in classes for e in cls] == alg.primitive_idempotents(B)
+    labelled = [(k, mod.principal_right_module(B, e))
+                for k, cls in enumerate(classes) for e in cls]
+    for (k, X), (m, Y) in itertools.combinations(labelled, 2):
+        try:
+            iso = mod.is_isomorphic(X, Y)
+        except InconclusiveError:
+            continue
+        assert (iso is not None) == (k == m)
 
 
 def _componentwise_transpose(A, n):

@@ -114,6 +114,20 @@ def test_idempotent_checkers():
         "idempotent 1 is not primitive: e A e has dimension 4"
 
 
+def test_same_block():
+    F2 = alg.direct_product(alg.field_algebra(QQ), alg.field_algebra(QQ))
+    e1, e2 = F2.basis_vector(0), F2.basis_vector(1)
+    assert verify.same_block(F2, [[e1], [e2]]) is None
+    # e1 (F x F) e2 = 0, so e1 and e2 cannot share a block
+    assert verify.same_block(F2, [[e1, e2]]) == \
+        "e A f != 0 iff f is in the block of e fails at (block 0, block 0, element 1)"
+    e11, e22 = M2.basis_vector(0), M2.basis_vector(3)
+    assert verify.same_block(M2, [[e11, e22]]) is None
+    # e11 M_2 e22 holds e12, so e11 and e22 cannot lie in different blocks
+    assert verify.same_block(M2, [[e11], [e22]]) == \
+        "e A f != 0 iff f is in the block of e fails at (block 0, block 1, element 0)"
+
+
 def test_module_action():
     assert verify.module_action(M2, REG.action) is None
     action = list(REG.action)
