@@ -42,7 +42,7 @@ def in_basis(A: alg.Algebra, P: Matrix) -> alg.Algebra:
 
 def two_cycle_algebra(field) -> alg.Algebra:
     """e1, e2, a, b with e1 a e2 = a, e2 b e1 = b and ab = ba = 0.  Its
-    projectives e1 A and e2 A have one dimension and nonzero maps both
+    projectives e1 A and e2 A have the same dimension and nonzero maps both
     ways, yet are not isomorphic: their tops differ."""
     # nonzero products of basis elements: (i, j) -> k for e_i e_j = e_k
     prod = {(0, 0): 0, (0, 2): 2, (1, 1): 1, (1, 3): 3, (2, 1): 2, (3, 0): 3}

@@ -176,8 +176,9 @@ def test_incidence_and_poset_of_algebra_roundtrip(tmp_path, capsys):
 
 @pytest.mark.parametrize("field", [QQ, Field(101)], ids=str)
 def test_projective_classes_of_the_two_cycle_algebra(tmp_path, capsys, field):
-    # e1 A and e2 A have one dimension and nonzero maps both ways but are not
-    # isomorphic; over Q no isomorphism search can tell, the blocks of A/J do
+    # e1 A and e2 A have the same dimension and nonzero maps both ways but are
+    # not isomorphic; a search over Q cannot prove that no isomorphism exists,
+    # the blocks of A/J decide it
     path = tmp_path / "in.json"
     path.write_text(json.dumps({"algebra": cli.algebra_to_json(two_cycle_algebra(field))}))
     code, out = run_cli(capsys, "basic", "--input", str(path))
