@@ -52,10 +52,11 @@ class Algebra(verify.Verified):
     """Associative unital algebra given by structure constants.
 
     ``Algebra(...)`` is where structure constants enter: it coerces them,
-    checks the shapes and verifies associativity and the unit law on all
-    basis triples.  Algebras derived from verified ones are built by
-    ``Algebra._trusted`` (no coercion, no checks) and inherit those laws;
-    each derived construction checks only what its derivation leaves open.
+    checks the shapes and the unit law, then associativity on the basis
+    triples that start at a generator, which proves it on all of them.
+    Algebras derived from verified ones are built by ``Algebra._trusted``
+    (no coercion, no checks) and inherit those laws; each derived
+    construction checks only what its derivation leaves open.
     """
 
     def __init__(self, field: Field, basis_names: Sequence[str], table, unit):
@@ -137,9 +138,9 @@ class Algebra(verify.Verified):
         element is kept when it lies outside the span of the words in 1 and
         those kept so far.  That span is kept closed under right
         multiplication by the kept elements, and the loop stops when it is
-        all of A, so the set certifies itself.  On matrix-unit bases this
-        keeps idempotents and arrows: 2n - 2 elements for M_n and UT_n.
-        """
+        all of A, so the set certifies itself, with no use of associativity:
+        the unit law puts each kept e_g = 1 e_g in the span.  On matrix-unit
+        bases this keeps idempotents and arrows: 2n - 2 for M_n and UT_n."""
         d = self.dim
         hits = [0] * d
         for j, block in enumerate(self._sparse):
@@ -182,12 +183,12 @@ class Algebra(verify.Verified):
         """Matrix R with [y*x] = [y] @ R."""
         return mcombine(self.field, self.dim, self.dim, x, self._right_mults)
 
-    def corner(self, e: Sequence, f: Sequence) -> list:
-        """Vectors spanning e A f: r f for each row r of the echelon basis
-        of e A, which the rows e e_i of ``left_mult_matrix(e)`` span."""
+    def corners(self, e: Sequence, fs: Sequence[Sequence]) -> list:
+        """For each f in ``fs``, vectors spanning e A f: r f for each row r of the
+        echelon basis of e A, built once from the rows of ``left_mult_matrix(e)``."""
         space = RowSpace(self.field, self.dim)
         space.extend(self.left_mult_matrix(e).rows)
-        return [self.mul(r, f) for r in space.rows]
+        return [[self.mul(r, f) for r in space.rows] for f in fs]
 
     def __eq__(self, other):
         return (
@@ -881,7 +882,7 @@ def _split_semisimple(S: Algebra, rng: random.Random) -> list:
 def _split_simple_corner(S: Algebra, u: Sequence, rng: random.Random) -> list:
     """Rank-one idempotents inside the simple corner uSu, in S-coordinates
     (certified primitive by :func:`idempotent_classes`)."""
-    corner, emb = subalgebra(S, S.corner(u, u), u, prefix="c")
+    corner, emb = subalgebra(S, S.corners(u, [u])[0], u, prefix="c")
     if corner.dim == 1:
         return [tuple(u)]
     x = _find_zero_divisor(corner, rng)
@@ -1163,7 +1164,7 @@ def basic_algebra(A: Algebra, seed: int = 0) -> BasicAlgebraResult:
     isomorphism class of indecomposable projectives."""
     reps = [cls[0] for cls in idempotent_classes(A, seed=seed)]
     f = vcombine(A.field, A.dim, [A.field.one] * len(reps), reps)
-    B, emb = subalgebra(A, A.corner(f, f), f, prefix="b")
+    B, emb = subalgebra(A, A.corners(f, [f])[0], f, prefix="b")
     return BasicAlgebraResult(B, f, emb, reps)
 
 

@@ -244,4 +244,4 @@ def poset_of_algebra(A: Algebra, seed: int = 0) -> Poset:
     (possible for algebras that are not incidence algebras).
     """
     reps = [cls[0] for cls in idempotent_classes(A, seed=seed)]
-    return Poset([[any(map(any, A.corner(e, f))) for f in reps] for e in reps])
+    return Poset([[any(map(any, span)) for span in A.corners(e, reps)] for e in reps])

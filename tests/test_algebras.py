@@ -369,6 +369,20 @@ def test_subalgebra_refuses_a_unit_outside_or_an_open_span():
         alg.subalgebra(M2, [M2.unit, e12, e21], M2.unit)
 
 
+def test_corners_span_e_a_f_for_each_f():
+    M3 = alg.matrix_algebra(QQ, 3)                  # basis e11, e12, ..., e33
+    e11, e22, e33 = (M3.basis_vector(4 * i) for i in range(3))
+    e = vadd(QQ, e11, e22)
+    spans = M3.corners(e, [e11, e33, e, vadd(QQ, e, e33)])
+    dims = []
+    for span in spans:
+        space = RowSpace(QQ, M3.dim)
+        space.extend(span)
+        dims.append(space.dim)
+    # e A e11 = <e11, e21>, e A e33 = <e13, e23>, e A e = M_2, e A 1 = e A
+    assert dims == [2, 2, 4, 6]
+
+
 # -- scalars of algebras and of their invariants -----------------------
 
 def _split_algebras(field):

@@ -280,6 +280,16 @@ def test_bad_input_exit_one(tmp_path, capsys):
     assert code == cli.EXIT_INPUT
 
 
+def test_non_associative_input_exit_one_naming_a_basis_triple(tmp_path, capsys):
+    m2 = cli.algebra_to_json(alg.matrix_algebra(QQ, 2))      # basis e11, e12, e21, e22
+    m2["table"][1][2][0] = "2"                               # e12 e21 = 2 e11
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"algebra": m2}))
+    code, out = run_cli(capsys, "center", "--input", str(path))
+    assert code == cli.EXIT_INPUT
+    assert "associativity fails at basis triple (1, 2, 1)" in json.loads(out)["error"]
+
+
 def test_unsupported_characteristic_exit_one(tmp_path, capsys):
     ut_f2 = {
         "field": {"p": 2},

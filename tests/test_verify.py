@@ -1,13 +1,15 @@
 """fdalg.verify: every checker passes on constructed objects and names the
 equation and basis tuple that a one-entry perturbation breaks."""
 
+import re
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, find, given, settings, strategies as st
 
 from fdalg import algebras as alg, forms, modules as mod, posets, verify
 from fdalg.errors import VerificationError
-from fdalg.linalg import Matrix, QQ
+from fdalg.linalg import Field, Matrix, QQ
 
 from helpers import transpose_map
 
@@ -54,6 +56,85 @@ def test_associative_unital():
     assert verify.associative_unital(bad) == "associativity fails at basis triple (1, 2, 1)"
     unit = alg.Algebra._trusted(QQ, M2.basis_names, M2.table, bump_vector(M2.unit, 1))
     assert verify.associative_unital(unit) == "unit law fails at basis element 0"
+
+
+# -- the associativity certificate on generators -------------------------
+
+GF101 = Field(101)
+
+
+def _unperturbed(field):
+    M2 = alg.matrix_algebra(field, 2)
+    return (M2, alg.upper_triangular_algebra(field, 3), alg.quaternion_algebra(field, -1, -1),
+            alg.direct_product(M2, alg.field_algebra(field)))
+
+
+UNPERTURBED = {field: _unperturbed(field) for field in (QQ, GF101)}
+
+
+def perturbed(A, entries, unit_moves=()):
+    """A on its own basis with delta added to table[i][j][k] for each (i, j, k, delta)
+    in ``entries`` and to unit[k] for each (k, delta) in ``unit_moves``, unchecked."""
+    field = A.field
+    table = [[list(cell) for cell in row] for row in A.table]
+    for i, j, k, delta in entries:
+        table[i][j][k] = field.add(table[i][j][k], field.coerce(delta))
+    unit = list(A.unit)
+    for k, delta in unit_moves:
+        unit[k] = field.add(unit[k], field.coerce(delta))
+    return alg.Algebra._trusted(field, A.basis_names, table, unit)
+
+
+@st.composite
+def perturbed_algebras(draw):
+    """M2, UT3, the quaternions (-1, -1) or M2 x F over QQ or GF(101), with one or
+    two table entries and sometimes one unit coordinate moved by -2..2."""
+    A = draw(st.sampled_from(UNPERTURBED[draw(st.sampled_from((QQ, GF101)))]))
+    index, delta = st.integers(0, A.dim - 1), st.integers(-2, 2)
+    entries = draw(st.lists(st.tuples(index, index, index, delta), min_size=1, max_size=2))
+    unit_moves = draw(st.lists(st.tuples(index, delta), max_size=1))
+    return perturbed(A, entries, unit_moves)
+
+
+def every_basis_tuple(X):
+    """The oracle: the first basis element breaking the unit law (or None), and
+    every basis triple breaking associativity, all computed with X.mul."""
+    e = [X.basis_vector(i) for i in range(X.dim)]
+    unit = next((i for i in range(X.dim)
+                 if not X.mul(X.unit, e[i]) == e[i] == X.mul(e[i], X.unit)), None)
+    triples = {(i, j, k) for i in range(X.dim) for j in range(X.dim) for k in range(X.dim)
+               if X.mul(X.mul(e[i], e[j]), e[k]) != X.mul(e[i], X.mul(e[j], e[k]))}
+    return unit, triples
+
+
+@given(perturbed_algebras())
+@example(perturbed(UNPERTURBED[QQ][1], [(1, 4, 2, 1)]))    # e12 e23 = 2 e13 is still UT3
+@settings(max_examples=150, deadline=None)
+def test_associative_unital_agrees_with_every_basis_triple(X):
+    unit, triples = every_basis_tuple(X)
+    msg = verify.associative_unital(X)
+    assert (msg is None) == (unit is None and not triples)
+    if unit is not None:
+        assert msg == f"unit law fails at basis element {unit}"
+    elif triples:
+        named = re.fullmatch(r"associativity fails at basis triple \((\d+), (\d+), (\d+)\)", msg)
+        triple = tuple(map(int, named.groups()))
+        assert triple in triples and triple[0] in X.generators
+
+
+@pytest.mark.parametrize("outcome", ["passes", "unit law", "associativity"])
+def test_perturbed_algebras_reach_every_outcome(outcome):
+    find(perturbed_algebras(),
+         lambda X: (verify.associative_unital(X) or "passes").split(" fails")[0] == outcome,
+         settings=settings(max_examples=500, database=None))
+
+
+def test_associative_unital_reports_the_unit_law_first():
+    bad = perturbed(M2, [(0, 1, 1, 1)])  # e11 e12 = 2 e12
+    # (e11 e11) e12 = 2 e12 but e11 (e11 e12) = 4 e12, and 1 e12 = 2 e12
+    unit, triples = every_basis_tuple(bad)
+    assert unit == 1 and (0, 0, 1) in triples
+    assert verify.associative_unital(bad) == "unit law fails at basis element 1"
 
 
 def test_algebra_map_checkers():
@@ -179,6 +260,15 @@ def test_balanced():
     tensor[1][2][0] += 1                 # b(e12, e21) = e11 instead of 0
     bad = SimpleNamespace(module=REG, values=K, tensor=tensor)
     assert verify.balanced(bad) == "left balance law fails at basis triple (0, 1, 2)"
+
+
+def test_balanced_proves_on_every_generator_and_names_the_first_basis_triple():
+    tensor = form_tensor()
+    tensor[0][0][3] += 1                 # b(e11, e11) = e11 + e22 instead of e11
+    bad = SimpleNamespace(module=REG, values=K, tensor=tensor)
+    # the laws still hold at the generator e12 but not at e21, nor at e11 and e22
+    assert M2.generators == (1, 2)
+    assert verify.balanced(bad) == "left balance law fails at basis triple (0, 0, 0)"
 
 
 def test_anti_structure():
