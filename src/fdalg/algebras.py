@@ -52,11 +52,10 @@ class Algebra(verify.Verified):
     """Associative unital algebra given by structure constants.
 
     ``Algebra(...)`` is where structure constants enter: it coerces them,
-    checks the shapes and the unit law, then associativity on the basis
-    triples that start at a generator, which proves it on all of them.
-    Algebras derived from verified ones are built by ``Algebra._trusted``
-    (no coercion, no checks) and inherit those laws; each derived
-    construction checks only what its derivation leaves open.
+    checks the shapes, the unit law and associativity (on the basis triples
+    that start at a generator).  Algebras derived from verified ones are
+    built by ``Algebra._trusted`` (no coercion, no checks) and inherit those
+    laws; each derived construction checks only what its derivation leaves open.
     """
 
     def __init__(self, field: Field, basis_names: Sequence[str], table, unit):
@@ -138,9 +137,10 @@ class Algebra(verify.Verified):
         element is kept when it lies outside the span of the words in 1 and
         those kept so far.  That span is kept closed under right
         multiplication by the kept elements, and the loop stops when it is
-        all of A, so the set certifies itself, with no use of associativity:
-        the unit law puts each kept e_g = 1 e_g in the span.  On matrix-unit
-        bases this keeps idempotents and arrows: 2n - 2 for M_n and UT_n."""
+        all of A, so the set certifies itself by the unit law alone: each
+        kept e_g = 1 e_g is in the span.  On matrix-unit bases this keeps
+        idempotents and arrows: 2n - 2 elements for M_n and UT_n.
+        """
         d = self.dim
         hits = [0] * d
         for j, block in enumerate(self._sparse):

@@ -246,9 +246,8 @@ def swaps_actions(K, T: Matrix) -> Optional[str]:
 
 
 def balanced(b) -> Optional[str]:
-    """b(m_i e_t, m_j) = b(m_i, m_j) .0 e_t and b(m_i, m_j e_t) = b(m_i, m_j) .1 e_t.
-    As M and K are modules, the a where a law holds form a subalgebra holding 1, so
-    both are proved on the generators; a failure is named at the first basis triple."""
+    """b(m_i e_t, m_j) = b(m_i, m_j) .0 e_t and b(m_i, m_j e_t) = b(m_i, m_j) .1 e_t, proved on
+    t in A.generators: as M and K are modules, the a where a law holds form a subalgebra."""
     M, K, tensor = b.module, b.values, b.tensor
     field, d = M.algebra.field, M.dim
     columns = [[tensor[s][j] for s in range(d)] for j in range(d)]
@@ -261,8 +260,9 @@ def balanced(b) -> Optional[str]:
                 if vcombine(field, K.dim, rho.rows[j], tensor[i]) != m1.act_row(tensor[i][j]):
                     return f"right balance law fails at basis triple ({t}, {i}, {j})"
         return None
-    failing = any(map(fails, M.algebra.generators))
-    return next(filter(None, map(fails, range(M.algebra.dim)))) if failing else None
+    if any(map(fails, M.algebra.generators)):
+        return next(filter(None, map(fails, range(M.algebra.dim))))
+    return None
 
 
 def anti_structure(A, gamma, v: Sequence) -> Optional[str]:
