@@ -62,14 +62,12 @@ class Algebra(verify.Verified):
         dim = len(basis_names)
         if dim == 0:
             raise DimensionError("algebras must have positive dimension")
-        table = tuple(
-            tuple(tuple(field.coerce(x) for x in row) for row in block) for block in table
-        )
+        table = tuple(tuple(map(field.coerce_row, block)) for block in table)
         if len(table) != dim or any(
             len(block) != dim or any(len(row) != dim for row in block) for block in table
         ):
             raise DimensionError("structure constant table must be dim x dim x dim")
-        unit = tuple(field.coerce(x) for x in unit)
+        unit = field.coerce_row(unit)
         if len(unit) != dim:
             raise DimensionError("unit vector has wrong length")
         self._store(field, basis_names, table, unit)
@@ -94,7 +92,7 @@ class Algebra(verify.Verified):
         return unit_vector(self.field, self.dim, i)
 
     def coerce_element(self, seq) -> tuple:
-        v = tuple(self.field.coerce(x) for x in seq)
+        v = self.field.coerce_row(seq)
         if len(v) != self.dim:
             raise DimensionError("element vector has wrong length")
         return v

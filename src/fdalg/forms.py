@@ -132,9 +132,7 @@ class BilinearForm:
         self.module = module
         self.values = values
         field = module.algebra.field
-        self.tensor = tuple(
-            tuple(tuple(field.coerce(x) for x in cell) for cell in row) for row in tensor
-        )
+        self.tensor = tuple(tuple(map(field.coerce_row, row)) for row in tensor)
         if module.algebra != values.algebra:
             raise DimensionError("form module and values over different algebras")
         d = module.dim

@@ -105,6 +105,14 @@ class Field:
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
         return operator.index(x) % self.p
 
+    def coerce_row(self, row) -> tuple:
+        """``tuple(map(self.coerce, row))``; a row of plain ints (no bool)
+        takes one pass, as it is over Q and reduced mod p over GF(p)."""
+        row = tuple(row)
+        if set(map(type, row)) <= {int}:
+            return row if self.p is None else tuple([x % self.p for x in row])
+        return tuple(map(self.coerce, row))
+
     def add(self, a, b):
         return a + b if self.p is None else (a + b) % self.p
 
@@ -165,21 +173,21 @@ def vadd(field: Field, u: Sequence, v: Sequence) -> tuple:
     if field.p is None:
         return tuple(a + b for a, b in zip(u, v))
     p = field.p
-    return tuple((a + b) % p for a, b in zip(u, v))
+    return tuple([(a + b) % p for a, b in zip(u, v)])
 
 
 def vsub(field: Field, u: Sequence, v: Sequence) -> tuple:
     if field.p is None:
         return tuple(a - b for a, b in zip(u, v))
     p = field.p
-    return tuple((a - b) % p for a, b in zip(u, v))
+    return tuple([(a - b) % p for a, b in zip(u, v)])
 
 
 def vscale(field: Field, c, v: Sequence) -> tuple:
     if field.p is None:
         return tuple(c * a for a in v)
     p = field.p
-    return tuple(c * a % p for a in v)
+    return tuple([c * a % p for a in v])
 
 
 def vec_is_zero(v: Sequence) -> bool:
@@ -194,19 +202,30 @@ def unit_vector(field: Field, n: int, i: int) -> tuple:
 
 
 def vcombine(field: Field, n: int, coeffs: Sequence, vectors: Sequence[Sequence]) -> tuple:
-    """sum_i coeffs[i] * vectors[i] in F^n; zero coefficients are skipped."""
-    acc = [field.zero] * n
+    """sum_i coeffs[i] * vectors[i] in F^n, the one kernel for a linear
+    combination of rows (matrix products and ``act_row`` included).
+
+    Zero coefficients are skipped and the first nonzero term starts the
+    sum, so a lone coefficient 1 returns its vector, as a tuple, with no
+    arithmetic.  Over GF(p) the sum is reduced once, at the end.
+    """
+    acc = None
     for c, v in zip(coeffs, vectors):
         if c == 0:
             continue
-        if c == 1:
+        if acc is None:
+            acc = v if c == 1 else [c * b for b in v]
+        elif c == 1:
             acc = [a + b for a, b in zip(acc, v)]
         else:
             acc = [a + c * b for a, b in zip(acc, v)]
-    if field.p is None:
-        return tuple(acc)
+    if acc is None:
+        return (field.zero,) * n
     p = field.p
-    return tuple(a % p for a in acc)
+    # every sum is a list, so a tuple here is the lone term's own vector
+    if p is None or type(acc) is tuple:
+        return tuple(acc)
+    return tuple([a % p for a in acc])
 
 
 class Matrix:
@@ -215,7 +234,7 @@ class Matrix:
     __slots__ = ("field", "nrows", "ncols", "rows")
 
     def __init__(self, field: Field, rows: Iterable[Iterable], ncols: Optional[int] = None):
-        rows = tuple(tuple(field.coerce(x) for x in row) for row in rows)
+        rows = tuple(map(field.coerce_row, rows))
         self.field = field
         self.nrows = len(rows)
         if rows:
@@ -303,8 +322,8 @@ class Matrix:
             raise DimensionError(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        return Matrix._trusted(self.field, tuple(other.act_row(row) for row in self.rows),
-                               other.ncols)
+        f, n, rows = self.field, other.ncols, other.rows
+        return Matrix._trusted(f, tuple([vcombine(f, n, r, rows) for r in self.rows]), n)
 
     def transpose(self) -> "Matrix":
         return Matrix._trusted(self.field, tuple(zip(*self.rows)), self.nrows)
@@ -313,23 +332,7 @@ class Matrix:
         """Row vector times matrix: v @ self."""
         if len(v) != self.nrows:
             raise DimensionError("vector length mismatch")
-        p = self.field.p
-        acc = [self.field.zero] * self.ncols
-        for i, c in enumerate(v):
-            if c == 0:
-                continue
-            row = self.rows[i]
-            if c == 1:
-                for j, x in enumerate(row):
-                    if x != 0:
-                        acc[j] = acc[j] + x
-            else:
-                for j, x in enumerate(row):
-                    if x != 0:
-                        acc[j] = acc[j] + c * x
-        if p is None:
-            return tuple(acc)
-        return tuple(a % p for a in acc)
+        return vcombine(self.field, self.ncols, v, self.rows)
 
     @property
     def is_square(self) -> bool:
@@ -491,7 +494,7 @@ def kronecker(A: Matrix, B: Matrix) -> Matrix:
             if p is None:
                 rows.append(tuple(a * b for a in ra for b in rb))
             else:
-                rows.append(tuple(a * b % p for a in ra for b in rb))
+                rows.append(tuple([a * b % p for a in ra for b in rb]))
     return Matrix._trusted(f, tuple(rows), A.ncols * B.ncols)
 
 
@@ -573,7 +576,7 @@ class RowSpace:
             r = tuple(map(_normal, r))
         else:
             inv = pow(x, -1, p)
-            r = tuple(inv * a % p for a in r)
+            r = tuple([inv * a % p for a in r])
         # keep existing rows reduced against the new one
         for i, row in enumerate(self.rows):
             fct = row[c]
@@ -581,7 +584,7 @@ class RowSpace:
                 if p is None:
                     self.rows[i] = tuple(_normal(a - fct * b) for a, b in zip(row, r))
                 else:
-                    self.rows[i] = tuple((a - fct * b) % p for a, b in zip(row, r))
+                    self.rows[i] = tuple([(a - fct * b) % p for a, b in zip(row, r)])
         pos = bisect.bisect(self.pivots, c)
         self.rows.insert(pos, r)
         self.pivots.insert(pos, c)

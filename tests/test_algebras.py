@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -393,6 +394,24 @@ def _split_algebras(field):
     if field.p == 5:
         return small
     return small + [alg.upper_triangular_algebra(field, 3), alg.direct_product(M2, UT2)]
+
+
+def test_algebra_input_coercion_stays_strict():
+    # F x F in the basis c1 = 2 e1, c2 = e2 / 2: c1 c1 = 2 c1, c2 c2 = c2 / 2,
+    # 1 = c1 / 2 + 2 c2; strings and Fractions sit among plain ints
+    for field in (QQ, F5):
+        half = field.coerce(Fraction(1, 2))
+        A = alg.Algebra(field, ["c1", "c2"], [[[2, 0], [0, 0]], [[0, 0], [0, "1/2"]]],
+                        [Fraction(1, 2), 2])
+        assert A.table == (((2, 0), (0, 0)), ((0, 0), (0, half))) and A.unit == (half, 2)
+        assert_field_elements(field, [*itertools.chain.from_iterable(A.table[1]), *A.unit])
+        for bad in (True, False, 1.0, 0.0):
+            table = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+            table[1][1][0] = bad
+            with pytest.raises(TypeError):
+                alg.Algebra(field, ["e1", "e2"], table, [1, 1])
+            with pytest.raises(TypeError):
+                alg.Algebra(field, ["e1", "e2"], [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, bad])
 
 
 @given(st.sampled_from((QQ, F5, Field(2 ** 61 - 1))), st.data())

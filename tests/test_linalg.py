@@ -1,5 +1,6 @@
 """Exact linear algebra: worked examples and law checks."""
 
+import functools
 import itertools
 import math
 import random
@@ -360,9 +361,17 @@ def test_matrix_coerces_at_the_boundary():
     assert A.rows == ((Fraction(1, 2), 3),)
     assert_field_elements(QQ, vec(A))
     assert Matrix(F5, [[7, -1]]).rows == ((2, 4),)
+    # plain int rows take one pass in coerce_row; a bool or float deep in a
+    # row, or a string or Fraction among ints, still goes entry by entry
+    assert QQ.coerce_row([7, -1]) == (7, -1) and F5.coerce_row(iter([5, 6])) == (0, 1)
     for field in (QQ, F5):
-        with pytest.raises(TypeError):
-            Matrix(field, [[1, 0.5]])
+        for bad in (True, False, 1.0, 0.5):
+            with pytest.raises(TypeError):
+                Matrix(field, [[1, 2, 3], [4, 5, bad]])
+        half = field.coerce(Fraction(1, 2))
+        A = Matrix(field, [[1, 2], [3, "1/2"], [Fraction(1, 2), Fraction(4, 2)]])
+        assert A.rows == tuple(tuple(map(field.coerce, r)) for r in ((1, 2), (3, half), (half, 2)))
+        assert_field_elements(field, vec(A))
 
 
 SCALAR_FIELDS = (QQ, F5, Field(2 ** 61 - 1))
@@ -401,3 +410,56 @@ def test_scalars_are_canonical_field_elements(field, n, m, data):
     S = invert(Matrix(field, draw_rows(m, m, raw_scalars)))
     if S is not None:
         check(*S.rows)
+
+
+# -- the row-combination kernel against a textbook triple loop ---------
+
+def _sparse_rows(rng, field, nrows, ncols, density, integral):
+    """nrows x ncols field elements, each nonzero with probability
+    ``density``; half the nonzero ones are 1.  Over Q they are ints when
+    ``integral`` and may be Fractions otherwise."""
+    def entry():
+        if rng.random() >= density:
+            return field.zero
+        if rng.random() < 0.5:
+            return field.one
+        if field.p is not None:
+            return rng.randrange(1, field.p)
+        x = rng.choice((-3, -2, -1, 2, 3))
+        return x if integral else field.coerce(Fraction(x, rng.choice((1, 2, 3))))
+    return [[entry() for _ in range(ncols)] for _ in range(nrows)]
+
+
+def _textbook_product(field, X, Y, ncols):
+    """(X Y)[i][j] = sum_k X[i][k] Y[k][j], one field operation at a time."""
+    return tuple(
+        tuple(functools.reduce(field.add, [field.mul(row[k], Y[k][j]) for k in range(len(Y))],
+                               field.zero)
+              for j in range(ncols))
+        for row in X
+    )
+
+
+@given(st.sampled_from(SCALAR_FIELDS), st.integers(0, 5), st.integers(0, 5), st.integers(0, 5),
+       st.sampled_from((0.0, 0.05, 0.15, 0.3, 1.0)), st.booleans(), st.randoms())
+@settings(max_examples=150, deadline=None)
+def test_row_combination_kernel_matches_the_textbook_product(field, n, k, m, density,
+                                                             integral, rng):
+    X = _sparse_rows(rng, field, n, k, density, integral)
+    Y = _sparse_rows(rng, field, k, m, density, integral)
+    # an all-zero row, and a lone coefficient 1 that picks one row of Y
+    X.append([field.zero] * k)
+    if k:
+        X.append(list(unit_vector(field, k, rng.randrange(k))))
+    want = _textbook_product(field, X, Y, m)
+    B = Matrix(field, Y, ncols=m)
+    product = Matrix(field, X, ncols=k) * B
+    assert (product.nrows, product.ncols) == (len(X), m) and product.rows == want
+    # list-valued vectors come back as tuples all the same
+    got = [B.act_row(row) for row in X] + [vcombine(field, m, row, Y) for row in X]
+    assert all(type(v) is tuple for v in got) and got == list(want) * 2
+    entries = [x for v in [*got, *product.rows] for x in v]
+    if field.p is not None:
+        assert_field_elements(field, entries)
+    elif integral:
+        assert all(type(x) is int for x in entries)
