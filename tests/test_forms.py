@@ -229,6 +229,21 @@ def test_form_from_anti_automorphism_on_regular():
         assert back.matrix == alpha.matrix
 
 
+def test_form_from_anti_automorphism_refuses_maps_that_are_not_module_maps():
+    # the End maps of the regular module conjugated by T: still a right action
+    # of the opposite algebra, but no longer A-linear, so the balancing
+    # relations they give are not stable under the action of A
+    A = alg.matrix_algebra(F5, 2)
+    M = mod.regular_module(A)
+    b = random_regular_form(M, forms.standard_double_module(A, transpose_map(A, 2)), seed=1)
+    alpha, end = forms.corresponding_anti_automorphism(b)
+    T = Matrix(F5, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 2, 1]])
+    bad = forms.EndData._trusted(end.algebra, [invert(T) * w * T for w in end.maps], M)
+    assert any(w * rho != rho * w for w in bad.maps for rho in M.action)
+    with pytest.raises(VerificationError, match="^action0 does not preserve the relations$"):
+        forms.form_from_anti_automorphism(M, alpha, bad)
+
+
 def test_theta_alpha_square_identity():
     M2 = alg.matrix_algebra(QQ, 2)
     tr = transpose_map(M2, 2)

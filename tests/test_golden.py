@@ -11,7 +11,10 @@ was written when those roots were found by evaluating at every field
 element.  ``reduce-standard-transpose-q`` runs the transpose on M_3 of
 Q[s]/(s^2 - 3), and ``hyperbolic-simple-module-q`` takes the
 2-dimensional simple module of M_2(Q) as P instead of the regular
-module.  ``poset-check`` runs the 3-chain and ``poset-check-scharlau``
+module.  ``reduce-standard-m3-n2-gfp`` (M_3, n = 2) and
+``transfer-ut3-n3-gfp`` (UT_3, n = 3), both over GF(10007), take the
+gamma-transpose of the transpose and of the flip: their tensor squares
+and balancing quotients are larger than those of the small cases.  ``poset-check`` runs the 3-chain and ``poset-check-scharlau``
 the Scharlau covers (exit 2); ``steinitz-unsolvable`` is the Z/48 twist
 of the ``azumaya-no-involution`` demo (exit 2); ``transfer-f2-exhaustive``
 is the transpose on M_2(GF(2)), whose unit search is exhaustive and finds
@@ -58,6 +61,7 @@ CASES = {
     "transfer": ("transfer", cli.EXIT_OK),
     "reduce-standard": ("reduce-standard", cli.EXIT_OK),
     "reduce-standard-transpose-q": ("reduce-standard", cli.EXIT_OK),
+    "reduce-standard-m3-n2-gfp": ("reduce-standard", cli.EXIT_OK),
     "form-correspond": ("form-correspond", cli.EXIT_OK),
     "radical": ("radical", cli.EXIT_OK),
     "incidence": ("incidence", cli.EXIT_OK),
@@ -66,6 +70,7 @@ CASES = {
     "steinitz": ("steinitz", cli.EXIT_OK),
     "steinitz-unsolvable": ("steinitz", cli.EXIT_NEGATIVE),
     "transfer-f2-exhaustive": ("transfer", cli.EXIT_NEGATIVE),
+    "transfer-ut3-n3-gfp": ("transfer", cli.EXIT_OK),
 }
 DEMO_EXITS = {name: cli.EXIT_OK for name in cli.DEMOS}
 DEMO_EXITS.update({"scharlau": cli.EXIT_NEGATIVE, "azumaya-no-involution": cli.EXIT_NEGATIVE})
