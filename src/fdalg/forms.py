@@ -22,6 +22,7 @@ from .linalg import (
     QuotientSpace,
     RowSpace,
     coordinate_rows,
+    kernel_rows,
     mcombine,
     unit_vector,
     unvec,
@@ -367,13 +368,31 @@ class FormFromAntiResult:
     """Output of :func:`form_from_anti_automorphism`."""
 
     def __init__(self, values: DoubleModule, form: BilinearForm,
-                 involution: Optional[DoubleModuleInvolution],
-                 quotient: QuotientSpace, end: EndData):
+                 involution: Optional[DoubleModuleInvolution]):
         self.values = values
         self.form = form
         self.involution = involution
-        self.quotient = quotient
-        self.end = end
+
+
+def _unpreserved(rel: RowSpace, d: int, rhos: Sequence[Matrix], swap: bool) -> Optional[str]:
+    """The first of v -> vec(V rho) (action0), v -> vec(rho^T V) (action1) for rho in
+    ``rhos`` and v -> vec(V^T) (if ``swap``) that does not map rel into itself, V =
+    unvec(v); else None.  T preserves rel iff f o T vanishes on rel for each f that
+    does; read as the d x d matrix Phi, f o T is Phi rho^T, rho Phi or Phi^T."""
+    functionals = kernel_rows(rel.basis_matrix())
+    ann = RowSpace(rel.field, d * d)
+    ann.extend(functionals)
+    phis = [unvec(rel.field, f, d, d) for f in functionals]
+    def keeps(image) -> bool:
+        return all(ann.contains(vec(image(phi))) for phi in phis)
+    for rho in rhos:
+        if not keeps(lambda phi: phi * rho.transpose()):
+            return "action0 does not preserve the relations"
+        if not keeps(lambda phi: rho * phi):
+            return "action1 does not preserve the relations"
+    if swap and not keeps(Matrix.transpose):
+        return "swap does not preserve the relations"
+    return None
 
 
 def form_from_anti_automorphism(M: Module, alpha: AlgebraMap,
@@ -383,9 +402,9 @@ def form_from_anti_automorphism(M: Module, alpha: AlgebraMap,
     Builds the tensor square of M modulo the End-balancing relations
     (alpha(w) m (x) n = m (x) w n), installs the two twisted actions, and
     returns the form b(x,y) = class(y (x) x) together with the swap
-    involution when alpha is an involution.  The round trip through
-    :func:`corresponding_anti_automorphism` is verified before returning.
-    """
+    involution when alpha is an involution.  It proves that the actions and
+    swap preserve the relations, and that b is regular and corresponds to
+    alpha (:func:`verify.corresponds`), so to alpha alone."""
     A = M.algebra
     field = A.field
     if alpha.source != end.algebra or alpha.target != end.algebra:
@@ -406,12 +425,10 @@ def form_from_anti_automorphism(M: Module, alpha: AlgebraMap,
             for j in range(d):
                 # (alpha(w) e_i) (x) e_j  -  e_i (x) (w e_j)
                 row = [field.zero] * dd
-                for s in range(d):
-                    c = wa.rows[i][s]
+                for s, c in enumerate(wa.rows[i]):
                     if c != 0:
                         row[s * d + j] = field.add(row[s * d + j], c)
-                for t in range(d):
-                    c = w.rows[j][t]
+                for t, c in enumerate(w.rows[j]):
                     if c != 0:
                         row[i * d + t] = field.sub(row[i * d + t], c)
                 rel.insert(row)
@@ -425,43 +442,31 @@ def form_from_anti_automorphism(M: Module, alpha: AlgebraMap,
         V = unvec(field, v, d, d)
         return vec(V * rho if side == 0 else rho.transpose() * V)
 
-    def swap(v: Sequence) -> tuple:
-        # y (x) x -> x (x) y
-        return vec(unvec(field, v, d, d).transpose())
-
-    # the actions must preserve the relation space; both are right actions,
-    # so the elements of A whose action does form a subalgebra holding 1
-    for t in A.generators:
-        rho = M.action[t]
-        for r in rel.rows:
-            if not rel.contains(tensor_action(r, rho, 0)):
-                raise VerificationError("action0 does not preserve the relations")
-            if not rel.contains(tensor_action(r, rho, 1)):
-                raise VerificationError("action1 does not preserve the relations")
+    # right actions: the a whose action preserves rel form a subalgebra holding 1
+    involution = alpha.is_involution()
+    verify.require(_unpreserved(rel, d, [M.action[t] for t in A.generators], involution))
     lifts = [quo.lift(unit_vector(field, k_dim, l)) for l in range(k_dim)]
     action0, action1 = (
         [Matrix(field, [quo.project(tensor_action(l, rho, side)) for l in lifts], ncols=k_dim)
          for rho in M.action]
         for side in (0, 1))
     K = DoubleModule(A, k_dim, action0, action1)
-    tensor = []
-    for i in range(d):
-        # b(x,y) = y (x) x
-        tensor.append([quo.project(unit_vector(field, dd, j * d + i)) for j in range(d)])
-    b = BilinearForm(M, K, tensor)
+    # b(x,y) = y (x) x
+    b = BilinearForm(M, K, [[quo.project(unit_vector(field, dd, j * d + i)) for j in range(d)]
+                            for i in range(d)])
     theta = None
-    if alpha.is_involution():
-        rows = [quo.project(swap(l)) for l in lifts]
-        for r in rel.rows:
-            if not rel.contains(swap(r)):
-                raise VerificationError("swap does not preserve the relations")
+    if involution:
+        # y (x) x -> x (x) y
+        rows = [quo.project(vec(unvec(field, l, d, d).transpose())) for l in lifts]
         theta = DoubleModuleInvolution(K, Matrix(field, rows, ncols=k_dim))
         if not b.is_symmetric_under(theta):
             raise VerificationError("constructed form is not theta-symmetric")
-    back, _ = corresponding_anti_automorphism(b, end)
-    if back.matrix != alpha.matrix:
+    adj = adjoints(b)
+    if not (adj.left_regular and adj.right_regular):
+        raise VerificationError("form is not regular; no corresponding map")
+    if verify.corresponds(b, alpha, end) is not None:
         raise VerificationError("round trip does not recover the anti-automorphism")
-    return FormFromAntiResult(K, b, theta, quo, end)
+    return FormFromAntiResult(K, b, theta)
 
 
 # -- progenerator checks ------------------------------------------------

@@ -10,7 +10,7 @@ vectors, one per algebra basis element.
 from typing import Optional, Sequence
 
 from .errors import VerificationError
-from .linalg import Matrix, RowSpace, mcombine, vcombine, vec_is_zero
+from .linalg import Matrix, RowSpace, mcombine, vcombine, vec, vec_is_zero
 
 
 class Verified:
@@ -262,6 +262,21 @@ def balanced(b) -> Optional[str]:
         return None
     if any(map(fails, M.algebra.generators)):
         return next(filter(None, map(fails, range(M.algebra.dim))))
+    return None
+
+
+def corresponds(b, alpha, end) -> Optional[str]:
+    """b(w x, y) = b(x, alpha(w) y) for generators w of End(M) (``end``), x, y in a basis:
+    the w where it holds form a subalgebra holding 1, as alpha is an anti-automorphism.
+    Row i of w F is b(w e_i, -), vec(alpha(w) B_i) is b(e_i, alpha(w) -) for the d x k
+    B_i = b(e_i, -), and row s of F is vec(B_s)."""
+    field, k = b.module.algebra.field, b.values.dim
+    B = [Matrix._trusted(field, row, k) for row in b.tensor]
+    F = Matrix._trusted(field, tuple(vec(Bs) for Bs in B), len(B) * k)
+    for u in end.algebra.generators:
+        wa = end.matrix_of(alpha.apply(end.algebra.basis_vector(u)))
+        if (end.maps[u] * F).rows != tuple(vec(wa * Bi) for Bi in B):
+            return f"b(w x, y) = b(x, alpha(w) y) fails at End generator {u}"
     return None
 
 
