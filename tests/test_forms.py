@@ -1,12 +1,14 @@
 """Double modules, bilinear forms, adjoints, the correspondence."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import find, given, settings, strategies as st
 
-from fdalg import algebras as alg, forms, modules as mod
+from fdalg import algebras as alg, forms, modules as mod, verify
 from fdalg.errors import DimensionError, VerificationError
-from fdalg.linalg import Field, Matrix, QQ, invert
+from fdalg.linalg import Field, Matrix, QQ, RowSpace, invert, unvec, vec
 
 from helpers import (
     assert_field_elements,
@@ -433,3 +435,202 @@ def test_coordinate_matrices_are_canonical_over_q():
     mats = [*sub.action, *dual0.module.action, *dual1.module.action,
             forms.dual_morphism(f, dual1, dual1), phi, adj.left, adj.right]
     assert_field_elements(QQ, [x for m in mats for row in m.rows for x in row])
+
+
+# -- the certificates of form_from_anti_automorphism ---------------------
+
+FIELDS = (QQ, F5, Field(2 ** 61 - 1))
+
+
+def _balancing_relations(M, alpha, end):
+    """alpha(w) e_i (x) e_j - e_i (x) w e_j for every basis element w of End(M),
+    written entry by entry: at (s, t) it is alpha(w)[i, s] [t = j] - [s = i] w[j, t]."""
+    field, d = M.algebra.field, M.dim
+    rel = RowSpace(field, d * d)
+    for u, w in enumerate(end.maps):
+        wa = end.matrix_of(alpha.apply(end.algebra.basis_vector(u)))
+        for i in range(d):
+            for j in range(d):
+                rel.insert([field.coerce(wa[i, s] * (t == j) - (s == i) * w[j, t])
+                            for s in range(d) for t in range(d)])
+    return rel
+
+
+def _symmetric_form(A, gamma):
+    """b(x, y) = gamma(x) y on the regular module, valued in the standard double
+    module of gamma; when gamma is an involution so is its corresponding map."""
+    K = forms.standard_double_module(A, gamma)
+    return forms.BilinearForm(mod.regular_module(A), K, [
+        [A.mul(gamma.apply(A.basis_vector(i)), A.basis_vector(j)) for j in range(A.dim)]
+        for i in range(A.dim)])
+
+
+def _m2_and_ut3(field):
+    M2, UT3 = alg.matrix_algebra(field, 2), alg.upper_triangular_algebra(field, 3)
+    return [(M2, transpose_map(M2, 2)), (UT3, ut_flip_map(UT3, 3))]
+
+
+@functools.lru_cache(maxsize=None)
+def _real_relations(field):
+    """(d, rel, action) for the regular modules of M_2 and UT_3: rel is stable under
+    the action of A, and under the swap exactly when alpha is an involution."""
+    out = []
+    for A, gamma in _m2_and_ut3(field):
+        M = mod.regular_module(A)
+        for b in (_symmetric_form(A, gamma),
+                  random_regular_form(M, forms.standard_double_module(A, gamma), seed=1)):
+            alpha, end = forms.corresponding_anti_automorphism(b)
+            out.append((M.dim, _balancing_relations(M, alpha, end), M.action))
+    return out
+
+
+@st.composite
+def _relation_cases(draw):
+    """(d, R, rho): a subspace R of F^(d x d), written as vec(V), and a d x d rho.
+    Besides random rows, R is all V whose columns, rows or both lie in U = span(e_0,
+    ..., e_{m-1}) P, perhaps plus a stray row, or the balancing relations of a real
+    End; U rho lies in U when rho = P^-1 R0 P with R0 block triangular."""
+    field = draw(st.sampled_from(FIELDS))
+    entry = st.integers(-2, 2)
+    kind = draw(st.sampled_from(("random", "columns", "rows", "both", "relations")))
+    if kind == "relations":
+        d, rel, action = draw(st.sampled_from(_real_relations(field)))
+        if draw(st.booleans()):
+            return d, rel, draw(st.sampled_from(action))
+        return d, rel, Matrix(field, draw(st.lists(st.lists(entry, min_size=d, max_size=d),
+                                                   min_size=d, max_size=d)))
+    d = draw(st.integers(1, 4))
+    square = st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
+    R = RowSpace(field, d * d)
+    if kind == "random":
+        R.extend(draw(st.lists(st.lists(entry, min_size=d * d, max_size=d * d), max_size=d * d)))
+        return d, R, Matrix(field, draw(square))
+    m = draw(st.integers(0, d))
+    stable = draw(st.booleans())
+    R0 = Matrix(field, [[x if i >= m or j < m or not stable else 0 for j, x in enumerate(row)]
+                        for i, row in enumerate(draw(square))])
+    P = Matrix(field, draw(square))
+    Pinv = invert(P)
+    if Pinv is None:
+        P = Pinv = Matrix.identity(field, d)
+    U = P.rows[:m]
+    if kind in ("columns", "both"):
+        R.extend([u[s] * (t == c) for s in range(d) for t in range(d)] for u in U for c in range(d))
+    if kind in ("rows", "both"):
+        R.extend([(s == r) * u[t] for s in range(d) for t in range(d)] for u in U for r in range(d))
+    R.extend(draw(st.lists(st.lists(entry, min_size=d * d, max_size=d * d), max_size=1)))
+    return d, R, Pinv * R0 * P
+
+
+def _tensor_maps(rho):
+    # v -> vec(V rho), vec(rho^T V) and vec(V^T) on V = unvec(v)
+    return {"action0": lambda V: V * rho, "action1": lambda V: rho.transpose() * V,
+            "swap": Matrix.transpose}
+
+
+def _keeps_every_row(d, R, image):
+    return all(R.contains(vec(image(unvec(R.field, r, d, d)))) for r in R.rows)
+
+
+def _first_failure(d, R, rho, names):
+    maps = _tensor_maps(rho)
+    return next((f"{n} does not preserve the relations" for n in names
+                 if not _keeps_every_row(d, R, maps[n])), None)
+
+
+@given(_relation_cases())
+@settings(max_examples=200, deadline=None)
+def test_annihilator_criterion_matches_the_row_by_row_check(case):
+    # T maps R into itself iff every echelon row r of R has T(r) in R
+    d, R, rho = case
+    assert forms._unpreserved(R, d, [rho], False) == _first_failure(d, R, rho, ("action0", "action1"))
+    assert forms._unpreserved(R, d, [], True) == _first_failure(d, R, rho, ("swap",))
+    assert forms._unpreserved(R, d, [rho, rho], True) == \
+        _first_failure(d, R, rho, ("action0", "action1", "swap"))
+    assert forms._unpreserved(R, d, [], False) is None
+
+
+@pytest.mark.parametrize("name", ["action0", "action1", "swap"])
+@pytest.mark.parametrize("kept", [True, False], ids=["kept", "broken"])
+def test_relation_cases_reach_both_outcomes(name, kept):
+    # a broken action1 is sought where action0 is kept, so each check is needed alone
+    def reaches(case):
+        d, R, rho = case
+        maps = _tensor_maps(rho)
+        if name == "action1" and not _keeps_every_row(d, R, maps["action0"]):
+            return False
+        return _keeps_every_row(d, R, maps[name]) == kept and R.dim not in (0, d * d)
+    find(_relation_cases(), reaches, settings=settings(max_examples=2000, database=None))
+
+
+def test_real_relations_are_stable_under_the_algebra():
+    for field in FIELDS:
+        for d, rel, action in _real_relations(field):
+            assert 0 < rel.dim < d * d
+            assert forms._unpreserved(rel, d, action, False) is None
+
+
+def _conjugate(alpha, end, c):
+    """w -> c alpha(w) c^-1: an anti-automorphism of End(M) other than alpha
+    unless c is central."""
+    W = end.algebra
+    c_inv = end.coords_of(invert(end.matrix_of(c)))
+    return alg.AlgebraMap.from_images(W, W, [
+        W.mul(W.mul(c, alpha.apply(W.basis_vector(i))), c_inv) for i in range(W.dim)],
+        alg.AlgebraMap.ANTI)
+
+
+def _units_fixing_first_generator(alpha, end):
+    """Units c = alpha(e_g) + l 1 of End(M), g its first generator, l = 1, 2, ...;
+    conjugating by c keeps alpha(e_g), so only a later generator tells them apart."""
+    W = end.algebra
+    a0 = alpha.apply(W.basis_vector(W.generators[0]))
+    for lam in range(1, 6):
+        c = tuple(W.field.add(x, W.field.mul(lam, one)) for x, one in zip(a0, W.unit))
+        if invert(end.matrix_of(c)) is not None:
+            yield c
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name", ["M2-transpose", "UT3-flip"])
+def test_corresponds_names_the_first_generator_where_alpha_is_wrong(field, name):
+    A, gamma = _m2_and_ut3(field)[name == "UT3-flip"]
+    M = mod.regular_module(A)
+    b = random_regular_form(M, forms.standard_double_module(A, gamma), seed=2)
+    alpha, end = forms.corresponding_anti_automorphism(b)
+    assert verify.corresponds(b, alpha, end) is None
+    W = end.algebra
+    beta = _conjugate(alpha, end, next(_units_fixing_first_generator(alpha, end)))
+    wrong = [u for u in W.generators
+             if beta.apply(W.basis_vector(u)) != alpha.apply(W.basis_vector(u))]
+    assert wrong and wrong[0] != W.generators[0]
+    assert verify.corresponds(b, beta, end) == \
+        f"b(w x, y) = b(x, alpha(w) y) fails at End generator {wrong[0]}"
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_corresponds_agrees_with_the_round_trip(field):
+    # on the forms of this file and the forms form_from_anti_automorphism builds
+    # from their maps, for the corresponding map and for conjugates of it
+    cases = []
+    for A, gamma in _m2_and_ut3(field) + [(alg.matrix_algebra(field, 2),
+                                          twisted_transpose_map(alg.matrix_algebra(field, 2)))]:
+        M = mod.regular_module(A)
+        K = forms.standard_double_module(A, gamma)
+        cases += [(M, random_regular_form(M, K, seed)) for seed in (0, 1)]
+    FF = alg.field_algebra(field)
+    M = mod.free_module(FF, 3)
+    cases.append((M, forms.BilinearForm(M, _std_K(FF)[0], [[[int(i == j)] for j in range(3)]
+                                                           for i in range(3)])))
+    checked = 0
+    for M, b in cases:
+        alpha, end = forms.corresponding_anti_automorphism(b)
+        built = forms.form_from_anti_automorphism(M, alpha, end).form
+        betas = [alpha] + [_conjugate(alpha, end, c)
+                           for c in _units_fixing_first_generator(alpha, end)]
+        for form in (b, built):
+            back, _ = forms.corresponding_anti_automorphism(form, end)
+            for beta in betas:
+                assert (verify.corresponds(form, beta, end) is None) == (back.matrix == beta.matrix)
+                checked += back.matrix != beta.matrix
+    assert checked > 0
