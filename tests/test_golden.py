@@ -24,7 +24,10 @@ each on the basis given by the rows of a fixed integer matrix with
 entries in [-2, 2] (as ``helpers.in_basis`` builds it), so that the
 central splitting runs on a center with no basis vector among the
 central idempotents; ``idempotents-not-split-q`` is Q x Q(sqrt 2), which
-the central splitting refuses (exit 2).  All runs use seed 0.
+the central splitting refuses (exit 2).  ``form-correspond-ut3-n2-gfp``
+(UT_3 over GF(10007) with the flip) and ``form-correspond-h-n2-q`` ((-1, -1)
+over Q with conjugation) take b(x, y) = sum gamma(x_i) y_i on A^2, and pin
+the anti-automorphism that corresponds to it.  All runs use seed 0.
 
 A change that is meant to alter report bytes must say why, then rewrite
 the reports from the repository root with
@@ -63,6 +66,8 @@ CASES = {
     "reduce-standard-transpose-q": ("reduce-standard", cli.EXIT_OK),
     "reduce-standard-m3-n2-gfp": ("reduce-standard", cli.EXIT_OK),
     "form-correspond": ("form-correspond", cli.EXIT_OK),
+    "form-correspond-ut3-n2-gfp": ("form-correspond", cli.EXIT_OK),
+    "form-correspond-h-n2-q": ("form-correspond", cli.EXIT_OK),
     "radical": ("radical", cli.EXIT_OK),
     "incidence": ("incidence", cli.EXIT_OK),
     "poset-check": ("poset-check", cli.EXIT_OK),
