@@ -506,15 +506,22 @@ def _quotient(A: Algebra, ideal_vectors: Sequence[Sequence]):
 
 # -- center, radical, units -------------------------------------------
 
-def center(A: Algebra) -> CenterData:
-    """Basis of {x : x e_g = e_g x for every generator e_g}: the elements
-    that commute with x form a subalgebra, so this is the center."""
+def twisted_centralizer(A: Algebra, phi) -> list:
+    """Basis of {x : x a = phi(a) x for every a in A} for an automorphism phi of
+    A, given as a map on coordinate vectors: the left kernel of R(e_g) - L(phi(e_g))
+    over the generators.  For each x the a with x a = phi(a) x form a subalgebra
+    holding 1, so the generators suffice, and the basis is the same echelon basis
+    as for the system over every basis element."""
     if not A.generators:
         # A is spanned by 1
-        return CenterData(A, [A.basis_vector(0)])
-    # x is central iff x (R(e_g) - L(e_g)) = 0 for every g
-    return CenterData(A, common_left_kernel([A._right_mults[g] - A._left_mults[g]
-                                             for g in A.generators]))
+        return [A.basis_vector(0)]
+    return common_left_kernel([A._right_mults[g] - A.left_mult_matrix(phi(A.basis_vector(g)))
+                               for g in A.generators])
+
+
+def center(A: Algebra) -> CenterData:
+    """The center of A: its twisted centralizer for phi = id."""
+    return CenterData(A, twisted_centralizer(A, lambda a: a))
 
 
 def jacobson_radical(A: Algebra) -> list:
@@ -656,17 +663,13 @@ def _rational_roots(f: list) -> list:
 
 
 def _divisors(n: int) -> list:
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
+    """Positive divisors of |n| (of 1 when n = 0), sorted, built from the
+    factorisation ``_factor`` finds.  A cofactor it cannot split raises
+    UnsplitQuotientError (exit 3), where trial division up to sqrt(n) ran
+    for hours."""
+    out = [1]
+    for p, e in _factor(abs(n) or 1).items():
+        out = [d * p ** k for d in out for k in range(e + 1)]
     return sorted(out)
 
 
@@ -1024,8 +1027,7 @@ def _factor(n: int) -> dict:
                 break
         else:
             raise UnsplitQuotientError(
-                f"could not factor {n}, so whether a simple factor of dimension 4 "
-                "splits is inconclusive")
+                f"could not factor {n} into primes, so this is inconclusive")
         rest += [d, n // d]
     return out
 
@@ -1196,12 +1198,9 @@ def find_goldman_element(A: Algebra, seed: int = 0, trials: int = 500):
     field = A.field
     T = tensor_product(A, A)
     d = A.dim
-    # swap law as linear conditions on g: g*(r x s) - (s x r)*g = 0
-    swap_space = common_left_kernel([
-        T.right_mult_matrix(T.basis_vector(r * d + s))
-        - T.left_mult_matrix(T.basis_vector(s * d + r))
-        for r in range(d) for s in range(d)
-    ])
+    # swap law g (r x s) = (s x r) g: g centralizes T twisted by the factor swap
+    swap_space = twisted_centralizer(
+        T, lambda v: tuple(v[(i % d) * d + i // d] for i in range(d * d)))
     randoms = random_combinations(field, T.dim, swap_space, random.Random(seed), trials,
                                   (-1, 1, 0, 2, -2))
     for g in itertools.chain(swap_space, randoms):

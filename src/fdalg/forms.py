@@ -22,7 +22,7 @@ from .linalg import (
     QuotientSpace,
     RowSpace,
     coordinate_rows,
-    kernel_rows,
+    invert,
     mcombine,
     unit_vector,
     unvec,
@@ -325,28 +325,21 @@ def corresponding_anti_automorphism(b: BilinearForm,
                                     end: Optional[EndData] = None):
     """The anti-automorphism alpha of End(M) with b(wx,y) = b(x, alpha(w) y).
 
-    Requires b regular (both adjoints invertible).  Returns (alpha, end).
+    Requires b regular (both adjoints invertible).  With the right adjoint
+    R: y -> b(-, y) the law reads R(alpha(w) y) = R(y) o w, so alpha(w) is
+    R^-1 o w^[1] o R for the dual morphism w^[1]: g -> g o w of M^[1].
+    Returns (alpha, end).
     """
     adj = adjoints(b)
     if not (adj.left_regular and adj.right_regular):
         raise VerificationError("form is not regular; no corresponding map")
-    M, K = b.module, b.values
-    field = M.algebra.field
     if end is None:
-        end = EndData.of_module(M)
-    d = M.dim
-    # alpha(w_u) = sum_v x_v w_v where sum_v x_v b(e_i, w_v e_j) = b(w_u e_i, e_j)
-    # for all i, j, listed over (i, j, comp).  Row s of B[i] is b(e_i, e_s), so
-    # b(e_i, w_v e_j) over (j, comp) is vec(w_v B[i]); row s of F is vec(B[s]),
-    # so b(w_u e_i, e_j) over (i, j, comp) is vec(w_u F).
-    B = [Matrix._trusted(field, row, K.dim) for row in b.tensor]
-    system = Coordinates(field, [tuple(x for Bi in B for x in vec(w * Bi)) for w in end.maps],
-                         d * d * K.dim)
-    if not system.independent:
-        raise VerificationError("values module not faithful enough: solution not unique")
-    F = Matrix._trusted(field, tuple(vec(Bs) for Bs in B), d * K.dim)
-    images = coordinate_rows(system.of, (vec(w * F) for w in end.maps),
-                             "values module not faithful enough: no solution")
+        end = EndData.of_module(b.module)
+    # on row vectors mat(alpha(w)) R = R mat(w^[1])
+    R, R_inv = adj.right, invert(adj.right)
+    images = coordinate_rows(
+        end.coords_of, (R * dual_morphism(w, adj.dual1, adj.dual1) * R_inv for w in end.maps),
+        "corresponding map leaves the endomorphism algebra")
     # images[u] = coordinates of alpha(w_u)
     alpha = AlgebraMap.from_images(end.algebra, end.algebra, images, AlgebraMap.ANTI)
     if not alpha.is_bijective():
@@ -379,7 +372,7 @@ def _unpreserved(rel: RowSpace, d: int, rhos: Sequence[Matrix], swap: bool) -> O
     ``rhos`` and v -> vec(V^T) (if ``swap``) that does not map rel into itself, V =
     unvec(v); else None.  T preserves rel iff f o T vanishes on rel for each f that
     does; read as the d x d matrix Phi, f o T is Phi rho^T, rho Phi or Phi^T."""
-    functionals = kernel_rows(rel.basis_matrix())
+    functionals = rel.annihilator()
     ann = RowSpace(rel.field, d * d)
     ann.extend(functionals)
     phis = [unvec(rel.field, f, d, d) for f in functionals]

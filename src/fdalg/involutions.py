@@ -21,6 +21,7 @@ from .algebras import (
     matrix_algebra_over,
     random_combinations,
     restriction_to_center,
+    twisted_centralizer,
 )
 from .errors import (
     DimensionError,
@@ -30,7 +31,6 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
-    common_left_kernel,
     coordinate_rows,
     invert,
     kronecker,
@@ -353,11 +353,7 @@ def find_anti_structure(A: Algebra, gamma: AlgebraMap, seed: int = 0,
     Returns None when no candidate works; the None is certified when the
     linear space is zero (then gamma^2 is not inner and no v can exist).
     """
-    gamma2 = gamma.compose(gamma)
-    space = common_left_kernel([
-        A.left_mult_matrix(gamma2.apply(r)) - A.right_mult_matrix(r)
-        for r in map(A.basis_vector, range(A.dim))
-    ])
+    space = twisted_centralizer(A, gamma.compose(gamma).apply)
     if not space:
         return None
     randoms = random_combinations(A.field, A.dim, space, random.Random(seed), trials,

@@ -423,23 +423,11 @@ def solve_columns(A: Matrix, B: Matrix) -> Optional[Matrix]:
 
 
 def kernel_rows(A: Matrix) -> list:
-    """Basis of {v : A v = 0} as row tuples (length = A.ncols),
-    echelon-normalized for reproducibility."""
-    field = A.field
-    m = A.ncols
-    space = RowSpace(field, m)
+    """Basis of {v : A v = 0} as row tuples (length = A.ncols): the
+    :meth:`RowSpace.annihilator` of the rows of A."""
+    space = RowSpace(A.field, A.ncols)
     space.extend(A.rows)
-    pivot_set = set(space.pivots)
-    basis = []
-    for fcol in range(m):
-        if fcol in pivot_set:
-            continue
-        v = [field.zero] * m
-        v[fcol] = field.one
-        for row, c in zip(space.rows, space.pivots):
-            v[c] = field.neg(row[fcol])
-        basis.append(tuple(v))
-    return basis
+    return space.annihilator()
 
 
 def kernel_basis(A: Matrix) -> list:
@@ -606,6 +594,24 @@ class RowSpace:
 
     def basis_matrix(self) -> Matrix:
         return Matrix._trusted(self.field, tuple(self.rows), self.ncols)
+
+    def annihilator(self) -> list:
+        """Basis of {f : sum_j f_j r_j = 0 for every r in the span}, read off
+        the echelon form: one vector per free column c, with 1 at c and
+        -r[c] at the pivot of each echelon row r.  It depends on the span
+        alone, so it is reproducible byte for byte."""
+        field = self.field
+        pivot_set = set(self.pivots)
+        basis = []
+        for fcol in range(self.ncols):
+            if fcol in pivot_set:
+                continue
+            v = [field.zero] * self.ncols
+            v[fcol] = field.one
+            for row, c in zip(self.rows, self.pivots):
+                v[c] = field.neg(row[fcol])
+            basis.append(tuple(v))
+        return basis
 
 
 class QuotientSpace:

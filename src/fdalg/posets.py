@@ -158,13 +158,6 @@ def poset_isomorphism(P: Poset, Q: Poset) -> Optional[tuple]:
     return isos[0] if isos else None
 
 
-def _perm_power(perm: tuple, k: int) -> tuple:
-    out = tuple(range(len(perm)))
-    for _ in range(k):
-        out = tuple(perm[i] for i in out)
-    return out
-
-
 def perm_order(perm: tuple) -> int:
     n = 1
     cur = perm
@@ -182,8 +175,7 @@ def order_reversing_maps(P: Poset, order: Optional[int] = None) -> list:
     maps = poset_isomorphisms(P, P.opposite())
     if order is None:
         return maps
-    ident = tuple(range(P.size))
-    return [m for m in maps if _perm_power(m, order) == ident]
+    return [m for m in maps if order % perm_order(m) == 0]
 
 
 # Cover list of the 12-element counterexample poset, elements numbered in
