@@ -16,7 +16,7 @@ from fdalg.errors import (
 )
 from fdalg.linalg import Field, Matrix, QQ, RowSpace, common_left_kernel, invert, vadd
 
-from helpers import assert_field_elements, in_basis, transpose_map
+from helpers import assert_field_elements, in_basis, transpose_map, ut_flip_map
 
 F5 = Field(5)
 
@@ -491,6 +491,57 @@ def test_generators_certify_the_algebra(field, data):
     assert alg.center(B).basis == tuple(common_left_kernel(every))
 
 
+def _twisted_every(A, phi):
+    """The twisted centralizer's system over every basis element, not the generators."""
+    return common_left_kernel([A.right_mult_matrix(e) - A.left_mult_matrix(phi(e))
+                               for e in map(A.basis_vector, range(A.dim))])
+
+
+def _with_anti(field, name):
+    if name == "H":
+        H = alg.quaternion_algebra(field)
+        return H, alg.quaternion_conjugation(H)
+    n = int(name[-1])
+    if name.startswith("M"):
+        A = alg.matrix_algebra(field, n)
+        return A, transpose_map(A, n)
+    A = alg.upper_triangular_algebra(field, n)
+    return A, ut_flip_map(A, n)
+
+
+TWIST_FIELDS = (QQ, F5, Field(2 ** 61 - 1))
+
+
+@given(st.sampled_from(TWIST_FIELDS), st.sampled_from(("M2", "M3", "UT3", "H")), st.data())
+@settings(max_examples=40, deadline=None)
+def test_twisted_centralizer_matches_every_basis_element(field, name, data):
+    # phi = id, gamma^2 for the transpose, flip or conjugation gamma, and the
+    # square of gamma twisted by a unit u, x -> u^-1 gamma(x) u, which is
+    # conjugation by u^-1 gamma(u), so not the identity for most u
+    A, gamma = _with_anti(field, name)
+    u = A.coerce_element(data.draw(st.lists(st.integers(-3, 3), min_size=A.dim,
+                                            max_size=A.dim)))
+    u_inv = alg.is_unit(A, u)
+    assume(u_inv is not None)
+    twisted = alg.AlgebraMap.from_images(
+        A, A, [A.mul(u_inv, A.mul(gamma.apply(e), u)) for e in map(A.basis_vector, range(A.dim))],
+        alg.AlgebraMap.ANTI)
+    for phi in (lambda a: a, gamma.compose(gamma).apply, twisted.compose(twisted).apply):
+        assert alg.twisted_centralizer(A, phi) == _twisted_every(A, phi)
+
+
+@pytest.mark.parametrize("field", TWIST_FIELDS, ids=str)
+@pytest.mark.parametrize("name", ["M2", "UT2", "H"])
+def test_twisted_centralizer_of_the_factor_swap(field, name):
+    A = _with_anti(field, name)[0]
+    T, d = alg.tensor_product(A, A), A.dim
+
+    def swap(v):
+        # e_{r d + s} -> e_{s d + r}
+        return tuple(v[(i % d) * d + i // d] for i in range(d * d))
+    assert alg.twisted_centralizer(T, swap) == _twisted_every(T, swap)
+
+
 def test_primitive_idempotents_of_a_split_algebra_in_a_pinned_basis():
     # a basis drawn by test_algebra_scalars_are_canonical: B is M_2 x UT_2,
     # so it is split, but no candidate of the search has a reducible minimal
@@ -516,6 +567,37 @@ def test_factor_multiplies_back_to_primes():
         f = alg._factor(n)
         assert math.prod(p ** e for p, e in f.items()) == n
         assert all(Field(p) for p in f)
+
+
+def _divisors_by_trial_division(n):
+    """The divisors of n >= 0 (of 1 for n = 0), from the factors that trial
+    division up to the square root of the cofactor finds."""
+    divs, d = [1], 2
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n, e = n // d, e + 1
+            divs = [x * d ** k for x in divs for k in range(e + 1)]
+        d += 1
+    if n > 1:
+        divs += [x * n for x in divs]
+    return sorted(divs)
+
+
+def test_divisors_agree_with_trial_division():
+    for n in range(2001):
+        assert alg._divisors(n) == _divisors_by_trial_division(n)
+        assert alg._divisors(n) == ([d for d in range(1, n + 1) if n % d == 0] or [1])
+    assert alg._divisors(-12) == [1, 2, 3, 4, 6, 12]
+    # near 10^15, each with at most one prime factor above 10^6
+    for n in (10 ** 15, 10 ** 15 + 1, 10 ** 15 - 1, 999983 * 1000000007,
+              2 ** 3 * 5 ** 3 * (10 ** 12 + 39)):
+        assert alg._divisors(n) == _divisors_by_trial_division(n)
+    # a prime past the primality bound, which rho cannot split: inconclusive
+    # at once, where trial division up to its square root would run for hours
+    with pytest.raises(UnsplitQuotientError, match="could not factor"):
+        alg._divisors(2 ** 89 - 1)
 
 
 def test_legendre_agrees_with_a_search():

@@ -8,7 +8,7 @@ from hypothesis import find, given, settings, strategies as st
 
 from fdalg import algebras as alg, forms, modules as mod, verify
 from fdalg.errors import DimensionError, VerificationError
-from fdalg.linalg import Field, Matrix, QQ, RowSpace, invert, unvec, vec
+from fdalg.linalg import Coordinates, Field, Matrix, QQ, RowSpace, invert, unvec, vec
 
 from helpers import (
     assert_field_elements,
@@ -440,6 +440,40 @@ def test_coordinate_matrices_are_canonical_over_q():
 # -- the certificates of form_from_anti_automorphism ---------------------
 
 FIELDS = (QQ, F5, Field(2 ** 61 - 1))
+
+
+def _alpha_by_solving_the_law(b, end):
+    """alpha solved from sum_v x_v b(e_i, w_v e_j) = b(w_u e_i, e_j) for all i, j as
+    one linear system: row s of B_i is b(e_i, e_s), so b(e_i, w_v e_j) over (j, comp)
+    is vec(w_v B_i), and row s of F is vec(B_s), so b(w_u e_i, e_j) is vec(w_u F)."""
+    field, d, k = b.module.algebra.field, b.module.dim, b.values.dim
+    B = [Matrix._trusted(field, row, k) for row in b.tensor]
+    system = Coordinates(field, [tuple(x for Bi in B for x in vec(w * Bi)) for w in end.maps],
+                         d * d * k)
+    assert system.independent
+    F = Matrix._trusted(field, tuple(vec(Bs) for Bs in B), d * k)
+    W = end.algebra
+    return alg.AlgebraMap.from_images(W, W, [system.of(vec(w * F)) for w in end.maps],
+                                      alg.AlgebraMap.ANTI)
+
+
+@given(st.sampled_from(FIELDS), st.sampled_from(("M2", "UT3", "H", "M2-twisted")),
+       st.sampled_from((1, 2)), st.integers(0, 10 ** 6))
+@settings(max_examples=20, deadline=None)
+def test_alpha_off_the_right_adjoint_solves_the_law(field, name, rank, seed):
+    if name == "H":
+        A = alg.quaternion_algebra(field)
+        gamma = alg.quaternion_conjugation(A)
+    elif name == "UT3":
+        A = alg.upper_triangular_algebra(field, 3)
+        gamma = ut_flip_map(A, 3)
+    else:
+        A = alg.matrix_algebra(field, 2)
+        gamma = transpose_map(A, 2) if name == "M2" else twisted_transpose_map(A)
+    M = mod.free_module(A, rank)
+    b = random_regular_form(M, forms.standard_double_module(A, gamma), seed)
+    alpha, end = forms.corresponding_anti_automorphism(b)
+    assert alpha == _alpha_by_solving_the_law(b, end)
 
 
 def _balancing_relations(M, alpha, end):

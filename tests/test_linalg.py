@@ -265,8 +265,8 @@ FIELDS = (QQ, F5, Field(2))
 
 
 @st.composite
-def matrices(draw, nrows=st.integers(0, 5), ncols=st.integers(1, 5)):
-    field = draw(st.sampled_from(FIELDS))
+def matrices(draw, nrows=st.integers(0, 5), ncols=st.integers(1, 5), fields=FIELDS):
+    field = draw(st.sampled_from(fields))
     n, m = draw(nrows), draw(ncols)
     entries = st.integers(-3, 3)
     rows = draw(st.lists(st.lists(entries, min_size=m, max_size=m), min_size=n, max_size=n))
@@ -379,6 +379,27 @@ fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 # what the boundary accepts: ints, Fractions (some of them integral) and
 # their strings
 raw_scalars = st.one_of(st.integers(-7, 7), fractions, fractions.map(str))
+
+
+@given(matrices(fields=SCALAR_FIELDS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_rows_depend_on_the_row_space_alone(A, data):
+    # rows that are combinations of the others keep the span, and so the kernel
+    field = A.field
+    coeffs = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=A.nrows,
+                                         max_size=A.nrows), max_size=3))
+    extra = [vcombine(field, A.ncols, list(map(field.coerce, c)), A.rows) for c in coeffs]
+    assert kernel_rows(Matrix._trusted(field, A.rows + tuple(extra), A.ncols)) == kernel_rows(A)
+
+
+@given(matrices(fields=SCALAR_FIELDS))
+@settings(max_examples=60, deadline=None)
+def test_annihilator_is_the_kernel_of_the_echelon_basis(A):
+    space = _rowspace(A.field, A.ncols, A.rows)
+    ann = space.annihilator()
+    assert ann == kernel_rows(space.basis_matrix())
+    assert len(ann) == A.ncols - space.dim
+    assert all((A * Matrix.column(A.field, f)).is_zero() for f in ann)
 
 
 @given(st.sampled_from(SCALAR_FIELDS), st.integers(1, 4), st.integers(1, 4), st.data())
