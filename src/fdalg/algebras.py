@@ -650,15 +650,15 @@ def _rational_roots(f: list) -> list:
         roots.add(Fraction(0))
     if not ints:
         return sorted(roots)
-    a0, an = abs(ints[0]), abs(ints[-1])
-    for p in _divisors(a0):
-        for q in _divisors(an):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                acc = Fraction(0)
-                for c in reversed(f):
-                    acc = acc * cand + c
+    for p in _divisors(ints[0]):
+        for q in _divisors(ints[-1]):
+            for s in (p, -p) if math.gcd(p, q) == 1 else ():
+                # sum_i ints[i] s^i q^(n-i), n = len(ints) - 1, is 0 iff s/q is a root
+                acc, qk = 0, 1
+                for c in reversed(ints):
+                    acc, qk = acc * s + c * qk, qk * q
                 if acc == 0:
-                    roots.add(cand)
+                    roots.add(Fraction(s, q))
     return sorted(roots)
 
 

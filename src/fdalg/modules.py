@@ -23,7 +23,6 @@ from .linalg import (
     coordinate_rows,
     invert,
     kernel_rows,
-    kronecker,
     mcombine,
     unit_vector,
     unvec,
@@ -155,35 +154,51 @@ class HomSpace:
 
 
 def hom_space(M: Module, N: Module) -> HomSpace:
-    """Solution space of the intertwining equations rho_M(a) F = F rho_N(a)."""
+    """Basis of Hom_A(M, N), solved for the images of generators of M
+    (Lux and Szoke, Exp. Math. 12, 2003).
+
+    Spinning the unit vectors of M in index order under ``A.generators``,
+    each closed before the next, gives a basis b_j of M: a new module
+    generator, or a word b_j' rho_M(g).  F is fixed by the images
+    x = (y_1, ..., y_K) of the K generators: F(b_j) = x Y_j, where Y_j
+    selects y_k or is Y_j' rho_N(g), so F intertwines g on the edges of
+    this spanning tree.  Each other pair (j, g), with b_j rho_M(g) =
+    sum_i c_i b_i read through T^-1 (T has rows b_j), adds the condition
+    x (Y_j rho_N(g) - sum_i c_i Y_i) = 0.  That suffices: F then intertwines
+    each generator on a basis of M, and the a with rho_M(a) F = F rho_N(a)
+    form a subalgebra holding 1.  So K dim N unknowns replace dim M dim N;
+    the solutions are kept as the echelon basis of their span, which
+    depends on Hom_A(M, N) alone.
+    """
     if M.algebra != N.algebra:
         raise DimensionError("hom space across different algebras")
     field = M.algebra.field
     n, m = M.dim, N.dim
-    nm = n * m
-    if nm == 0:
-        return HomSpace(M, N, RowSpace(field, 0))
-    # F intertwines all of A once it intertwines every generator (and 1)
-    gens = M.algebra.generators
-    if not gens:
-        basis_vecs = [unit_vector(field, nm, i) for i in range(nm)]
-    else:
-        # vec(rhoM F - F rhoN) = vec(F) (rhoM^T (x) I - I (x) rhoN) (see kronecker),
-        # so vec(F) lies in the kernel of rhoM (x) I - I (x) rhoN^T
-        rhoM, rhoN = M.action[gens[0]], N.action[gens[0]]
-        basis_vecs = kernel_rows(kronecker(rhoM, Matrix.identity(field, m))
-                                 - kronecker(Matrix.identity(field, n), rhoN.transpose()))
-    for t in gens[1:]:
-        if not basis_vecs:
-            break
-        # restrict the solutions so far to this generator's equations
-        rhoM, rhoN = M.action[t], N.action[t]
-        mats = [unvec(field, v, n, m) for v in basis_vecs]
-        rows = tuple(vec(rhoM * B - B * rhoN) for B in mats)
-        coeffs = kernel_rows(Matrix._trusted(field, rows, nm).transpose())
-        basis_vecs = [vcombine(field, nm, cf, basis_vecs) for cf in coeffs]
-    space = RowSpace(field, nm)
-    space.extend(basis_vecs)
+    # (b_j, j', g) with b_j = b_j' rho_M(g), or (b_j, None, s) for a module
+    # generator whose image is x[s:s + m]; k counts the unknowns
+    span, tree, pairs, done, k = RowSpace(field, n), [], [], 0, 0
+    for i in range(n):
+        if span.insert(unit_vector(field, n, i)):
+            tree.append((unit_vector(field, n, i), None, k))
+            k += m
+        while done < len(tree):
+            for g in M.algebra.generators:
+                w = M.action[g].act_row(tree[done][0])
+                (tree if span.insert(w) else pairs).append((w, done, g))
+            done += 1
+    # Yt[j] is Y_j transposed, m x k, so each product and condition has m rows
+    identity, rhoT, Yt = Matrix.identity(field, k).rows, [r.transpose() for r in N.action], []
+    for _, j, g in tree:
+        Yt.append(Matrix._trusted(field, identity[g:g + m], k) if j is None else rhoT[g] * Yt[j])
+    Tinv = invert(Matrix._trusted(field, tuple(b for b, _, _ in tree), n))
+    # row l of G is vec(Y(e_l)^T), so F(w) = x Y(w) with Y(w)^T = unvec(G.act_row(w))
+    G = Tinv * Matrix._trusted(field, tuple(map(vec, Yt)), m * k)
+    rows = [r for w, j, g in pairs
+            for r in (rhoT[g] * Yt[j] - unvec(field, G.act_row(w), m, k)).rows]
+    xs = Matrix._trusted(field, tuple(kernel_rows(Matrix._trusted(field, tuple(rows), k))), k)
+    # vec(F) = x Z^T, where row l m + c of Z holds the coefficients of F[l][c]
+    space = RowSpace(field, n * m)
+    space.extend((xs * unvec(field, vec(G), n * m, k).transpose()).rows)
     H = HomSpace(M, N, space)
     verify.require(verify.intertwines(M.algebra, M.action, N.action, *H.basis))
     return H

@@ -264,6 +264,52 @@ def test_poly_roots_match_evaluation_at_every_element(case):
     assert alg._poly_roots(field, f) == _roots_by_evaluation(field, f)
 
 
+def _rational_roots_by_fraction_horner(f):
+    """The rational root search before integer evaluation: every +-p/q with
+    p | a_0 and q | a_n, evaluated by Horner's rule over Fraction."""
+    den = math.lcm(*(c.denominator for c in f))
+    ints = [int(c * den) for c in f]
+    while ints and ints[0] == 0:
+        ints = ints[1:]
+    roots = set()
+    if len(ints) < len(f):
+        roots.add(Fraction(0))
+    if not ints:
+        return sorted(roots)
+    for p in alg._divisors(abs(ints[0])):
+        for q in alg._divisors(abs(ints[-1])):
+            for cand in (Fraction(p, q), Fraction(-p, q)):
+                acc = Fraction(0)
+                for c in reversed(f):
+                    acc = acc * cand + c
+                if acc == 0:
+                    roots.add(cand)
+    return sorted(roots)
+
+
+@st.composite
+def rational_polynomials(draw):
+    """f over Q of degree <= 7: up to four rational roots, which may repeat
+    and may be 0, times a cofactor of degree <= 3 with a nonzero top."""
+    small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+    f = [QQ.coerce(c) for c in draw(st.lists(small, max_size=3))]
+    f.append(QQ.coerce(draw(small.filter(bool))))
+    for r in draw(st.lists(small, max_size=4)):
+        f = alg._poly_mul(QQ, f, [QQ.neg(QQ.coerce(r)), 1])
+    return f
+
+
+@given(rational_polynomials())
+@example([0, 0, Fraction(1, 4), -1, 1])            # x^2 (x - 1/2)^2
+@example([-162, 297, -162, 12, 8])                 # (2x - 3)^3 (x + 6)
+@example([Fraction(5, 3)])
+@settings(max_examples=300, deadline=None)
+def test_rational_roots_match_the_fraction_horner_search(f):
+    roots = alg._poly_roots(QQ, f)
+    assert roots == _rational_roots_by_fraction_horner(f)
+    assert all(type(r) is Fraction for r in roots)
+
+
 def test_poly_roots_over_a_61_bit_prime():
     field = Field(2 ** 61 - 1)
     roots = [5, 12345678901, field.p - 1]

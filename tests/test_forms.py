@@ -434,6 +434,9 @@ def test_coordinate_matrices_are_canonical_over_q():
     adj = forms.adjoints(random_regular_form(M, K, seed=0))
     mats = [*sub.action, *dual0.module.action, *dual1.module.action,
             forms.dual_morphism(f, dual1, dual1), phi, adj.left, adj.right]
+    # hom_space maps its solutions back through T^-1 products of Fractions
+    mats += [*H.basis, *mod.hom_space(sub, dual1.module).basis,
+             *mod.hom_space(dual0.module, M).basis]
     assert_field_elements(QQ, [x for m in mats for row in m.rows for x in row])
 
 

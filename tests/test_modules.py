@@ -4,13 +4,14 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, find, given, settings, strategies as st
 
-from fdalg import algebras as alg, forms, involutions as inv, modules as mod, posets as ps
+from fdalg import algebras as alg, forms, involutions as inv, linalg, modules as mod, posets as ps
 from fdalg.errors import DimensionError, InconclusiveError
-from fdalg.linalg import Field, Matrix, QQ, RowSpace, block_diag, invert, kernel_rows, vec
+from fdalg.linalg import (Field, Matrix, QQ, RowSpace, block_diag, invert, kernel_rows, kronecker,
+                          unit_vector, unvec, vcombine, vec)
 
-from helpers import in_basis, transpose_map, two_cycle_algebra, ut_flip_map
+from helpers import assert_field_elements, in_basis, transpose_map, two_cycle_algebra, ut_flip_map
 
 
 F5 = Field(5)
@@ -271,6 +272,126 @@ def test_hom_space_over_a_one_dimensional_algebra_is_every_matrix():
     assert F.generators == ()
     assert mod.hom_space(M, N).dim == 6
     _assert_hom_space_solves_every_equation(M, N)
+
+
+
+# -- hom_space against the solver it replaced ---------------------------
+
+def _hom_basis_by_kronecker(M, N):
+    """The solver hom_space used before spinning: the kernel of the first
+    generator's system vec(F) (rho_M (x) I - I (x) rho_N^T) = 0, cut down by
+    the equations of each further generator in turn."""
+    field = M.algebra.field
+    n, m = M.dim, N.dim
+    nm = n * m
+    if nm == 0:
+        return []
+    gens = M.algebra.generators
+    if not gens:
+        basis_vecs = [unit_vector(field, nm, i) for i in range(nm)]
+    else:
+        rhoM, rhoN = M.action[gens[0]], N.action[gens[0]]
+        basis_vecs = kernel_rows(kronecker(rhoM, Matrix.identity(field, m))
+                                 - kronecker(Matrix.identity(field, n), rhoN.transpose()))
+    for t in gens[1:]:
+        if not basis_vecs:
+            break
+        rhoM, rhoN = M.action[t], N.action[t]
+        rows = tuple(vec(rhoM * B - B * rhoN) for B in (unvec(field, v, n, m) for v in basis_vecs))
+        coeffs = kernel_rows(Matrix._trusted(field, rows, nm).transpose())
+        basis_vecs = [vcombine(field, nm, cf, basis_vecs) for cf in coeffs]
+    space = RowSpace(field, nm)
+    space.extend(basis_vecs)
+    return [unvec(field, v, n, m) for v in space.rows]
+
+
+def _hom_space_and_systems(M, N):
+    """hom_space(M, N) and the matrices whose kernels it took."""
+    systems = []
+
+    def recording(S):
+        systems.append(S)
+        return linalg.kernel_rows(S)
+
+    mod.kernel_rows = recording
+    try:
+        return mod.hom_space(M, N), systems
+    finally:
+        mod.kernel_rows = linalg.kernel_rows
+
+
+def _ut_simple(A, n, i):
+    """The 1-dimensional simple module of UT_n on which e_ii acts as 1."""
+    pairs = [(a, b) for a in range(n) for b in range(a, n)]
+    return mod.Module(A, 1, [Matrix(A.field, [[int(p == (i, i))]]) for p in pairs])
+
+
+@st.composite
+def hom_cases(draw, field):
+    """(M, N) over M_2, UT_3 or the field itself: regular and free modules,
+    changes of basis, principal and spun submodules, sums of simples,
+    duals and the zero module."""
+    name = draw(st.sampled_from(["M2", "UT3", "F"]))
+    A = (alg.matrix_algebra(field, 2) if name == "M2" else
+         alg.upper_triangular_algebra(field, 3) if name == "UT3" else alg.field_algebra(field))
+    R = mod.regular_module(A)
+    small = st.integers(-2, 2)
+    T = Matrix(field, draw(st.lists(st.lists(small, min_size=A.dim, max_size=A.dim),
+                                    min_size=A.dim, max_size=A.dim)))
+    assume(invert(T) is not None)
+    v = A.coerce_element(draw(st.lists(small, min_size=A.dim, max_size=A.dim)))
+    mods = [R, mod.free_module(A, 2), mod.change_of_basis(R, T), mod.submodule(R, [v])[0],
+            mod.principal_right_module(A, A.basis_vector(0)), mod.submodule(R, [])[0]]
+    if name != "F":
+        gamma = transpose_map(A, 2) if name == "M2" else ut_flip_map(A, 3)
+        K = forms.standard_double_module(A, gamma)
+        mods += [forms.dual_module(mods[3], K, 1).module, forms.dual_module(R, K, 0).module]
+    if name == "UT3":
+        S = [_ut_simple(A, 3, i) for i in range(3)]
+        mods += [mod.direct_sum([S[0], S[2]]), mod.direct_sum([S[1], S[0], S[1]])]
+    return draw(st.sampled_from(mods)), draw(st.sampled_from(mods))
+
+
+@pytest.mark.parametrize("field", [QQ, F5, Field(2 ** 61 - 1)], ids=str)
+def test_hom_space_matches_the_kronecker_solver(field):
+    @given(hom_cases(field))
+    @settings(max_examples=40, deadline=None)
+    def check(case):
+        M, N = case
+        H = mod.hom_space(M, N)
+        assert H.basis == _hom_basis_by_kronecker(M, N)
+        assert_field_elements(field, [x for f in H.basis for row in f.rows for x in row])
+
+    check()
+
+
+def _spun_generators(case):
+    """K, the number of module generators hom_space spun M from."""
+    M, N = case
+    _, systems = _hom_space_and_systems(M, N)
+    return systems[0].ncols // N.dim if N.dim and systems else 0
+
+
+@pytest.mark.parametrize("field", [QQ, F5, Field(2 ** 61 - 1)], ids=str)
+def test_hom_cases_reach_several_module_generators(field):
+    # changes of basis, free modules and sums of simples are spun from two
+    # or more unit vectors, so the differential test meets K >= 2
+    M, _ = find(hom_cases(field), lambda case: _spun_generators(case) >= 2,
+                settings=settings(max_examples=500, database=None))
+    assert M.dim >= 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hom_space_from_a_free_module_solves_for_n_dim_n_unknowns(n):
+    # on these bases e_0 = 1, so each copy of A in A^n is spun from one unit
+    # vector: n dim N unknowns, where the matrix entries would be n dim A dim N
+    M2 = alg.matrix_algebra(QQ, 2)
+    unit_first = in_basis(M2, Matrix(QQ, [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    for A in (alg.quaternion_algebra(QQ), unit_first):
+        for N in (mod.regular_module(A), mod.principal_right_module(A, A.basis_vector(3))):
+            H, systems = _hom_space_and_systems(mod.free_module(A, n), N)
+            assert [S.ncols for S in systems] == [n * N.dim]
+            assert H.dim == n * N.dim
 
 
 def _m2_x_ut2(field):
