@@ -36,7 +36,6 @@ from .linalg import (
     coordinate_rows,
     invert,
     left_kernel_rows,
-    mcombine,
     solve_columns,
     unit_vector,
     vadd,
@@ -51,11 +50,12 @@ from .linalg import (
 class Algebra(verify.Verified):
     """Associative unital algebra given by structure constants.
 
-    ``Algebra(...)`` is where structure constants enter: it coerces them,
-    checks the shapes, the unit law and associativity (on the basis triples
-    that start at a generator).  Algebras derived from verified ones are
-    built by ``Algebra._trusted`` (no coercion, no checks) and inherit those
-    laws; each derived construction checks only what its derivation leaves open.
+    ``Algebra(...)`` is where structure constants enter, as a dense table: it
+    coerces them, checks the shapes, stores them as sparse rows (:func:`sparse_table`)
+    and checks the unit law and associativity (on the basis triples that start at
+    a generator).  Algebras derived from verified ones are built from sparse rows by
+    ``Algebra._trusted`` (no coercion, no checks) and inherit those laws; each
+    derived construction checks only what its derivation leaves open.
     """
 
     def __init__(self, field: Field, basis_names: Sequence[str], table, unit):
@@ -70,21 +70,16 @@ class Algebra(verify.Verified):
         unit = field.coerce_row(unit)
         if len(unit) != dim:
             raise DimensionError("unit vector has wrong length")
-        self._store(field, basis_names, table, unit)
+        self._store(field, basis_names, sparse_table(field, table), unit)
         verify.require(verify.associative_unital(self))
 
-    def _store(self, field: Field, basis_names: Sequence[str], table, unit) -> None:
+    def _store(self, field: Field, basis_names: Sequence[str], rows, unit) -> None:
         self.field = field
         self.basis_names = tuple(basis_names)
         self.dim = len(self.basis_names)
-        self.table = tuple(tuple(tuple(row) for row in block) for block in table)
+        # rows[i][j] holds the (k, c) with c = c[i][j][k] != 0, k increasing
+        self._sparse = tuple(rows)
         self.unit = tuple(unit)
-        # sparse view of the multiplication table, used by mul() and the
-        # associativity check
-        self._sparse = tuple(
-            tuple(tuple((k, c) for k, c in enumerate(row) if c != 0) for row in block)
-            for block in self.table
-        )
 
     # -- element arithmetic -------------------------------------------
 
@@ -115,15 +110,12 @@ class Algebra(verify.Verified):
             return tuple(out)
         return tuple(a % p for a in out)
 
-    @functools.cached_property
-    def _left_mults(self) -> tuple:
-        # L(e_m) has row i = e_m e_i = table[m][i]
-        return tuple(Matrix._trusted(self.field, rows, self.dim) for rows in self.table)
-
-    @functools.cached_property
-    def _right_mults(self) -> tuple:
-        # R(e_m) has row i = e_i e_m = table[i][m]
-        return tuple(Matrix._trusted(self.field, rows, self.dim) for rows in zip(*self.table))
+    def product(self, i: int, j: int) -> tuple:
+        """e_i e_j as a dense coordinate row."""
+        out = [self.field.zero] * self.dim
+        for k, c in self._sparse[i][j]:
+            out[k] = c
+        return tuple(out)
 
     @functools.cached_property
     def generators(self) -> tuple:
@@ -174,12 +166,25 @@ class Algebra(verify.Verified):
         return tuple(sorted(chosen))
 
     def left_mult_matrix(self, x: Sequence) -> Matrix:
-        """Matrix L with [x*y] = [y] @ L."""
-        return mcombine(self.field, self.dim, self.dim, x, self._left_mults)
+        """Matrix L with [x*y] = [y] @ L: row i is x e_i = sum_m x_m e_m e_i."""
+        return self._mult_matrix(x, self._sparse)
 
     def right_mult_matrix(self, x: Sequence) -> Matrix:
-        """Matrix R with [y*x] = [y] @ R."""
-        return mcombine(self.field, self.dim, self.dim, x, self._right_mults)
+        """Matrix R with [y*x] = [y] @ R: row i is e_i x = sum_m x_m e_i e_m."""
+        return self._mult_matrix(x, zip(*self._sparse))
+
+    def _mult_matrix(self, x: Sequence, blocks) -> Matrix:
+        """The matrix with row i = sum_m x_m blocks[m][i], read off the stored
+        rows: blocks[m][i] is e_m e_i for L(x) and e_i e_m for R(x)."""
+        d, p, rows = self.dim, self.field.p, []
+        terms = [(xm, block) for xm, block in zip(x, blocks) if xm != 0]
+        for i in range(d):
+            out = [0] * d
+            for xm, block in terms:
+                for k, c in block[i]:
+                    out[k] += xm * c
+            rows.append(tuple(out) if p is None else tuple([a % p for a in out]))
+        return Matrix._trusted(self.field, tuple(rows), d)
 
     def corners(self, e: Sequence, fs: Sequence[Sequence]) -> list:
         """For each f in ``fs``, vectors spanning e A f: r f for each row r of the
@@ -193,7 +198,7 @@ class Algebra(verify.Verified):
             isinstance(other, Algebra)
             and self.field == other.field
             and self.dim == other.dim
-            and self.table == other.table
+            and self._sparse == other._sparse
             and self.unit == other.unit
         )
 
@@ -318,9 +323,18 @@ class CenterData:
 
 # -- constructors ------------------------------------------------------
 
+def sparse_table(field: Field, table) -> tuple:
+    """The stored form of a dense table of field elements: for each (i, j),
+    the pairs (k, c) with c = table[i][j][k] != 0, k increasing, and c
+    canonical (coordinates over Q may come back as Fraction(k, 1))."""
+    return tuple(tuple(tuple((k, field.coerce(c)) for k, c in enumerate(row) if c != 0)
+                       for row in block) for block in table)
+
+
 def field_algebra(field: Field) -> Algebra:
     """The ground field as a one-dimensional algebra."""
-    return Algebra._trusted(field, ["1"], [[[field.one]]], [field.one])
+    row = ((0, field.one),)
+    return Algebra._trusted(field, ["1"], [(row,)], [field.one])
 
 
 def matrix_unit_algebra(field: Field, pairs: Sequence[tuple], names: Sequence[str]) -> Algebra:
@@ -334,17 +348,13 @@ def matrix_unit_algebra(field: Field, pairs: Sequence[tuple], names: Sequence[st
     index = {p: t for t, p in enumerate(pairs)}
     if not pairs or any((i, i) not in index or (j, j) not in index for i, j in pairs):
         raise DimensionError("matrix units need a nonempty reflexive relation")
-    dim = len(pairs)
-    zero, one = field.zero, field.one
-    table = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-    for a, (i, j) in enumerate(pairs):
-        for b, (k, l) in enumerate(pairs):
-            if j == k:
-                if (i, l) not in index:
-                    raise DimensionError("matrix units need a transitive relation")
-                table[a][b][index[(i, l)]] = one
-    unit = [one if i == j else zero for i, j in pairs]
-    return Algebra._trusted(field, names, table, unit)
+    if any(j == k and (i, l) not in index for i, j in pairs for k, l in pairs):
+        raise DimensionError("matrix units need a transitive relation")
+    one = field.one
+    rows = [tuple(((index[(i, l)], one),) if j == k else () for k, l in pairs)
+            for i, j in pairs]
+    unit = [one if i == j else field.zero for i, j in pairs]
+    return Algebra._trusted(field, names, rows, unit)
 
 
 def matrix_algebra(field: Field, n: int) -> Algebra:
@@ -417,17 +427,18 @@ def quadratic_extension(field: Field, d) -> Algebra:
 
 def opposite(A: Algebra) -> Algebra:
     """The opposite algebra: c_op[i][j] = c[j][i]."""
-    return Algebra._trusted(A.field, A.basis_names, tuple(zip(*A.table)), A.unit)
+    return Algebra._trusted(A.field, A.basis_names, zip(*A._sparse), A.unit)
 
 
 def direct_product(A: Algebra, B: Algebra) -> Algebra:
     if A.field != B.field:
         raise FieldMismatchError("direct product across different fields")
-    za, zb = (A.field.zero,) * A.dim, (B.field.zero,) * B.dim
+    da = A.dim
     names = [f"({n},0)" for n in A.basis_names] + [f"(0,{n})" for n in B.basis_names]
-    table = ([[row + zb for row in block] + [za + zb] * B.dim for block in A.table]
-             + [[za + zb] * A.dim + [za + row for row in block] for block in B.table])
-    return Algebra._trusted(A.field, names, table, A.unit + B.unit)
+    rows = ([block + ((),) * B.dim for block in A._sparse]
+            + [((),) * da + tuple(tuple((da + k, c) for k, c in row) for row in block)
+               for block in B._sparse])
+    return Algebra._trusted(A.field, names, rows, A.unit + B.unit)
 
 
 def tensor_product(A: Algebra, B: Algebra) -> Algebra:
@@ -435,18 +446,14 @@ def tensor_product(A: Algebra, B: Algebra) -> Algebra:
     if A.field != B.field:
         raise FieldMismatchError("tensor product across different fields")
     field, db = A.field, B.dim
-    dim = A.dim * db
     names = [f"{na}*{nb}" for na in A.basis_names for nb in B.basis_names]
-    table = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
-    pairs = list(itertools.product(range(A.dim), range(db)))
-    for (i, j), (k, l) in itertools.product(pairs, repeat=2):
-        out = table[i * db + j][k * db + l]
-        for m, cm in A._sparse[i][k]:
-            for n, cn in B._sparse[j][l]:
-                out[m * db + n] = field.mul(cm, cn)
+    # block (i, j), row (k, l) holds (m * db + n, c[i][k][m] c[j][l][n]), m * db + n increasing
+    rows = [tuple(tuple((m * db + n, field.coerce(cm * cn)) for m, cm in a[k] for n, cn in b[l])
+                  for k, l in itertools.product(range(A.dim), range(db)))
+            for a, b in itertools.product(A._sparse, B._sparse)]
     unit = [field.mul(a, b) for a in A.unit for b in B.unit]
     # (a (x) b)(a' (x) b') = aa' (x) bb' carries the laws of A and B over
-    return Algebra._trusted(field, names, table, unit)
+    return Algebra._trusted(field, names, rows, unit)
 
 
 def subalgebra(A: Algebra, spanning: Sequence[Sequence], unit_vec: Sequence,
@@ -472,7 +479,7 @@ def subalgebra(A: Algebra, spanning: Sequence[Sequence], unit_vec: Sequence,
     table = [products[i:i + d] for i in range(0, d * d, d)]
     names = [f"{prefix}{i}" for i in range(d)]
     # closed under the product of A, so associative; the unit is only designated
-    B = Algebra._trusted(field, names, table, unit)
+    B = Algebra._trusted(field, names, sparse_table(field, table), unit)
     verify.require(verify.unital(B))
     return B, basis
 
@@ -501,7 +508,7 @@ def _quotient(A: Algebra, ideal_vectors: Sequence[Sequence]):
     unit = quo.project(A.unit)
     names = [f"q{i}" for i in range(quo.dim)]
     # the quotient of an algebra by a two-sided ideal inherits its laws
-    return Algebra._trusted(field, names, table, unit), quo
+    return Algebra._trusted(field, names, sparse_table(field, table), unit), quo
 
 
 # -- center, radical, units -------------------------------------------
@@ -515,8 +522,8 @@ def twisted_centralizer(A: Algebra, phi) -> list:
     if not A.generators:
         # A is spanned by 1
         return [A.basis_vector(0)]
-    return common_left_kernel([A._right_mults[g] - A.left_mult_matrix(phi(A.basis_vector(g)))
-                               for g in A.generators])
+    return common_left_kernel([A.right_mult_matrix(A.basis_vector(g))
+                               - A.left_mult_matrix(phi(A.basis_vector(g))) for g in A.generators])
 
 
 def center(A: Algebra) -> CenterData:
@@ -536,7 +543,7 @@ def jacobson_radical(A: Algebra) -> list:
         raise UnsupportedCharacteristicError(
             f"char {p} too small for radical algorithm (dim {A.dim})"
         )
-    traces = [A.left_mult_matrix(A.basis_vector(m)).trace() for m in range(A.dim)]
+    traces = _left_traces(A)
     gram = []
     for i in range(A.dim):
         row = []
@@ -549,6 +556,12 @@ def jacobson_radical(A: Algebra) -> list:
     basis = left_kernel_rows(Matrix._trusted(field, tuple(gram), A.dim))
     verify.require(verify.nilpotent_ideal(A, basis))
     return basis
+
+
+def _left_traces(A: Algebra) -> list:
+    """tr L(e_m) = sum_i c[m][i][i] for every basis index m, off the stored rows."""
+    return [A.field.coerce(sum(c for i, row in enumerate(block) for k, c in row if k == i))
+            for block in A._sparse]
 
 
 def is_unit(A: Algebra, x: Sequence) -> Optional[tuple]:
@@ -959,7 +972,7 @@ def _quaternion_zero_divisor(C: Algebra) -> tuple:
     (inconclusive).
     """
     field = C.field
-    traces = [sum(C.table[i][j][j] for j in range(4)) for i in range(4)]
+    traces = _left_traces(C)
     k = next(i for i, t in enumerate(traces) if t)
     u = next(j for j, c in enumerate(C.unit) if c)
 

@@ -97,7 +97,8 @@ def algebra_to_json(A: _alg.Algebra) -> dict:
     return {
         "field": field_to_json(A.field),
         "basis": list(A.basis_names),
-        "table": [[vector_json(A.field, cell) for cell in row] for row in A.table],
+        "table": [[vector_json(A.field, A.product(i, j)) for j in range(A.dim)]
+                  for i in range(A.dim)],
         "unit": vector_json(A.field, A.unit),
     }
 

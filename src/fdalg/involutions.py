@@ -25,7 +25,6 @@ from .algebras import (
 )
 from .errors import (
     DimensionError,
-    InconclusiveError,
     NoSymmetricUnitError,
     VerificationError,
 )
@@ -49,6 +48,7 @@ from .modules import (
     is_isomorphic,
     projective_classes,
     regular_module,
+    submodule,
 )
 from .forms import (
     BilinearForm,
@@ -374,40 +374,32 @@ class OrbitResult:
 
 def duality_orbit(A: Algebra, K: DoubleModule, seed: int = 0) -> OrbitResult:
     """The action of the duality functor [1] on the isomorphism classes of
-    indecomposable projectives, and the minimal n with R^([1]^n) = R."""
+    indecomposable projectives, and the minimal n with R^([1]^n) = R.
+
+    A dual D matches the class of e A when dim D = dim e A and some row x of
+    rho_D(e) generates D: then r -> x r maps e A onto D, so bijectively.  If
+    D is isomorphic to e A, the rows span D e, not inside D J as e does not kill
+    the top of e A, and a row outside D J generates the local D (Nakayama): the
+    search cannot miss, and as the classes are distinct it finds the class of D.
+    """
     classes = projective_classes(A, seed=seed)
     reps = [P for _, P, _ in classes]
     mults = [count for _, _, count in classes]
     perm = []
     for r in reps:
-        dual = dual_module(r, K, 1).module
-        target = None
-        inconclusive = False
-        for idx, r2 in enumerate(reps):
-            try:
-                if is_isomorphic(dual, r2, seed=seed) is not None:
-                    target = idx
-                    break
-            except InconclusiveError:
-                inconclusive = True
+        D = dual_module(r, K, 1).module
+        matches = (idx for idx, (e, P, _) in enumerate(classes) if P.dim == D.dim
+                   and any(submodule(D, [x])[0].dim == D.dim for x in D.action_of(e).rows))
+        target = next(matches, None)
         if target is None:
-            if inconclusive:
-                raise InconclusiveError("could not match a dual projective to a class")
             raise VerificationError("dual of an indecomposable projective matches no class")
         perm.append(target)
     if sorted(perm) != list(range(len(reps))):
         raise VerificationError("duality does not permute the classes")
-    n = 1
-    while True:
-        # R^([1]^n) has multiplicity mults[perm^-n(j)] at class j
-        power = list(range(len(reps)))
-        for _ in range(n):
-            power = [perm[i] for i in power]
-        if all(mults[power[i]] == mults[i] for i in range(len(reps))):
-            break
-        n += 1
-        if n > 10 ** 6:
-            raise VerificationError("orbit search did not terminate")
+    # R^([1]^n) has multiplicity mults[perm^-n(j)] at class j; n ends by the order of perm
+    n, power = 1, perm
+    while any(mults[power[i]] != mults[i] for i in range(len(reps))):
+        n, power = n + 1, [perm[i] for i in power]
     return OrbitResult(reps, mults, perm, n)
 
 

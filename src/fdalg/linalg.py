@@ -351,15 +351,6 @@ class Matrix:
             for j, x in enumerate(r)
         )
 
-    def trace(self):
-        if not self.is_square:
-            raise DimensionError("trace of non-square matrix")
-        f = self.field
-        t = f.zero
-        for i in range(self.nrows):
-            t = f.add(t, self.rows[i][i])
-        return t
-
     def rank(self) -> int:
         space = RowSpace(self.field, self.ncols)
         space.extend(self.rows)

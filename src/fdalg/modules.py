@@ -14,7 +14,7 @@ import random
 from typing import Optional, Sequence
 
 from . import verify
-from .algebras import Algebra, idempotent_classes, primitive_idempotents
+from .algebras import Algebra, idempotent_classes, primitive_idempotents, sparse_table
 from .errors import DimensionError, InconclusiveError
 from .linalg import (
     Matrix,
@@ -224,7 +224,7 @@ def endomorphism_algebra(M: Module):
     names = [f"w{i}" for i in range(d)]
     # closed under composition (coords_of above), which is associative with
     # the identity as unit: the laws are inherited from matrix products
-    return Algebra._trusted(field, names, table, unit), H
+    return Algebra._trusted(field, names, sparse_table(field, table), unit), H
 
 
 def is_isomorphic(M: Module, N: Module, seed: int = 0) -> Optional[Matrix]:

@@ -16,7 +16,8 @@ from .linalg import Matrix, RowSpace, mcombine, vcombine, vec, vec_is_zero
 class Verified:
     """``Cls(...)`` checks the defining equations of what enters.  An object
     built from verified ones inherits its laws and comes from ``Cls._trusted``,
-    which takes the same arguments and only runs ``_store``."""
+    which only runs ``_store``: it takes the arguments of ``Cls(...)``, but for
+    ``Algebra`` the sparse rows that ``Algebra(...)`` makes of its dense table."""
 
     @classmethod
     def _trusted(cls, *args):
@@ -80,7 +81,7 @@ def multiplicative(f) -> Optional[str]:
         for j in range(src.dim):
             rhs = tgt.mul(images[j], images[i]) if anti else tgt.mul(images[i], images[j])
             # f(e_i e_j) by linearity from the images of the basis
-            if vcombine(tgt.field, tgt.dim, src.table[i][j], images) != rhs:
+            if vcombine(tgt.field, tgt.dim, src.product(i, j), images) != rhs:
                 return f"{f.variance} law fails at basis pair ({i}, {j})"
     return None
 
@@ -209,7 +210,7 @@ def module_action(A, action: Sequence[Matrix]) -> Optional[str]:
         return "unit does not act as the identity"
     for i in range(A.dim):
         for j in A.generators:
-            if action[i] * action[j] != mcombine(A.field, n, n, A.table[i][j], action):
+            if action[i] * action[j] != mcombine(A.field, n, n, A.product(i, j), action):
                 return f"action is not multiplicative at basis pair ({i}, {j})"
     return None
 
@@ -303,7 +304,7 @@ def theta_relation(A, gamma, theta: Matrix) -> Optional[str]:
         for j in range(A.dim):
             tb_a = A.mul(theta.rows[j], a)
             for k in range(A.dim):
-                if theta.act_row(A.mul(images[i], A.table[j][k])) != A.mul(images[k], tb_a):
+                if theta.act_row(A.mul(images[i], A.product(j, k))) != A.mul(images[k], tb_a):
                     return f"theta relation fails at basis triple ({i}, {j}, {k})"
     return None
 

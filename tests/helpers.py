@@ -10,6 +10,11 @@ from fdalg import forms, modules as mod
 from fdalg.linalg import Matrix, invert
 
 
+def dense_table(A: alg.Algebra) -> tuple:
+    """The structure constants of A as a dense table: entry [i][j] is e_i e_j."""
+    return tuple(tuple(A.product(i, j) for j in range(A.dim)) for i in range(A.dim))
+
+
 def transpose_map(A: alg.Algebra, n: int) -> alg.AlgebraMap:
     """The transpose anti-automorphism of a matrix algebra on matrix units."""
     imgs = [A.basis_vector(j * n + i) for i in range(n) for j in range(n)]

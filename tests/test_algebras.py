@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from fdalg.errors import (
 )
 from fdalg.linalg import Field, Matrix, QQ, RowSpace, common_left_kernel, invert, vadd
 
-from helpers import assert_field_elements, in_basis, transpose_map, ut_flip_map
+from helpers import assert_field_elements, dense_table, in_basis, transpose_map, ut_flip_map
 
 F5 = Field(5)
 
@@ -51,7 +52,7 @@ def test_products():
     assert T.dim == 16  # laws inherited; test_derived_algebras_keep_the_laws checks them
     # A (x) F = A up to the trivial reindexing
     AF = alg.tensor_product(M2, FQ)
-    assert AF.table == M2.table and AF.unit == M2.unit
+    assert dense_table(AF) == dense_table(M2) and AF.unit == M2.unit
 
 
 def test_tensor_associative_on_the_nose():
@@ -60,7 +61,7 @@ def test_tensor_associative_on_the_nose():
     C = alg.field_algebra(QQ)
     left = alg.tensor_product(alg.tensor_product(A, B), C)
     right = alg.tensor_product(A, alg.tensor_product(B, C))
-    assert left.table == right.table and left.unit == right.unit
+    assert dense_table(left) == dense_table(right) and left.unit == right.unit
 
 
 def test_center_examples():
@@ -174,6 +175,18 @@ def test_goldman_element_cases():
     rhs = T2.mul(T2.basis_vector(3 * 4 + 1), g2)
     assert lhs == rhs
     alg.goldman_element(3, F5)
+
+
+def test_goldman_element_holds_under_a_megabyte():
+    # M_3 (x) M_3 has dimension 81, so a dense table of its constants has 81^3 entries
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = alg.goldman_element(3, QQ)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result[0].dim == 81 and held < 1_000_000, held
 
 
 def test_find_goldman_element_search():
@@ -449,8 +462,8 @@ def test_algebra_input_coercion_stays_strict():
         half = field.coerce(Fraction(1, 2))
         A = alg.Algebra(field, ["c1", "c2"], [[[2, 0], [0, 0]], [[0, 0], [0, "1/2"]]],
                         [Fraction(1, 2), 2])
-        assert A.table == (((2, 0), (0, 0)), ((0, 0), (0, half))) and A.unit == (half, 2)
-        assert_field_elements(field, [*itertools.chain.from_iterable(A.table[1]), *A.unit])
+        assert dense_table(A) == (((2, 0), (0, 0)), ((0, 0), (0, half))) and A.unit == (half, 2)
+        assert_field_elements(field, [*itertools.chain.from_iterable(dense_table(A)[1]), *A.unit])
         for bad in (True, False, 1.0, 0.0):
             table = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
             table[1][1][0] = bad
@@ -477,11 +490,62 @@ def test_algebra_scalars_are_canonical(field, data):
     def check(vectors):
         assert_field_elements(field, itertools.chain.from_iterable(vectors))
 
-    check(itertools.chain.from_iterable(B.table))
+    check(itertools.chain.from_iterable(dense_table(B)))
     check([B.unit])
     check(alg.center(B).basis)
     check(alg.jacobson_radical(B))
     check(alg.primitive_idempotents(B))
+
+
+# -- the stored form of the structure constants ----------------------------
+
+# an invertible basis of UT3 over Q, GF(101) and GF(2^61 - 1); over Q the radical
+# quotient, the subalgebra spanned by 1 and the radical, and the endomorphism
+# algebra of the regular module on it all get coordinates Fraction(k, 1)
+FRACTIONAL_UT3_BASIS = [
+    [-1, 1, "2/3", "-1/2", "-1/3", 0], [-2, "-1/2", "2/3", "1/3", -1, 0],
+    [1, 1, -1, "2/3", 1, "-2/3"], [-1, -2, "1/3", -1, "1/3", 2],
+    [1, 2, 0, 1, -1, 2], [0, "1/3", "-1/2", "2/3", 1, "1/3"],
+]
+
+
+@pytest.mark.parametrize("field", (QQ, Field(101), Field(2 ** 61 - 1)), ids=str)
+def test_stored_rows_are_sparse_and_canonical(field):
+    F, M2 = alg.field_algebra(field), alg.matrix_algebra(field, 2)
+    H = alg.quaternion_algebra(field, Fraction(1, 2), 2)
+    B = in_basis(alg.upper_triangular_algebra(field, 3), Matrix(field, FRACTIONAL_UT3_BASIS))
+    J = alg.jacobson_radical(B)
+    built = {
+        "Algebra": B,
+        "matrix_unit_algebra": alg.upper_triangular_algebra(field, 3),
+        "tensor_product": alg.tensor_product(H, H),
+        "direct_product": alg.direct_product(M2, H),
+        "opposite": alg.opposite(B),
+        "subalgebra": alg.subalgebra(B, [B.unit] + J, B.unit)[0],
+        "quotient_algebra": alg.quotient_algebra(B, J)[0],
+        "endomorphism_algebra": mod.endomorphism_algebra(mod.regular_module(B))[0],
+    }
+    for name, A in built.items():
+        for row in itertools.chain.from_iterable(A._sparse):
+            assert type(row) is tuple and all(type(t) is tuple and len(t) == 2 for t in row)
+            ks = [k for k, _ in row]
+            assert ks == sorted(set(ks)) and all(0 <= k < A.dim for k in ks), name
+            assert all(c != 0 for _, c in row), name
+            assert_field_elements(field, [c for _, c in row])
+        # __eq__ compares stored rows, so the dense input must store the same ones
+        assert alg.Algebra(field, A.basis_names, dense_table(A), A.unit) == A, name
+        # multiplication matrices are read off the stored rows: rows x e_i and e_i x
+        x, basis = A.coerce_element(range(1, A.dim + 1)), [A.basis_vector(i) for i in range(A.dim)]
+        assert A.left_mult_matrix(x).rows == tuple(A.mul(x, e) for e in basis), name
+        assert A.right_mult_matrix(x).rows == tuple(A.mul(e, x) for e in basis), name
+    FF = alg.direct_product(F, F)
+    UT2 = alg.upper_triangular_algebra(field, 2)
+    assert alg.tensor_product(M2, F) == M2 and alg.tensor_product(F, M2) == M2
+    assert alg.opposite(alg.opposite(H)) == H and alg.opposite(FF) == FF
+    assert FF == alg.matrix_unit_algebra(field, [(0, 0), (1, 1)], ["a", "b"])
+    assert alg.subalgebra(M2, [M2.basis_vector(i) for i in range(4)], M2.unit)[0] == M2
+    assert alg.quotient_algebra(UT2, alg.jacobson_radical(UT2))[0] == FF
+    assert mod.endomorphism_algebra(mod.regular_module(FF))[0] == FF
 
 
 # -- generating sets -----------------------------------------------------

@@ -342,6 +342,24 @@ def test_duality_orbit_permutes_ut3():
     assert orb.n == 1  # multiplicities are all 1 and permuted among equals
 
 
+@pytest.mark.parametrize("field", (QQ, Field(101)), ids=str)
+def test_duality_orbit_matches_duals_without_an_isomorphism_search(field, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("duality_orbit called is_isomorphic")
+
+    monkeypatch.setattr(inv, "is_isomorphic", refuse)
+    M2, UT4 = alg.matrix_algebra(field, 2), alg.upper_triangular_algebra(field, 4)
+    # (-1, -1) is a division algebra over Q, with no classes to match
+    H = alg.quaternion_algebra(field, -1, -1 if field.p else 1)
+    for A, gamma, perm, mults in [(M2, transpose_map(M2, 2), [0], [2]),
+                                  (UT4, ut_flip_map(UT4, 4), [3, 2, 1, 0], [1, 1, 1, 1]),
+                                  (H, alg.quaternion_conjugation(H), [0], [2])]:
+        orb = inv.duality_orbit(A, forms.standard_double_module(A, gamma))
+        assert (orb.permutation, orb.multiplicities, orb.n) == (perm, mults, 1)
+        assert [(P.dim, P.action) for P in orb.representatives] == \
+            [(P.dim, P.action) for _, P, _ in mod.projective_classes(A)]
+
+
 def test_anti_automorphism_from_orbit():
     ut3 = alg.upper_triangular_algebra(QQ, 3)
     K = forms.standard_double_module(ut3, ut_flip_map(ut3, 3))

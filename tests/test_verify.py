@@ -11,7 +11,7 @@ from fdalg import algebras as alg, forms, modules as mod, posets, verify
 from fdalg.errors import VerificationError
 from fdalg.linalg import Field, Matrix, QQ
 
-from helpers import transpose_map
+from helpers import dense_table, transpose_map
 
 M2 = alg.matrix_algebra(QQ, 2)          # basis e11, e12, e21, e22
 TR = transpose_map(M2, 2)
@@ -49,12 +49,13 @@ def test_require_raises_the_message():
 
 def test_associative_unital():
     assert verify.associative_unital(M2) is None
-    table = [[list(cell) for cell in row] for row in M2.table]
+    table = [[list(cell) for cell in row] for row in dense_table(M2)]
     table[1][2][0] += 1                  # e12 e21 = 2 e11
-    bad = alg.Algebra._trusted(QQ, M2.basis_names, table, M2.unit)
+    bad = alg.Algebra._trusted(QQ, M2.basis_names, alg.sparse_table(QQ, table), M2.unit)
     # (e12 e21) e12 = 2 e12 but e12 (e21 e12) = e12
     assert verify.associative_unital(bad) == "associativity fails at basis triple (1, 2, 1)"
-    unit = alg.Algebra._trusted(QQ, M2.basis_names, M2.table, bump_vector(M2.unit, 1))
+    unit = alg.Algebra._trusted(QQ, M2.basis_names, alg.sparse_table(QQ, dense_table(M2)),
+                                bump_vector(M2.unit, 1))
     assert verify.associative_unital(unit) == "unit law fails at basis element 0"
 
 
@@ -76,13 +77,13 @@ def perturbed(A, entries, unit_moves=()):
     """A on its own basis with delta added to table[i][j][k] for each (i, j, k, delta)
     in ``entries`` and to unit[k] for each (k, delta) in ``unit_moves``, unchecked."""
     field = A.field
-    table = [[list(cell) for cell in row] for row in A.table]
+    table = [[list(cell) for cell in row] for row in dense_table(A)]
     for i, j, k, delta in entries:
         table[i][j][k] = field.add(table[i][j][k], field.coerce(delta))
     unit = list(A.unit)
     for k, delta in unit_moves:
         unit[k] = field.add(unit[k], field.coerce(delta))
-    return alg.Algebra._trusted(field, A.basis_names, table, unit)
+    return alg.Algebra._trusted(field, A.basis_names, alg.sparse_table(field, table), unit)
 
 
 @st.composite
