@@ -167,17 +167,17 @@ class Algebra(verify.Verified):
 
     def left_mult_matrix(self, x: Sequence) -> Matrix:
         """Matrix L with [x*y] = [y] @ L: row i is x e_i = sum_m x_m e_m e_i."""
-        return self._mult_matrix(x, self._sparse)
+        return self._mult_matrix(x, self._sparse.__getitem__)
 
     def right_mult_matrix(self, x: Sequence) -> Matrix:
         """Matrix R with [y*x] = [y] @ R: row i is e_i x = sum_m x_m e_i e_m."""
-        return self._mult_matrix(x, zip(*self._sparse))
+        return self._mult_matrix(x, lambda m: [block[m] for block in self._sparse])
 
-    def _mult_matrix(self, x: Sequence, blocks) -> Matrix:
-        """The matrix with row i = sum_m x_m blocks[m][i], read off the stored
-        rows: blocks[m][i] is e_m e_i for L(x) and e_i e_m for R(x)."""
+    def _mult_matrix(self, x: Sequence, block_of) -> Matrix:
+        """Row i is sum_m x_m block_of(m)[i] over the m with x_m != 0, where
+        block_of(m)[i] holds the stored row of e_m e_i (L) or e_i e_m (R)."""
         d, p, rows = self.dim, self.field.p, []
-        terms = [(xm, block) for xm, block in zip(x, blocks) if xm != 0]
+        terms = [(xm, block_of(m)) for m, xm in enumerate(x) if xm != 0]
         for i in range(d):
             out = [0] * d
             for xm, block in terms:
@@ -324,17 +324,20 @@ class CenterData:
 # -- constructors ------------------------------------------------------
 
 def sparse_table(field: Field, table) -> tuple:
-    """The stored form of a dense table of field elements: for each (i, j),
-    the pairs (k, c) with c = table[i][j][k] != 0, k increasing, and c
-    canonical (coordinates over Q may come back as Fraction(k, 1))."""
-    return tuple(tuple(tuple((k, field.coerce(c)) for k, c in enumerate(row) if c != 0)
-                       for row in block) for block in table)
+    """The stored form of a dense table of field elements: for each (i, j), the pairs
+    (k, c) with c the coerced table[i][j][k] != 0, k increasing.  Only the nonzero
+    entries are coerced; over Q a coordinate may come back as Fraction(k, 1)."""
+
+    def sparse(row):
+        coerced = [(k, field.coerce(c)) for k, c in enumerate(row) if c != 0]
+        return tuple([(k, c) for k, c in coerced if c != 0])
+
+    return tuple(tuple(map(sparse, block)) for block in table)
 
 
 def field_algebra(field: Field) -> Algebra:
     """The ground field as a one-dimensional algebra."""
-    row = ((0, field.one),)
-    return Algebra._trusted(field, ["1"], [(row,)], [field.one])
+    return matrix_unit_algebra(field, [(0, 0)], ["1"])
 
 
 def matrix_unit_algebra(field: Field, pairs: Sequence[tuple], names: Sequence[str]) -> Algebra:
@@ -544,15 +547,9 @@ def jacobson_radical(A: Algebra) -> list:
             f"char {p} too small for radical algorithm (dim {A.dim})"
         )
     traces = _left_traces(A)
-    gram = []
-    for i in range(A.dim):
-        row = []
-        for j in range(A.dim):
-            acc = field.zero
-            for m, c in A._sparse[i][j]:
-                acc = field.add(acc, field.mul(c, traces[m]))
-            row.append(acc)
-        gram.append(tuple(row))
+    # gram[i][j] = tr L(e_i e_j) = sum_m c[i][j][m] tr L(e_m)
+    gram = [tuple(field.coerce(sum(c * traces[m] for m, c in row)) for row in block)
+            for block in A._sparse]
     basis = left_kernel_rows(Matrix._trusted(field, tuple(gram), A.dim))
     verify.require(verify.nilpotent_ideal(A, basis))
     return basis

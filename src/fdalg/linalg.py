@@ -351,6 +351,11 @@ class Matrix:
             for j, x in enumerate(r)
         )
 
+    def trace(self):
+        if not self.is_square:
+            raise DimensionError("trace of non-square matrix")
+        return self.field.coerce(sum(self.rows[i][i] for i in range(self.nrows)))
+
     def rank(self) -> int:
         space = RowSpace(self.field, self.ncols)
         space.extend(self.rows)

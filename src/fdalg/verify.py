@@ -14,10 +14,9 @@ from .linalg import Matrix, RowSpace, mcombine, vcombine, vec, vec_is_zero
 
 
 class Verified:
-    """``Cls(...)`` checks the defining equations of what enters.  An object
-    built from verified ones inherits its laws and comes from ``Cls._trusted``,
-    which only runs ``_store``: it takes the arguments of ``Cls(...)``, but for
-    ``Algebra`` the sparse rows that ``Algebra(...)`` makes of its dense table."""
+    """``Cls(...)`` checks the defining equations of what enters.  An object built
+    from verified ones inherits its laws and comes from ``Cls._trusted``, which only
+    runs ``_store`` on what ``Cls(...)`` stores (for ``Algebra``, its sparse rows)."""
 
     @classmethod
     def _trusted(cls, *args):

@@ -534,6 +534,10 @@ def test_stored_rows_are_sparse_and_canonical(field):
             assert_field_elements(field, [c for _, c in row])
         # __eq__ compares stored rows, so the dense input must store the same ones
         assert alg.Algebra(field, A.basis_names, dense_table(A), A.unit) == A, name
+        # entries given as text, zeros as "0" too: only nonzero coerced values are stored
+        text = [[[str(c) for c in row] for row in block] for block in dense_table(A)]
+        assert alg.sparse_table(field, text) == A._sparse, name
+        assert alg.Algebra(field, A.basis_names, text, A.unit) == A, name
         # multiplication matrices are read off the stored rows: rows x e_i and e_i x
         x, basis = A.coerce_element(range(1, A.dim + 1)), [A.basis_vector(i) for i in range(A.dim)]
         assert A.left_mult_matrix(x).rows == tuple(A.mul(x, e) for e in basis), name
