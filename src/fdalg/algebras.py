@@ -213,9 +213,9 @@ class AlgebraMap(verify.Verified):
     """Linear map between algebras tagged as (anti-)homomorphism.
 
     The matrix is (target dim x source dim) and acts on column vectors.
-    ``AlgebraMap(...)`` checks multiplicativity in the declared variance and
-    unit preservation on all basis pairs; :meth:`compose` and :meth:`inverse`
-    build by ``AlgebraMap._trusted``.  Both check the variance and shapes.
+    ``AlgebraMap(...)`` checks f(1) = 1, then multiplicativity in the declared variance
+    on the pairs (e_g, e_j) of a generator and a basis element; :meth:`compose` and
+    :meth:`inverse` build by ``AlgebraMap._trusted``.  Both check the variance and shapes.
     """
 
     HOMOMORPHISM = "homomorphism"

@@ -73,7 +73,8 @@ def field_to_json(field: Field):
 
 
 def vector_json(field: Field, v) -> list:
-    return [field.format(x) for x in v]
+    zero = field.format(field.zero)
+    return [field.format(x) if x else zero for x in v]
 
 
 def matrix_json(m: Matrix) -> list:

@@ -23,7 +23,6 @@ from .linalg import (
     RowSpace,
     coordinate_rows,
     invert,
-    mcombine,
     unit_vector,
     unvec,
     vcombine,
@@ -51,8 +50,8 @@ class DoubleModule:
         self.action0 = tuple(action0)
         self.action1 = tuple(action1)
         # K_0 and K_1; their constructors check the shapes of the actions
-        self._modules = (Module._trusted(algebra, dim, self.action0),
-                         Module._trusted(algebra, dim, self.action1))
+        self._modules = (Module._trusted(algebra, dim, self.action0, ()),
+                         Module._trusted(algebra, dim, self.action1, ()))
         verify.require(verify.double_module(algebra, self.action0, self.action1))
 
     def module(self, i: int) -> Module:
@@ -198,12 +197,10 @@ class DualModule:
     def matrix_of(self, coords: Sequence) -> Matrix:
         return self.hom.matrix_from_coords(coords)
 
-    def coords_of(self, f: Matrix) -> Optional[tuple]:
-        return self.hom.coords_of(f)
-
 
 def dual_module(M: Module, K: DoubleModule, i: int) -> DualModule:
-    """The i-K-dual of M with its evaluation data."""
+    """The i-K-dual of M with its evaluation data.  The twisted action f -> f action_i(a)
+    keeps Hom(M, K_{1-i}), as the actions of K commute: read off V f action_i(a)."""
     if i not in (0, 1):
         raise ValueError("dual index must be 0 or 1")
     if M.algebra != K.algebra:
@@ -213,10 +210,10 @@ def dual_module(M: Module, K: DoubleModule, i: int) -> DualModule:
     field = A.field
     d = H.dim
     twist = K.action0 if i == 0 else K.action1
-    action = [Matrix(field, coordinate_rows(H.coords_of, (f * t for f in H.basis),
+    action = [Matrix(field, coordinate_rows(H.coords_of, (x * t for x in H.images),
                                             "twisted action leaves the hom space"), ncols=d)
               for t in twist]
-    module = Module._trusted(A, d, action)
+    module = Module._trusted(A, d, action, ())
     return DualModule(M, K, i, module, H)
 
 
@@ -224,26 +221,30 @@ def dual_morphism(f: Matrix, dual_target: DualModule, dual_source: DualModule) -
     """The i-dual of a morphism f: N -> N' as a matrix N'^[i] -> N^[i].
 
     ``dual_source`` is the dual of N', ``dual_target`` the dual of N; the
-    image of g is g o f.
+    image of g is g o f, a composite of module maps once f is checked to be
+    A-linear, so its coordinates are read off V f g.
     """
-    rows = coordinate_rows(dual_target.coords_of, (f * g for g in dual_source.maps),
+    N = dual_target.source
+    verify.require(verify.intertwines(N.algebra, N.action, dual_source.source.action, f))
+    Vf = dual_target.hom.generators * f
+    rows = coordinate_rows(dual_target.hom.coords_of, (Vf * g for g in dual_source.maps),
                            "dualized morphism leaves the hom space")
-    return Matrix(dual_target.source.algebra.field, rows, ncols=dual_target.dim)
+    return Matrix(N.algebra.field, rows, ncols=dual_target.dim)
 
 
 def phi_map(M: Module, K: DoubleModule):
     """The evaluation map Phi_M: M -> M^[1][0], (Phi x)(f) = f(x).
 
+    Evaluation carries the action f -> f action1(a) of M^[1] to action1, so it is
+    in Hom(M^[1], K_1): row i of its image of a generator v is (sum_k v_k f_k)(e_i).
     Returns (matrix, dual1, dual10) in the computed dual bases.
     """
     dual1 = dual_module(M, K, 1)
     dual10 = dual_module(dual1.module, K, 0)
     field = M.algebra.field
-    # row k of the i-th evaluation is f_k(e_i)
-    evals = (Matrix._trusted(field, tuple(m.rows[i] for m in dual1.maps), K.dim)
-             for i in range(M.dim))
-    # coordinates in an echelon basis are entries of these canonical maps
-    rows = coordinate_rows(dual10.coords_of, evals, "evaluation map leaves the double dual")
+    combos = [dual1.matrix_of(v) for v in dual10.hom.generators.rows]
+    evals = (Matrix._trusted(field, tuple(g.rows[i] for g in combos), K.dim) for i in range(M.dim))
+    rows = coordinate_rows(dual10.hom.coords_of, evals, "evaluation map leaves the double dual")
     return Matrix._trusted(field, rows, dual10.dim), dual1, dual10
 
 
@@ -263,18 +264,19 @@ class AdjointData:
 
 
 def adjoints(b: BilinearForm) -> AdjointData:
-    """Ad_l b: M -> M^[0], x -> b(x,-) and Ad_r b: M -> M^[1], x -> b(-,x)."""
+    """Ad_l b: M -> M^[0], x -> b(x,-) and Ad_r b: M -> M^[1], x -> b(-,x).  The balance
+    laws put b(e_i, -) in Hom(M, K_1) and b(-, e_i) in Hom(M, K_0)."""
     M, K = b.module, b.values
     field = M.algebra.field
     dual0 = dual_module(M, K, 0)
     dual1 = dual_module(M, K, 1)
-    # b(e_i, -) is row i of the tensor, b(-, e_i) its column i; their
-    # coordinates are entries of coerced form values, so canonical
+    # b(e_i, -) is row i of the tensor, b(-, e_i) its column i
+    V0, V1 = dual0.hom.generators, dual1.hom.generators
     left = Matrix._trusted(field, coordinate_rows(
-        dual0.coords_of, (Matrix._trusted(field, row, K.dim) for row in b.tensor),
+        dual0.hom.coords_of, (V0 * Matrix._trusted(field, row, K.dim) for row in b.tensor),
         "left adjoint leaves the dual"), dual0.dim)
     right = Matrix._trusted(field, coordinate_rows(
-        dual1.coords_of, (Matrix._trusted(field, col, K.dim) for col in zip(*b.tensor)),
+        dual1.hom.coords_of, (V1 * Matrix._trusted(field, col, K.dim) for col in zip(*b.tensor)),
         "right adjoint leaves the dual"), dual1.dim)
     left_regular = verify.bijective(left) is None
     right_regular = verify.bijective(right) is None
@@ -285,40 +287,37 @@ class EndData(verify.Verified):
     """An endomorphism algebra with its identification by matrices.
 
     ``algebra`` has product w*v = w o v (apply on the left), realized on
-    matrices as mat(v) mat(w).  ``EndData(...)`` checks this compatibility,
-    that the maps are independent and that each intertwines the module's
-    action; :meth:`of_module` inherits all three and uses ``EndData._trusted``.
+    matrices as mat(v) mat(w).  ``EndData(...)`` checks that the maps intertwine
+    the module's action, are independent and satisfy this; :meth:`of_module`
+    inherits all three.  ``EndData._trusted`` stores ``hom``, a :class:`HomSpace`
+    on the maps, which need not be in echelon form.
     """
 
     def __init__(self, algebra: Algebra, maps: Sequence[Matrix], module: Module):
-        self._store(algebra, maps, module)
-        if not self._coords.independent:
-            raise VerificationError("endomorphism maps are linearly dependent")
+        self._store(algebra, HomSpace(module, module, maps))
         verify.require(verify.intertwines(module.algebra, module.action, module.action,
                                           *self.maps))
+        if not self.hom.independent:
+            raise VerificationError("endomorphism maps are linearly dependent")
         # mat(w v) = mat(v) mat(w): the maps are a right action of the opposite
         verify.require(verify.module_action(opposite(algebra), self.maps))
 
-    def _store(self, algebra: Algebra, maps: Sequence[Matrix], module: Module) -> None:
+    def _store(self, algebra: Algebra, hom: HomSpace) -> None:
         self.algebra = algebra
-        self.maps = list(maps)
-        self.module = module
-        # coordinates are taken with respect to the original maps, which
-        # need not be in echelon form
-        self._coords = Coordinates(algebra.field, [vec(m) for m in self.maps],
-                                   module.dim * module.dim)
+        self.hom = hom
+        self.maps = hom.basis
+        self.module = hom.source
 
     @staticmethod
     def of_module(M: Module) -> "EndData":
-        algebra, H = endomorphism_algebra(M)
-        return EndData._trusted(algebra, H.basis, M)
+        return EndData._trusted(*endomorphism_algebra(M))
 
     def matrix_of(self, coords: Sequence) -> Matrix:
-        d = self.module.dim
-        return mcombine(self.algebra.field, d, d, coords, self.maps)
+        return self.hom.matrix_from_coords(coords)
 
     def coords_of(self, mat: Matrix) -> Optional[tuple]:
-        return self._coords.of(vec(mat))
+        """The coordinates of an A-linear map of M, read off V mat (:meth:`HomSpace.coords_of`)."""
+        return self.hom.coords_of(self.hom.generators * mat)
 
 
 def corresponding_anti_automorphism(b: BilinearForm,
@@ -335,10 +334,12 @@ def corresponding_anti_automorphism(b: BilinearForm,
         raise VerificationError("form is not regular; no corresponding map")
     if end is None:
         end = EndData.of_module(b.module)
-    # on row vectors mat(alpha(w)) R = R mat(w^[1])
+    # on row vectors mat(alpha(w)) R = R mat(w^[1]); R is A-linear by the balance
+    # laws, so alpha(w) is a composite of module maps, read off V R w^[1] R^-1
     R, R_inv = adj.right, invert(adj.right)
+    VR = end.hom.generators * R
     images = coordinate_rows(
-        end.coords_of, (R * dual_morphism(w, adj.dual1, adj.dual1) * R_inv for w in end.maps),
+        end.hom.coords_of, (VR * dual_morphism(w, adj.dual1, adj.dual1) * R_inv for w in end.maps),
         "corresponding map leaves the endomorphism algebra")
     # images[u] = coordinates of alpha(w_u)
     alpha = AlgebraMap.from_images(end.algebra, end.algebra, images, AlgebraMap.ANTI)

@@ -98,8 +98,8 @@ class ThetaPair:
 
 
 def check_type_on_center(alpha: AlgebraMap, end: EndData, tag: TypeTag) -> None:
-    """Assert alpha(rho(z)) = rho(sigma(z)) for all central z, where rho
-    embeds the center of the base algebra into End(M)."""
+    """Assert alpha(rho(z)) = rho(sigma(z)) for all central z, where rho embeds
+    the center of the base algebra into End(M), as central elements act A-linearly."""
     M = end.module
     failure = "center does not embed into the endomorphisms"
     embs = coordinate_rows(end.coords_of, map(M.action_of, tag.center.basis), failure)

@@ -547,6 +547,8 @@ class RowSpace:
             return False
         p = self.field.p
         r = self._eliminate(list(v))
+        if not any(r):
+            return False
         # the pivot; an entry elimination left alone may be a multiple of p
         for c, x in enumerate(r):
             if x if p is None else x % p:
@@ -643,7 +645,7 @@ class Coordinates:
     ``T vectors = E``, so reducing ``(v | 0)`` leaves ``(0 | -c)`` exactly
     when ``v = c vectors``: one reduction per lookup.  ``independent`` is
     False when the list is linearly dependent; ``of`` then returns one
-    canonical choice among the solutions.
+    canonical choice among the solutions, over Q with integers as ints.
     """
 
     def __init__(self, field: Field, vectors: Sequence[Sequence], n: int):
@@ -663,7 +665,7 @@ class Coordinates:
             return None
         p = self.field.p
         if p is None:
-            return tuple(-a for a in r[n:])
+            return tuple(_normal(-a) for a in r[n:])
         return tuple(-a % p for a in r[n:])
 
 

@@ -9,6 +9,7 @@ this is the single place where the operator order is fixed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import Optional, Sequence
@@ -17,6 +18,7 @@ from . import verify
 from .algebras import Algebra, idempotent_classes, primitive_idempotents, sparse_table
 from .errors import DimensionError, InconclusiveError
 from .linalg import (
+    Coordinates,
     Matrix,
     RowSpace,
     block_diag,
@@ -28,26 +30,28 @@ from .linalg import (
     unvec,
     vcombine,
     vec,
+    vzero,
 )
 
 
 class Module(verify.Verified):
     """Right module given by action matrices on row vectors.
 
-    ``Module(...)`` checks the module laws on the pairs (e_i, e_g) of a basis
-    element and a generator (see :func:`verify.module_action`).  The regular
-    module, sums, submodules, changes of basis and duals inherit them and
-    are built by ``Module._trusted``.  Both check the shapes.
+    ``Module(...)`` checks the module laws on the pairs (e_i, e_g) of a basis element and a
+    generator (see :func:`verify.module_action`).  The regular module, sums, submodules,
+    changes of basis and duals inherit them and are built by ``Module._trusted``, which also
+    stores the module generators their construction knows.  Both check the shapes.
     """
 
     def __init__(self, algebra: Algebra, dim: int, action: Sequence[Matrix]):
-        self._store(algebra, dim, action)
+        self._store(algebra, dim, action, ())
         verify.require(verify.module_action(algebra, self.action))
 
-    def _store(self, algebra: Algebra, dim: int, action: Sequence[Matrix]) -> None:
+    def _store(self, algebra: Algebra, dim: int, action: Sequence[Matrix], generators) -> None:
         self.algebra = algebra
         self.dim = dim
         self.action = tuple(action)
+        self.generators = tuple(map(tuple, generators))
         if len(self.action) != algebra.dim:
             raise DimensionError("one action matrix per algebra basis element required")
         for m in self.action:
@@ -64,6 +68,25 @@ class Module(verify.Verified):
         return vcombine(self.algebra.field, self.dim, [a[j] for j in nonzero],
                         [self.action[j].act_row(x) for j in nonzero])
 
+    @functools.cached_property
+    def spin(self) -> tuple:
+        """(tree, pairs, V): ``generators``, then unit vectors, spun under ``A.generators``
+        and each closed before the next, give a basis b_j of M: (b_j, None, s) for the
+        s-th new generator, row s of V, or (b_j, j', g) for b_j = b_j' rho(g).  ``pairs``
+        holds the (b_j rho(g), j, g) already in the span."""
+        field, n = self.algebra.field, self.dim
+        span, tree, pairs, V, done = RowSpace(field, n), [], [], [], 0
+        for v in itertools.chain(self.generators, (unit_vector(field, n, i) for i in range(n))):
+            if span.insert(v):
+                tree.append((v, None, len(V)))
+                V.append(v)
+            while done < len(tree):
+                for g in self.algebra.generators:
+                    w = self.action[g].act_row(tree[done][0])
+                    (tree if span.insert(w) else pairs).append((w, done, g))
+                done += 1
+        return tree, pairs, Matrix._trusted(field, tuple(V), n)
+
     def __repr__(self):
         return f"Module(dim={self.dim} over dim-{self.algebra.dim} algebra)"
 
@@ -71,7 +94,7 @@ class Module(verify.Verified):
 def regular_module(A: Algebra) -> Module:
     """A as a right module over itself; dim = dim A."""
     action = [A.right_mult_matrix(A.basis_vector(i)) for i in range(A.dim)]
-    return Module._trusted(A, A.dim, action)
+    return Module._trusted(A, A.dim, action, [A.unit])
 
 
 def free_module(A: Algebra, n: int) -> Module:
@@ -88,11 +111,13 @@ def direct_sum(mods: Sequence[Module]) -> Module:
     action = [
         block_diag(A.field, [m.action[i] for m in mods]) for i in range(A.dim)
     ]
-    return Module._trusted(A, dim, action)
+    starts = itertools.accumulate([0] + [m.dim for m in mods])
+    return Module._trusted(A, dim, action, [vzero(A.field, s) + g + vzero(A.field, dim - s - m.dim)
+                                            for m, s in zip(mods, starts) for g in m.generators])
 
 
 def submodule(M: Module, generators: Sequence[Sequence]):
-    """The submodule generated by the given vectors.
+    """The submodule generated by the given vectors, which it carries.
 
     Returns (Module, basis_rows), the basis in reduced echelon form; errors
     if the span is not invariant.
@@ -111,11 +136,11 @@ def submodule(M: Module, generators: Sequence[Sequence]):
     action = [Matrix(field, coordinate_rows(space.coordinates, map(rho.act_row, basis),
                                             "span is not action-invariant"), ncols=d)
               for rho in M.action]
-    return Module._trusted(A, d, action), basis
+    return Module._trusted(A, d, action, map(space.coordinates, generators)), basis
 
 
 def principal_right_module(A: Algebra, e: Sequence) -> Module:
-    """The right ideal eA as a module, spun from e."""
+    """The right ideal eA as a module, spun from e, which it carries."""
     return submodule(regular_module(A), [e])[0]
 
 
@@ -124,22 +149,27 @@ def change_of_basis(M: Module, T: Matrix) -> Module:
     if Tinv is None:
         raise DimensionError("change of basis must be invertible")
     action = [Tinv * m * T for m in M.action]
-    return Module._trusted(M.algebra, M.dim, action)
+    return Module._trusted(M.algebra, M.dim, action, map(T.act_row, M.generators))
 
 
 class HomSpace:
-    """Basis of Hom_A(M, N); each basis element is a dim_M x dim_N matrix
-    acting on row vectors and intertwining the two actions exactly.
+    """A basis of Hom_A(M, N), or of a subspace, as dim_M x dim_N matrices on row vectors.
 
-    The basis is the echelon basis of ``space``, the span of the
-    flattened matrices, so coordinates are read off its pivots.
+    ``generators`` is V, the K module generators of the spin of M, and ``images``
+    holds V B for each basis map B.  F -> V F is injective on Hom_A(M, N), so
+    :meth:`coords_of` reads coordinates off the K x dim_N matrix V F; it proves them
+    only for F in Hom_A(M, N), so each caller names the law that puts F there.
     """
 
-    def __init__(self, source: Module, target: Module, space: RowSpace):
+    def __init__(self, source: Module, target: Module, basis: Sequence[Matrix]):
         self.source = source
         self.target = target
-        self.basis = [unvec(space.field, v, source.dim, target.dim) for v in space.rows]
-        self._space = space
+        self.basis = list(basis)
+        self.generators = source.spin[2]
+        self.images = [self.generators * f for f in self.basis]
+        self._coords = Coordinates(source.algebra.field, [vec(x) for x in self.images],
+                                   self.generators.nrows * target.dim)
+        self.independent = self._coords.independent
 
     @property
     def dim(self) -> int:
@@ -149,66 +179,60 @@ class HomSpace:
         return mcombine(self.source.algebra.field, self.source.dim, self.target.dim,
                         coords, self.basis)
 
-    def coords_of(self, f: Matrix) -> Optional[tuple]:
-        return self._space.coordinates(vec(f))
+    def coords_of(self, images: Matrix) -> Optional[tuple]:
+        """The coordinates of the F in the space with V F = ``images``, or None."""
+        return self._coords.of(vec(images))
 
 
 def hom_space(M: Module, N: Module) -> HomSpace:
-    """Basis of Hom_A(M, N), solved for the images of generators of M
-    (Lux and Szoke, Exp. Math. 12, 2003).
+    """The echelon basis of Hom_A(M, N), solved for the images of the module
+    generators of M (Lux and Szoke, Exp. Math. 12, 2003).
 
-    Spinning the unit vectors of M in index order under ``A.generators``,
-    each closed before the next, gives a basis b_j of M: a new module
-    generator, or a word b_j' rho_M(g).  F is fixed by the images
-    x = (y_1, ..., y_K) of the K generators: F(b_j) = x Y_j, where Y_j
-    selects y_k or is Y_j' rho_N(g), so F intertwines g on the edges of
-    this spanning tree.  Each other pair (j, g), with b_j rho_M(g) =
-    sum_i c_i b_i read through T^-1 (T has rows b_j), adds the condition
-    x (Y_j rho_N(g) - sum_i c_i Y_i) = 0.  That suffices: F then intertwines
-    each generator on a basis of M, and the a with rho_M(a) F = F rho_N(a)
-    form a subalgebra holding 1.  So K dim N unknowns replace dim M dim N;
-    the solutions are kept as the echelon basis of their span, which
-    depends on Hom_A(M, N) alone.
+    :attr:`Module.spin` (carried generators, then unit vectors) gives a basis b_j
+    of M: a new module generator, or a word b_j' rho_M(g).  F is fixed by the
+    images x = vec(V F) of the K generators: F(b_j) = x Y_j, where Y_j selects
+    y_k or is Y_j' rho_N(g), so F intertwines g on the edges of this spanning tree.
+    Each other pair (j, g), with b_j rho_M(g) = sum_i c_i b_i read through
+    T^-1 (T has rows b_j), adds the condition x (Y_j rho_N(g) - sum_i c_i Y_i)
+    = 0.  That suffices: F then intertwines each generator on a basis of M,
+    and the a with rho_M(a) F = F rho_N(a) form a subalgebra holding 1.  So
+    K dim N unknowns replace dim M dim N; the solutions are kept as the
+    echelon basis of their span, which depends on Hom_A(M, N) alone, and
+    each is re-checked by :func:`verify.intertwines`.
     """
     if M.algebra != N.algebra:
         raise DimensionError("hom space across different algebras")
     field = M.algebra.field
     n, m = M.dim, N.dim
-    # (b_j, j', g) with b_j = b_j' rho_M(g), or (b_j, None, s) for a module
-    # generator whose image is x[s:s + m]; k counts the unknowns
-    span, tree, pairs, done, k = RowSpace(field, n), [], [], 0, 0
-    for i in range(n):
-        if span.insert(unit_vector(field, n, i)):
-            tree.append((unit_vector(field, n, i), None, k))
-            k += m
-        while done < len(tree):
-            for g in M.algebra.generators:
-                w = M.action[g].act_row(tree[done][0])
-                (tree if span.insert(w) else pairs).append((w, done, g))
-            done += 1
+    tree, pairs, V = M.spin
+    k = V.nrows * m
     # Yt[j] is Y_j transposed, m x k, so each product and condition has m rows
-    identity, rhoT, Yt = Matrix.identity(field, k).rows, [r.transpose() for r in N.action], []
+    eye, rhoT, Yt = Matrix.identity(field, k).rows, [r.transpose() for r in N.action], []
     for _, j, g in tree:
-        Yt.append(Matrix._trusted(field, identity[g:g + m], k) if j is None else rhoT[g] * Yt[j])
+        Yt.append(rhoT[g] * Yt[j] if j is not None else Matrix._trusted(field, eye[g * m:][:m], k))
     Tinv = invert(Matrix._trusted(field, tuple(b for b, _, _ in tree), n))
     # row l of G is vec(Y(e_l)^T), so F(w) = x Y(w) with Y(w)^T = unvec(G.act_row(w))
     G = Tinv * Matrix._trusted(field, tuple(map(vec, Yt)), m * k)
-    rows = [r for w, j, g in pairs
-            for r in (rhoT[g] * Yt[j] - unvec(field, G.act_row(w), m, k)).rows]
+    rows = []
+    for w, j, g in pairs:
+        # on matrix-unit bases most words vanish, w = 0, and then Y(w) = 0
+        C = rhoT[g] * Yt[j]
+        rows += (C - unvec(field, G.act_row(w), m, k) if any(w) else C).rows
     xs = Matrix._trusted(field, tuple(kernel_rows(Matrix._trusted(field, tuple(rows), k))), k)
     # vec(F) = x Z^T, where row l m + c of Z holds the coefficients of F[l][c]
     space = RowSpace(field, n * m)
     space.extend((xs * unvec(field, vec(G), n * m, k).transpose()).rows)
-    H = HomSpace(M, N, space)
-    verify.require(verify.intertwines(M.algebra, M.action, N.action, *H.basis))
-    return H
+    basis = [unvec(field, v, n, m) for v in space.rows]
+    verify.require(verify.intertwines(M.algebra, M.action, N.action, *basis))
+    return HomSpace(M, N, basis)
 
 
 def endomorphism_algebra(M: Module):
     """End_A(M) as an Algebra, with the identification list of matrices.
 
     Composition convention: endomorphisms apply on the left, so the
-    product w*v (meaning w o v) has matrix mat(v) mat(w).
+    product w*v (meaning w o v) has matrix mat(v) mat(w).  Composites of intertwiners
+    intertwine, so a product's coordinates are read off V mat(w_j) mat(w_i).
     """
     H = hom_space(M, M)
     field = M.algebra.field
@@ -216,14 +240,14 @@ def endomorphism_algebra(M: Module):
     if d == 0:
         raise DimensionError("endomorphism algebra of the zero module")
     # product i * d + j is w_i o w_j, with matrix mat(w_j) mat(w_i)
-    products = coordinate_rows(H.coords_of, (g * f for f in H.basis for g in H.basis),
+    products = coordinate_rows(H.coords_of, (x * f for f in H.basis for x in H.images),
                                "hom space is not closed under composition")
     table = [products[i:i + d] for i in range(0, d * d, d)]
-    (unit,) = coordinate_rows(H.coords_of, [Matrix.identity(field, M.dim)],
+    (unit,) = coordinate_rows(H.coords_of, [H.generators],
                               "identity endomorphism missing from hom space")
     names = [f"w{i}" for i in range(d)]
-    # closed under composition (coords_of above), which is associative with
-    # the identity as unit: the laws are inherited from matrix products
+    # associative with the identity as unit: the laws are inherited from
+    # matrix products
     return Algebra._trusted(field, names, sparse_table(field, table), unit), H
 
 

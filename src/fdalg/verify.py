@@ -72,11 +72,13 @@ def unit_preserved(f) -> Optional[str]:
 
 
 def multiplicative(f) -> Optional[str]:
-    """f(e_i e_j) = f(e_i) f(e_j) on basis pairs; reversed if f is anti."""
+    """f(e_g e_j) = f(e_g) f(e_j), reversed if f is anti, for generators e_g and all j.
+    With f(1) = 1 (``algebra_map`` checks it first) that proves all basis pairs: the x
+    with f(x y) = f(x) f(y) for all y (f(y) f(x) if anti) form a subalgebra holding 1."""
     src, tgt = f.source, f.target
     images = [f.apply(src.basis_vector(i)) for i in range(src.dim)]
     anti = f.variance == f.ANTI
-    for i in range(src.dim):
+    for i in src.generators:
         for j in range(src.dim):
             rhs = tgt.mul(images[j], images[i]) if anti else tgt.mul(images[i], images[j])
             # f(e_i e_j) by linearity from the images of the basis

@@ -240,10 +240,32 @@ def test_form_from_anti_automorphism_refuses_maps_that_are_not_module_maps():
     b = random_regular_form(M, forms.standard_double_module(A, transpose_map(A, 2)), seed=1)
     alpha, end = forms.corresponding_anti_automorphism(b)
     T = Matrix(F5, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 2, 1]])
-    bad = forms.EndData._trusted(end.algebra, [invert(T) * w * T for w in end.maps], M)
+    bad = forms.EndData._trusted(end.algebra,
+                                 mod.HomSpace(M, M, [invert(T) * w * T for w in end.maps]))
     assert any(w * rho != rho * w for w in bad.maps for rho in M.action)
     with pytest.raises(VerificationError, match="^action0 does not preserve the relations$"):
         forms.form_from_anti_automorphism(M, alpha, bad)
+
+
+def test_dual_morphism_refuses_maps_that_are_not_module_maps():
+    # on the regular module, V = (1,) and F -> V F is onto all 1 x 4 rows, so the
+    # generator-image lookup alone would give the composite g o f coordinates
+    A = alg.matrix_algebra(F5, 2)
+    M = mod.regular_module(A)
+    K = forms.standard_double_module(A, transpose_map(A, 2))
+    dual1 = forms.dual_module(M, K, 1)
+    f = Matrix(F5, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 2, 1]])
+    g = dual1.maps[0]
+    assert verify.intertwines(A, M.action, K.action0, f * g) is not None
+    assert dual1.hom.coords_of(dual1.hom.generators * f * g) is not None
+    with pytest.raises(VerificationError, match="^intertwining law fails at"):
+        forms.dual_morphism(f, dual1, dual1)
+    # an A-linear f passes, with the coordinates of the full lookup
+    full = RowSpace(F5, M.dim * K.dim)
+    full.extend(map(vec, dual1.maps))
+    for w in mod.hom_space(M, M).basis:
+        assert forms.dual_morphism(w, dual1, dual1).rows == tuple(
+            full.coordinates(vec(w * h)) for h in dual1.maps)
 
 
 def test_theta_alpha_square_identity():

@@ -342,6 +342,7 @@ def hom_cases(draw, field):
     v = A.coerce_element(draw(st.lists(small, min_size=A.dim, max_size=A.dim)))
     mods = [R, mod.free_module(A, 2), mod.change_of_basis(R, T), mod.submodule(R, [v])[0],
             mod.principal_right_module(A, A.basis_vector(0)), mod.submodule(R, [])[0]]
+    mods.append(mod.direct_sum([mods[4], R]))
     if name != "F":
         gamma = transpose_map(A, 2) if name == "M2" else ut_flip_map(A, 3)
         K = forms.standard_double_module(A, gamma)
@@ -379,6 +380,39 @@ def test_hom_cases_reach_several_module_generators(field):
     M, _ = find(hom_cases(field), lambda case: _spun_generators(case) >= 2,
                 settings=settings(max_examples=500, database=None))
     assert M.dim >= 2
+
+
+@pytest.mark.parametrize("field", [QQ, F5, Field(2 ** 61 - 1)], ids=str)
+def test_generator_image_coordinates_match_the_full_lookup(field):
+    @given(hom_cases(field), st.data())
+    @settings(max_examples=40, deadline=None)
+    def check(case, data):
+        M, N = case
+        H = mod.hom_space(M, N)
+        coeffs = tuple(map(field.coerce, data.draw(st.lists(st.integers(-3, 3), min_size=H.dim,
+                                                            max_size=H.dim))))
+        F = H.matrix_from_coords(coeffs)
+        full = RowSpace(field, M.dim * N.dim)
+        full.extend(map(vec, H.basis))
+        assert H.coords_of(H.generators * F) == full.coordinates(vec(F)) == coeffs
+
+    check()
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=str)
+def test_carried_generators_are_the_fewest(field):
+    def spun(M):
+        return mod.hom_space(M, M).generators.nrows
+
+    for A in (alg.matrix_algebra(field, 3), alg.upper_triangular_algebra(field, 3)):
+        R = mod.regular_module(A)
+        assert spun(R) == 1
+        assert [spun(mod.free_module(A, n)) for n in (2, 3)] == [2, 3]
+        assert spun(mod.principal_right_module(A, A.basis_vector(0))) == 1    # e11 A
+        T = Matrix(field, [[int(j >= i) for j in range(A.dim)] for i in range(A.dim)])
+        assert spun(mod.change_of_basis(R, T)) == 1
+        # the same action with no carried generator is spun from unit vectors
+        assert spun(mod.Module(A, A.dim, R.action)) == 3
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -52,7 +52,7 @@ def test_trusted_constructions_inherit_their_laws(field, case):
 
     for M in (R, built["principal_right_module"]):
         end = forms.EndData.of_module(M)
-        assert end._coords.independent
+        assert end.hom.independent
         assert verify.intertwines(A, M.action, M.action, *end.maps) is None
         assert verify.module_action(alg.opposite(end.algebra), end.maps) is None
 

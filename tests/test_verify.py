@@ -153,6 +153,27 @@ def test_algebra_map_checkers():
     assert verify.squares_to_identity(f.matrix) == "map does not square to the identity"
 
 
+@pytest.mark.parametrize("field", [QQ, Field(5)], ids=str)
+def test_multiplicative_catches_a_map_that_first_fails_off_the_generators(field):
+    # f = id except f(e21) = e21 + 2 e11: f(1) = 1, and f(e12 e_j) = f(e12) f(e_j)
+    # for every j, so only the second generator e21 shows the failure
+    A = alg.matrix_algebra(field, 2)
+    assert A.generators == (1, 2)                   # e12, e21; e11 is not one
+    f = alg.AlgebraMap._trusted(A, A, bump(bump(Matrix.identity(field, 4), 0, 2), 0, 2),
+                                alg.AlgebraMap.HOMOMORPHISM)
+    images = [f.apply(A.basis_vector(i)) for i in range(4)]
+    failing = [(i, j) for i in range(4) for j in range(4)
+               if f.apply(A.product(i, j)) != A.mul(images[i], images[j])]
+    # in basis order the law first fails at e11 e21 = 0, whose first index is no generator
+    assert failing[0] == (0, 2)
+    assert not [pair for pair in failing if pair[0] == A.generators[0]]
+    assert verify.unit_preserved(f) is None
+    assert verify.multiplicative(f) == "homomorphism law fails at basis pair (2, 1)"
+    assert verify.algebra_map(f) == verify.multiplicative(f)
+    with pytest.raises(VerificationError, match=r"^homomorphism law fails at basis pair \(2, 1\)$"):
+        alg.AlgebraMap(A, A, f.matrix, alg.AlgebraMap.HOMOMORPHISM)
+
+
 def test_central():
     assert verify.central(M2, alg.center(M2).basis) is None
     # 1 + e12 is not central: e11 (1 + e12) = e11 + e12, (1 + e12) e11 = e11
