@@ -311,8 +311,7 @@ def cmd_transfer(data, args):
     A = algebra_from_json(data["algebra"])
     n, alpha = _alpha_on_matrix_ring(data, A)
     try:
-        res = _inv.transfer_involution(alpha, A, n, seed=args.seed,
-                                       max_trials=args.max_trials)
+        res = _inv.transfer_involution(alpha, A, n, seed=args.seed)
     except NoSymmetricUnitError as e:
         return _report({"transferred": False, "reason": str(e)}, [],
                        {"exhaustive": e.exhaustive},
@@ -472,8 +471,7 @@ def demo_hyperbolic_quaternion(args):
     res = _inv.hyperbolic_involution(K, theta, _mod.regular_module(H))
     s = _inv.AntiStructure(H, conj, H.unit)
     alpha = _inv.anti_structure_m2_involution(s)
-    tr = _inv.transfer_involution(alpha, H, 2, seed=args.seed,
-                                  max_trials=args.max_trials)
+    tr = _inv.transfer_involution(alpha, H, 2, seed=args.seed)
     checks = verify_involution_map(res.algebra, res.involution.matrix,
                                    "hyperbolic involution")
     checks += verify_involution_map(alpha.source, alpha.matrix,
@@ -592,7 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input", help="path to the input JSON ('-' for stdin)")
     parser.add_argument("--output", help="path for the report (default stdout)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-trials", type=int, default=500)
     return parser
 
 
@@ -635,12 +632,14 @@ def run(argv=None) -> int:
 
 
 def _emit(output, report) -> None:
-    text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+    """Stream the report, so that no second copy of it is held as one string."""
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            json.dump(report, fh, indent=2, ensure_ascii=False)
+            fh.write("\n")
     else:
-        sys.stdout.write(text)
+        json.dump(report, sys.stdout, indent=2, ensure_ascii=False)
+        sys.stdout.write("\n")
 
 
 def _load_input(args) -> dict:

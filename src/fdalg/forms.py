@@ -58,12 +58,6 @@ class DoubleModule:
         """K_i: the underlying space with the i-th action."""
         return self._modules[i]
 
-    def action_matrix(self, a: Sequence, i: int) -> Matrix:
-        return self.module(i).action_of(a)
-
-    def act(self, k: Sequence, a: Sequence, i: int) -> tuple:
-        return self.module(i).act(k, a)
-
     def __eq__(self, other):
         return isinstance(other, DoubleModule) and (
             (self.algebra, self.action0, self.action1)
@@ -106,11 +100,11 @@ def type_of(K: DoubleModule) -> TypeTag:
     field = A.field
     cdata = center(A)
     # k .0 z = k .1 sigma(z): sigma(z) = sum_j c_j z_j where rho0(z) = sum_j c_j rho1(z_j)
-    in_action1 = Coordinates(field, [vec(K.action_matrix(z, 1)) for z in cdata.basis],
+    in_action1 = Coordinates(field, [vec(K.module(1).action_of(z)) for z in cdata.basis],
                              K.dim * K.dim)
     if not in_action1.independent:
         raise VerificationError("values module is not faithful enough to carry a type")
-    coords = coordinate_rows(in_action1.of, (vec(K.action_matrix(z, 0)) for z in cdata.basis),
+    coords = coordinate_rows(in_action1.of, (vec(K.module(0).action_of(z)) for z in cdata.basis),
                              "double module has no type on the center")
     # sigma must be an automorphism of the center
     if verify.bijective(Matrix._trusted(field, coords, cdata.dim)) is not None:
@@ -171,36 +165,11 @@ def standard_involution(K: DoubleModule, gamma: AlgebraMap) -> DoubleModuleInvol
 
 # -- duals --------------------------------------------------------------
 
-class DualModule:
-    """M^[i] = Hom(M, K_{1-i}) with the i-twisted action.
-
-    ``maps`` (the basis of ``hom``) identifies abstract coordinates with
-    concrete hom matrices.
-    """
-
-    def __init__(self, source: Module, values: DoubleModule, index: int,
-                 module: Module, hom: HomSpace):
-        self.source = source
-        self.values = values
-        self.index = index
-        self.module = module
-        self.hom = hom
-
-    @property
-    def dim(self) -> int:
-        return self.module.dim
-
-    @property
-    def maps(self) -> list:
-        return self.hom.basis
-
-    def matrix_of(self, coords: Sequence) -> Matrix:
-        return self.hom.matrix_from_coords(coords)
-
-
-def dual_module(M: Module, K: DoubleModule, i: int) -> DualModule:
-    """The i-K-dual of M with its evaluation data.  The twisted action f -> f action_i(a)
-    keeps Hom(M, K_{1-i}), as the actions of K commute: read off V f action_i(a)."""
+def dual_module(M: Module, K: DoubleModule, i: int):
+    """The i-K-dual M^[i] of M as (Module, HomSpace): the basis of Hom(M, K_{1-i})
+    identifies its coordinates with maps.  The twisted action f -> f action_i(a)
+    keeps Hom(M, K_{1-i}), as the actions of K commute: read off V f action_i(a).
+    Callers that need only coordinates call :func:`hom_space` directly."""
     if i not in (0, 1):
         raise ValueError("dual index must be 0 or 1")
     if M.algebra != K.algebra:
@@ -213,21 +182,20 @@ def dual_module(M: Module, K: DoubleModule, i: int) -> DualModule:
     action = [Matrix(field, coordinate_rows(H.coords_of, (x * t for x in H.images),
                                             "twisted action leaves the hom space"), ncols=d)
               for t in twist]
-    module = Module._trusted(A, d, action, ())
-    return DualModule(M, K, i, module, H)
+    return Module._trusted(A, d, action, ()), H
 
 
-def dual_morphism(f: Matrix, dual_target: DualModule, dual_source: DualModule) -> Matrix:
+def dual_morphism(f: Matrix, dual_target: HomSpace, dual_source: HomSpace) -> Matrix:
     """The i-dual of a morphism f: N -> N' as a matrix N'^[i] -> N^[i].
 
-    ``dual_source`` is the dual of N', ``dual_target`` the dual of N; the
-    image of g is g o f, a composite of module maps once f is checked to be
-    A-linear, so its coordinates are read off V f g.
+    ``dual_source`` is Hom(N', K_{1-i}), the coordinates of the dual of N', and
+    ``dual_target`` Hom(N, K_{1-i}); the image of g is g o f, a composite of module
+    maps once f is checked to be A-linear, so its coordinates are read off V f g.
     """
     N = dual_target.source
     verify.require(verify.intertwines(N.algebra, N.action, dual_source.source.action, f))
-    Vf = dual_target.hom.generators * f
-    rows = coordinate_rows(dual_target.hom.coords_of, (Vf * g for g in dual_source.maps),
+    Vf = dual_target.generators * f
+    rows = coordinate_rows(dual_target.coords_of, (Vf * g for g in dual_source.basis),
                            "dualized morphism leaves the hom space")
     return Matrix(N.algebra.field, rows, ncols=dual_target.dim)
 
@@ -237,24 +205,26 @@ def phi_map(M: Module, K: DoubleModule):
 
     Evaluation carries the action f -> f action1(a) of M^[1] to action1, so it is
     in Hom(M^[1], K_1): row i of its image of a generator v is (sum_k v_k f_k)(e_i).
-    Returns (matrix, dual1, dual10) in the computed dual bases.
+    Returns (matrix, H1, H10), the hom spaces Hom(M, K_0) and Hom(M^[1], K_1)
+    whose bases are the dual bases.
     """
-    dual1 = dual_module(M, K, 1)
-    dual10 = dual_module(dual1.module, K, 0)
+    D1, H1 = dual_module(M, K, 1)
+    H10 = hom_space(D1, K.module(1))
     field = M.algebra.field
-    combos = [dual1.matrix_of(v) for v in dual10.hom.generators.rows]
+    combos = [H1.matrix_from_coords(v) for v in H10.generators.rows]
     evals = (Matrix._trusted(field, tuple(g.rows[i] for g in combos), K.dim) for i in range(M.dim))
-    rows = coordinate_rows(dual10.hom.coords_of, evals, "evaluation map leaves the double dual")
-    return Matrix._trusted(field, rows, dual10.dim), dual1, dual10
+    rows = coordinate_rows(H10.coords_of, evals, "evaluation map leaves the double dual")
+    return Matrix._trusted(field, rows, H10.dim), H1, H10
 
 
 # -- adjoints and the correspondence -----------------------------------
 
 class AdjointData:
-    """Left and right adjoint matrices of a form, in the dual bases."""
+    """Left and right adjoint matrices of a form, in the dual bases: those of
+    ``dual0`` = Hom(M, K_1) for M^[0] and ``dual1`` = Hom(M, K_0) for M^[1]."""
 
-    def __init__(self, left: Matrix, right: Matrix, dual0: DualModule,
-                 dual1: DualModule, left_regular: bool, right_regular: bool):
+    def __init__(self, left: Matrix, right: Matrix, dual0: HomSpace,
+                 dual1: HomSpace, left_regular: bool, right_regular: bool):
         self.left = left
         self.right = right
         self.dual0 = dual0
@@ -268,15 +238,15 @@ def adjoints(b: BilinearForm) -> AdjointData:
     laws put b(e_i, -) in Hom(M, K_1) and b(-, e_i) in Hom(M, K_0)."""
     M, K = b.module, b.values
     field = M.algebra.field
-    dual0 = dual_module(M, K, 0)
-    dual1 = dual_module(M, K, 1)
+    dual0 = hom_space(M, K.module(1))
+    dual1 = hom_space(M, K.module(0))
     # b(e_i, -) is row i of the tensor, b(-, e_i) its column i
-    V0, V1 = dual0.hom.generators, dual1.hom.generators
+    V0, V1 = dual0.generators, dual1.generators
     left = Matrix._trusted(field, coordinate_rows(
-        dual0.hom.coords_of, (V0 * Matrix._trusted(field, row, K.dim) for row in b.tensor),
+        dual0.coords_of, (V0 * Matrix._trusted(field, row, K.dim) for row in b.tensor),
         "left adjoint leaves the dual"), dual0.dim)
     right = Matrix._trusted(field, coordinate_rows(
-        dual1.hom.coords_of, (V1 * Matrix._trusted(field, col, K.dim) for col in zip(*b.tensor)),
+        dual1.coords_of, (V1 * Matrix._trusted(field, col, K.dim) for col in zip(*b.tensor)),
         "right adjoint leaves the dual"), dual1.dim)
     left_regular = verify.bijective(left) is None
     right_regular = verify.bijective(right) is None
@@ -348,13 +318,14 @@ def corresponding_anti_automorphism(b: BilinearForm,
     return alpha, end
 
 
-def form_from_adjoint(M: Module, K: DoubleModule, dual1: DualModule,
+def form_from_adjoint(M: Module, K: DoubleModule, dual1: HomSpace,
                       f: Matrix) -> BilinearForm:
-    """The form with right adjoint f: M -> M^[1], i.e. b(x,y) = (f y)(x)."""
+    """The form with right adjoint f: M -> M^[1], i.e. b(x,y) = (f y)(x), in the
+    coordinates of ``dual1`` = Hom(M, K_0)."""
     if f.nrows != M.dim or f.ncols != dual1.dim:
         raise DimensionError("adjoint matrix has wrong shape")
     # f y_j as a map M -> K; its row i is b(e_i, e_j)
-    images = [dual1.matrix_of(row) for row in f.rows]
+    images = [dual1.matrix_from_coords(row) for row in f.rows]
     return BilinearForm(M, K, [[g.rows[i] for g in images] for i in range(M.dim)])
 
 
@@ -501,7 +472,7 @@ def involution_from_goldman(K: DoubleModule) -> DoubleModuleInvolution:
         for j in range(n):
             eij = A.basis_vector(i * n + j)
             eji = A.basis_vector(j * n + i)
-            T = T + K.action_matrix(eij, 0) * K.action_matrix(eji, 1)
+            T = T + K.module(0).action_of(eij) * K.module(1).action_of(eji)
     return DoubleModuleInvolution(K, T)
 
 

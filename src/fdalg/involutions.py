@@ -131,13 +131,13 @@ def hyperbolic_involution(K: DoubleModule, theta: DoubleModuleInvolution,
         raise VerificationError("values module is not a double progenerator")
     if not (is_projective(P) and is_generator(P)):
         raise VerificationError("P must be a f.g. projective generator")
-    dual1 = dual_module(P, K, 1)
-    M = direct_sum([P, dual1.module])
-    p, q = P.dim, dual1.dim
+    D1, H1 = dual_module(P, K, 1)
+    M = direct_sum([P, D1])
+    p, q = P.dim, H1.dim
     zero = vzero(field, K.dim)
     # b(e_i, g) = g(e_i) and b(f, e_j) = theta(f(e_j))
-    tensor = ([[zero] * p + [g.rows[i] for g in dual1.maps] for i in range(p)]
-              + [list((f * theta.matrix).rows) + [zero] * q for f in dual1.maps])
+    tensor = ([[zero] * p + [g.rows[i] for g in H1.basis] for i in range(p)]
+              + [list((f * theta.matrix).rows) + [zero] * q for f in H1.basis])
     b = BilinearForm(M, K, tensor)
     if not b.is_symmetric_under(theta):
         raise VerificationError("hyperbolic form is not theta-symmetric")
@@ -282,14 +282,17 @@ class TransferResult:
         self.trials = trials
 
 
-def transfer_involution(alpha: AlgebraMap, A: Algebra, n: int, seed: int = 0,
-                        max_trials: int = 500) -> TransferResult:
+TRANSFER_TRIALS = 500
+
+
+def transfer_involution(alpha: AlgebraMap, A: Algebra, n: int,
+                        seed: int = 0) -> TransferResult:
     """From an involution of M_n(A) to an involution of A.
 
-    Searches for a unit of the form x + theta(x), then x - theta(x); on
-    success beta(r) = u^-1 gamma(r) u.  Exhaustion raises
-    NoSymmetricUnitError (with the exhaustive flag for tiny fields),
-    which can only happen outside the split/odd-characteristic cases
+    Searches for a unit of the form x + theta(x), then x - theta(x), over the
+    basis, 1 and TRANSFER_TRIALS random x; on success beta(r) = u^-1 gamma(r) u.
+    Exhaustion raises NoSymmetricUnitError (with the exhaustive flag for tiny
+    fields), which can only happen outside the split/odd-characteristic cases
     covered by the transfer theorem.
     """
     if not alpha.is_involution():
@@ -307,7 +310,7 @@ def transfer_involution(alpha: AlgebraMap, A: Algebra, n: int, seed: int = 0,
     def candidates():
         yield from basis
         yield A.unit
-        yield from random_combinations(field, A.dim, basis, rng, max_trials,
+        yield from random_combinations(field, A.dim, basis, rng, TRANSFER_TRIALS,
                                        (-2, -1, 1, 2, 3, -3), per_entry=True)
 
     exhaustive = field.p is not None and field.p ** A.dim <= 10 ** 6
@@ -387,7 +390,7 @@ def duality_orbit(A: Algebra, K: DoubleModule, seed: int = 0) -> OrbitResult:
     mults = [count for _, _, count in classes]
     perm = []
     for r in reps:
-        D = dual_module(r, K, 1).module
+        D, _ = dual_module(r, K, 1)
         matches = (idx for idx, (e, P, _) in enumerate(classes) if P.dim == D.dim
                    and any(submodule(D, [x])[0].dim == D.dim for x in D.action_of(e).rows))
         target = next(matches, None)
@@ -420,13 +423,13 @@ def anti_automorphism_from_orbit(A: Algebra, K: DoubleModule, n: int,
     cur = regular_module(A)
     for _ in range(n):
         mods.append(cur)
-        cur = dual_module(cur, K, 1).module
+        cur, _ = dual_module(cur, K, 1)
     M = mods[0] if n == 1 else direct_sum(mods)
-    dual1 = dual_module(M, K, 1)
-    f = is_isomorphic(M, dual1.module, seed=seed)
+    D1, H1 = dual_module(M, K, 1)
+    f = is_isomorphic(M, D1, seed=seed)
     if f is None:
         raise VerificationError("M is not isomorphic to its dual; wrong n?")
-    b = form_from_adjoint(M, K, dual1, f)
+    b = form_from_adjoint(M, K, H1, f)
     alpha, end = corresponding_anti_automorphism(b)
     check_type_on_center(alpha, end, type_of(K))
     return OrbitAntiResult(end.algebra, alpha, M, b, end)

@@ -28,7 +28,6 @@ from .linalg import (
     mcombine,
     unit_vector,
     unvec,
-    vcombine,
     vec,
     vzero,
 )
@@ -61,12 +60,6 @@ class Module(verify.Verified):
     def action_of(self, a: Sequence) -> Matrix:
         """Matrix of the right action of an algebra element."""
         return mcombine(self.algebra.field, self.dim, self.dim, a, self.action)
-
-    def act(self, x: Sequence, a: Sequence) -> tuple:
-        """x . a for x in the module and a an algebra element."""
-        nonzero = [j for j, c in enumerate(a) if c != 0]
-        return vcombine(self.algebra.field, self.dim, [a[j] for j in nonzero],
-                        [self.action[j].act_row(x) for j in nonzero])
 
     @functools.cached_property
     def spin(self) -> tuple:
@@ -215,9 +208,10 @@ def hom_space(M: Module, N: Module) -> HomSpace:
     G = Tinv * Matrix._trusted(field, tuple(map(vec, Yt)), m * k)
     rows = []
     for w, j, g in pairs:
-        # on matrix-unit bases most words vanish, w = 0, and then Y(w) = 0
+        # on matrix-unit bases most words vanish, w = 0, and then Y(w) = 0; zero rows
+        # (a zero row of rho_N(g)^T makes one) impose nothing and are left out
         C = rhoT[g] * Yt[j]
-        rows += (C - unvec(field, G.act_row(w), m, k) if any(w) else C).rows
+        rows += filter(any, (C - unvec(field, G.act_row(w), m, k) if any(w) else C).rows)
     xs = Matrix._trusted(field, tuple(kernel_rows(Matrix._trusted(field, tuple(rows), k))), k)
     # vec(F) = x Z^T, where row l m + c of Z holds the coefficients of F[l][c]
     space = RowSpace(field, n * m)

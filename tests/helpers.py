@@ -61,9 +61,9 @@ def identity_anti(A: alg.Algebra) -> alg.AlgebraMap:
     return alg.AlgebraMap(A, A, Matrix.identity(A.field, A.dim), alg.AlgebraMap.ANTI)
 
 
-def random_adjoint(M, dual1, seed: int, invertible: bool = True, trials: int = 200):
-    """A random (optionally invertible) element of Hom(M, M^[1]) as a matrix."""
-    H = mod.hom_space(M, dual1.module)
+def random_adjoint(M, D1, seed: int, invertible: bool = True, trials: int = 200):
+    """A random (optionally invertible) element of Hom(M, M^[1]) as a matrix; D1 is M^[1]."""
+    H = mod.hom_space(M, D1)
     rng = random.Random(seed)
     field = M.algebra.field
     for _ in range(trials):
@@ -80,9 +80,9 @@ def random_adjoint(M, dual1, seed: int, invertible: bool = True, trials: int = 2
 
 
 def random_regular_form(M, K, seed: int):
-    dual1 = forms.dual_module(M, K, 1)
-    f = random_adjoint(M, dual1, seed)
-    return forms.form_from_adjoint(M, K, dual1, f)
+    D1, H1 = forms.dual_module(M, K, 1)
+    f = random_adjoint(M, D1, seed)
+    return forms.form_from_adjoint(M, K, H1, f)
 
 
 def corpus_small_posets():

@@ -77,10 +77,10 @@ def test_criterion_1_correspondence_round_trip():
                 generators.append(mod.direct_sum([R, middle]))
             for M in generators:
                 assert M.dim <= 8
-                dual1 = forms.dual_module(M, K, 1)
+                D1, H1 = forms.dual_module(M, K, 1)
                 for seed in range(4):
-                    f = random_adjoint(M, dual1, seed)
-                    b = forms.form_from_adjoint(M, K, dual1, f)
+                    f = random_adjoint(M, D1, seed)
+                    b = forms.form_from_adjoint(M, K, H1, f)
                     alpha, end = forms.corresponding_anti_automorphism(b)
                     assert _independent_anti_check(end.algebra, alpha)
                     res = forms.form_from_anti_automorphism(M, alpha, end)
@@ -103,18 +103,18 @@ def test_criterion_2_duality_functor_laws():
                 projectives.append(mod.direct_sum([R, R]))
             for M in projectives:
                 assert M.dim <= 12
-                d0 = forms.dual_module(M, K, 0)
-                d01 = forms.dual_module(d0.module, K, 1)
-                assert mod.is_isomorphic(d01.module, M, seed=1) is not None
-                d1 = forms.dual_module(M, K, 1)
-                d10 = forms.dual_module(d1.module, K, 0)
-                assert mod.is_isomorphic(d10.module, M, seed=1) is not None
+                D0, _ = forms.dual_module(M, K, 0)
+                D01, _ = forms.dual_module(D0, K, 1)
+                assert mod.is_isomorphic(D01, M, seed=1) is not None
+                D1, _ = forms.dual_module(M, K, 1)
+                D10, _ = forms.dual_module(D1, K, 0)
+                assert mod.is_isomorphic(D10, M, seed=1) is not None
             # right regular iff left regular on random (possibly singular) forms
             M = projectives[2]
-            dual1 = forms.dual_module(M, K, 1)
+            D1, H1 = forms.dual_module(M, K, 1)
             for seed in range(7):
-                f = random_adjoint(M, dual1, seed, invertible=False)
-                b = forms.form_from_adjoint(M, K, dual1, f)
+                f = random_adjoint(M, D1, seed, invertible=False)
+                b = forms.form_from_adjoint(M, K, H1, f)
                 adj = forms.adjoints(b)
                 assert adj.right_regular == adj.left_regular
                 form_count += 1

@@ -45,7 +45,7 @@ def test_standard_double_module_transpose_action():
     e12 = M2.basis_vector(1)
     for i in range(4):
         k = M2.basis_vector(i)
-        assert K.act(k, e12, 0) == M2.mul(M2.basis_vector(2), k)
+        assert K.module(0).action_of(e12).act_row(k) == M2.mul(M2.basis_vector(2), k)
     assert forms.type_of(K).is_identity()
 
 
@@ -71,16 +71,16 @@ def test_dual_of_regular_is_k():
         K = forms.standard_double_module(A, gamma)
         R = mod.regular_module(A)
         for i in (0, 1):
-            d = forms.dual_module(R, K, i)
-            assert mod.is_isomorphic(d.module, K.module(i)) is not None
+            D, _ = forms.dual_module(R, K, i)
+            assert mod.is_isomorphic(D, K.module(i)) is not None
 
 
 def test_dual_of_zero_module():
     M2 = alg.matrix_algebra(QQ, 2)
     K = forms.standard_double_module(M2, transpose_map(M2, 2))
     Z = mod.Module(M2, 0, [Matrix.zeros(QQ, 0, 0)] * 4)
-    d = forms.dual_module(Z, K, 1)
-    assert d.dim == 0
+    D, _ = forms.dual_module(Z, K, 1)
+    assert D.dim == 0
     phi, _, _ = forms.phi_map(Z, K)
     assert phi.nrows == 0
 
@@ -89,8 +89,8 @@ def test_column_dual_dimension():
     M2 = alg.matrix_algebra(QQ, 2)
     K = forms.standard_double_module(M2, transpose_map(M2, 2))
     col = mod.decompose(mod.regular_module(M2))[0]
-    d = forms.dual_module(col, K, 1)
-    assert d.dim == 2
+    D, _ = forms.dual_module(col, K, 1)
+    assert D.dim == 2
 
 
 def test_adjoints_of_zero_and_dot():
@@ -184,12 +184,12 @@ def test_theta_symmetric_form_gives_involution():
     K = forms.standard_double_module(M2, tr)
     theta = forms.standard_involution(K, tr)
     R = mod.regular_module(M2)
-    dual1 = forms.dual_module(R, K, 1)
+    D1, H1 = forms.dual_module(R, K, 1)
     rng = random.Random(2)
     found = 0
     for seed in range(40):
-        f = random_adjoint(R, dual1, seed)
-        b = forms.form_from_adjoint(R, K, dual1, f)
+        f = random_adjoint(R, D1, seed)
+        b = forms.form_from_adjoint(R, K, H1, f)
         if not b.is_symmetric_under(theta):
             # symmetrize: b'(x,y) = b(x,y) + theta(b(y,x))
             t2 = [
@@ -253,19 +253,19 @@ def test_dual_morphism_refuses_maps_that_are_not_module_maps():
     A = alg.matrix_algebra(F5, 2)
     M = mod.regular_module(A)
     K = forms.standard_double_module(A, transpose_map(A, 2))
-    dual1 = forms.dual_module(M, K, 1)
+    _, dual1 = forms.dual_module(M, K, 1)
     f = Matrix(F5, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 2, 1]])
-    g = dual1.maps[0]
+    g = dual1.basis[0]
     assert verify.intertwines(A, M.action, K.action0, f * g) is not None
-    assert dual1.hom.coords_of(dual1.hom.generators * f * g) is not None
+    assert dual1.coords_of(dual1.generators * f * g) is not None
     with pytest.raises(VerificationError, match="^intertwining law fails at"):
         forms.dual_morphism(f, dual1, dual1)
     # an A-linear f passes, with the coordinates of the full lookup
     full = RowSpace(F5, M.dim * K.dim)
-    full.extend(map(vec, dual1.maps))
+    full.extend(map(vec, dual1.basis))
     for w in mod.hom_space(M, M).basis:
         assert forms.dual_morphism(w, dual1, dual1).rows == tuple(
-            full.coordinates(vec(w * h)) for h in dual1.maps)
+            full.coordinates(vec(w * h)) for h in dual1.basis)
 
 
 def test_theta_alpha_square_identity():
@@ -303,19 +303,20 @@ def test_phi_naturality_square():
 
 
 def test_phi_adjoint_identity():
-    # (Ad_r b)^[0] o Phi_M = Ad_l b
-    M2 = alg.matrix_algebra(F5, 2)
-    tr = transpose_map(M2, 2)
-    K = forms.standard_double_module(M2, tr)
-    R = mod.regular_module(M2)
-    for seed in range(3):
-        dual1 = forms.dual_module(R, K, 1)
-        f = random_adjoint(R, dual1, seed, invertible=False)
-        b = forms.form_from_adjoint(R, K, dual1, f)
-        adj = forms.adjoints(b)
-        phi, d1, d10 = forms.phi_map(R, K)
-        dual_of_adjoint = forms.dual_morphism(adj.right, d10, adj.dual0)
-        assert phi * dual_of_adjoint == adj.left
+    # (Ad_r b)^[0] o Phi_M = Ad_l b, with Ad_r: M -> M^[1] dualized from M^[1][0] to
+    # M^[0]; on UT_3, M^[1] acts unlike M, so swapped arguments would fail the check
+    M2, UT3 = alg.matrix_algebra(F5, 2), alg.upper_triangular_algebra(F5, 3)
+    for A, gamma in [(M2, transpose_map(M2, 2)), (UT3, ut_flip_map(UT3, 3))]:
+        K = forms.standard_double_module(A, gamma)
+        R = mod.regular_module(A)
+        for seed in range(3):
+            D1, H1 = forms.dual_module(R, K, 1)
+            f = random_adjoint(R, D1, seed, invertible=False)
+            b = forms.form_from_adjoint(R, K, H1, f)
+            adj = forms.adjoints(b)
+            phi, d1, d10 = forms.phi_map(R, K)
+            dual_of_adjoint = forms.dual_morphism(adj.right, adj.dual0, d10)
+            assert phi * dual_of_adjoint == adj.left
 
 
 def test_phi_invertible_for_progenerator_values():
@@ -387,12 +388,61 @@ def test_dual_round_trips_small():
     R = mod.regular_module(M2)
     col = mod.decompose(R)[0]
     for M in (R, col, mod.direct_sum([col, R])):
-        d0 = forms.dual_module(M, K, 0)
-        d01 = forms.dual_module(d0.module, K, 1)
-        assert mod.is_isomorphic(d01.module, M) is not None
-        d1 = forms.dual_module(M, K, 1)
-        d10 = forms.dual_module(d1.module, K, 0)
-        assert mod.is_isomorphic(d10.module, M) is not None
+        D0, _ = forms.dual_module(M, K, 0)
+        D01, _ = forms.dual_module(D0, K, 1)
+        assert mod.is_isomorphic(D01, M) is not None
+        D1, _ = forms.dual_module(M, K, 1)
+        D10, _ = forms.dual_module(D1, K, 0)
+        assert mod.is_isomorphic(D10, M) is not None
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=str)
+def test_dual_coordinates_are_the_hom_space_basis(field):
+    M2, UT3 = alg.matrix_algebra(field, 2), alg.upper_triangular_algebra(field, 3)
+    for A, gamma in [(M2, transpose_map(M2, 2)), (UT3, ut_flip_map(UT3, 3))]:
+        K = forms.standard_double_module(A, gamma)
+        R = mod.regular_module(A)
+        eA = mod.principal_right_module(A, A.basis_vector(0))
+        for M in (R, eA, mod.direct_sum([eA, R])):
+            for i in (0, 1):
+                D, H = forms.dual_module(M, K, i)
+                assert D.dim == H.dim
+                assert H.basis == mod.hom_space(M, K.module(1 - i)).basis
+
+
+@pytest.mark.parametrize("name", ["M2-transpose", "UT3-flip"])
+def test_only_phi_map_builds_a_dual_module(name, monkeypatch):
+    # adjoints and the correspondence read a dual's coordinates only; phi_map needs
+    # M^[1] as a module, once, as the source of its double dual
+    if name == "M2-transpose":
+        A = alg.matrix_algebra(F5, 2)
+        gamma = transpose_map(A, 2)
+    else:
+        A = alg.upper_triangular_algebra(F5, 3)
+        gamma = ut_flip_map(A, 3)
+    M = mod.regular_module(A)
+    K = forms.standard_double_module(A, gamma)
+    b = random_regular_form(M, K, seed=1)
+    real, calls = forms.dual_module, []
+
+    def refuse(*args):
+        raise AssertionError("dual_module called")
+
+    monkeypatch.setattr(forms, "dual_module", refuse)
+    adj = forms.adjoints(b)
+    assert adj.left_regular and adj.right_regular
+    alpha, end = forms.corresponding_anti_automorphism(b)
+    res = forms.form_from_anti_automorphism(M, alpha, end)
+    assert forms.corresponding_anti_automorphism(res.form, end)[0].matrix == alpha.matrix
+
+    def count(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(forms, "dual_module", count)
+    phi, _, _ = forms.phi_map(M, K)
+    assert invert(phi) is not None
+    assert len(calls) == 1
 
 
 def test_dependent_systems_keep_their_messages():
@@ -449,16 +499,15 @@ def test_coordinate_matrices_are_canonical_over_q():
     K = forms.standard_double_module(B, gamma)
     M = mod.regular_module(B)
     sub, _ = mod.submodule(M, [Pinv.act_row(A.basis_vector(0))])       # e11 B
-    dual0, dual1 = forms.dual_module(M, K, 0), forms.dual_module(M, K, 1)
+    (D0, _), (D1, H1) = forms.dual_module(M, K, 0), forms.dual_module(M, K, 1)
     H = mod.hom_space(M, M)
     f = H.matrix_from_coords([QQ.coerce(f"{k + 1}/2") for k in range(H.dim)])
     phi, _, _ = forms.phi_map(M, K)
     adj = forms.adjoints(random_regular_form(M, K, seed=0))
-    mats = [*sub.action, *dual0.module.action, *dual1.module.action,
-            forms.dual_morphism(f, dual1, dual1), phi, adj.left, adj.right]
+    mats = [*sub.action, *D0.action, *D1.action,
+            forms.dual_morphism(f, H1, H1), phi, adj.left, adj.right]
     # hom_space maps its solutions back through T^-1 products of Fractions
-    mats += [*H.basis, *mod.hom_space(sub, dual1.module).basis,
-             *mod.hom_space(dual0.module, M).basis]
+    mats += [*H.basis, *mod.hom_space(sub, D1).basis, *mod.hom_space(D0, M).basis]
     assert_field_elements(QQ, [x for m in mats for row in m.rows for x in row])
 
 

@@ -218,8 +218,8 @@ def test_reduce_and_transfer_hyperbolic_quaternion_involution():
     K = forms.standard_double_module(H, conj)
     theta = forms.standard_involution(K, conj)
     res = inv.hyperbolic_involution(K, theta, mod.regular_module(H))
-    dual1 = forms.dual_module(mod.regular_module(H), K, 1)
-    phi = mod.is_isomorphic(dual1.module, mod.regular_module(H), seed=0)
+    D1, _ = forms.dual_module(mod.regular_module(H), K, 1)
+    phi = mod.is_isomorphic(D1, mod.regular_module(H), seed=0)
     assert phi is not None
     from fdalg.linalg import block_diag, invert
 
@@ -403,8 +403,8 @@ def test_forms_layer_scalars_are_canonical_over_q():
     K = forms.standard_double_module(H, conj)
     mats = []
     for i in (0, 1):
-        dual = forms.dual_module(R, K, i)
-        mats += [*dual.module.action, *dual.maps]
+        D, hom = forms.dual_module(R, K, i)
+        mats += [*D.action, *hom.basis]
     b = random_regular_form(R, K, seed=0)
     adj = forms.adjoints(b)
     alpha, end = forms.corresponding_anti_automorphism(b)

@@ -190,7 +190,6 @@ def test_matrix_row_action():
     A = Matrix(QQ, [[1, 2], [3, 4]])
     assert A.act_row((1, 1)) == (4, 6)
     assert A.transpose().rows == ((1, 3), (2, 4))
-    assert A.trace() == 5
 
 
 def test_coerce_rejects_inexact_scalars():

@@ -346,7 +346,7 @@ def hom_cases(draw, field):
     if name != "F":
         gamma = transpose_map(A, 2) if name == "M2" else ut_flip_map(A, 3)
         K = forms.standard_double_module(A, gamma)
-        mods += [forms.dual_module(mods[3], K, 1).module, forms.dual_module(R, K, 0).module]
+        mods += [forms.dual_module(mods[3], K, 1)[0], forms.dual_module(R, K, 0)[0]]
     if name == "UT3":
         S = [_ut_simple(A, 3, i) for i in range(3)]
         mods += [mod.direct_sum([S[0], S[2]]), mod.direct_sum([S[1], S[0], S[1]])]

@@ -38,8 +38,8 @@ def test_trusted_constructions_inherit_their_laws(field, case):
         "direct_sum": mod.direct_sum([R, mod.principal_right_module(A, e)]),
         "principal_right_module": mod.principal_right_module(A, e),
         "change_of_basis": mod.change_of_basis(R, _unitriangular(field, A.dim)),
-        "dual_module 0": forms.dual_module(R, K, 0).module,
-        "dual_module 1": forms.dual_module(R, K, 1).module,
+        "dual_module 0": forms.dual_module(R, K, 0)[0],
+        "dual_module 1": forms.dual_module(R, K, 1)[0],
         "DoubleModule.module 0": K.module(0),
         "DoubleModule.module 1": K.module(1),
     }
