@@ -313,13 +313,6 @@ class CenterData:
                                           prefix="z")
         return self._as_algebra
 
-    @functools.cached_property
-    def _coordinates(self) -> Coordinates:
-        return Coordinates(self.algebra.field, self.basis, self.algebra.dim)
-
-    def coordinates(self, v: Sequence) -> Optional[tuple]:
-        return self._coordinates.of(v)
-
 
 # -- constructors ------------------------------------------------------
 

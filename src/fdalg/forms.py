@@ -25,7 +25,6 @@ from .linalg import (
     invert,
     unit_vector,
     unvec,
-    vcombine,
     vec,
     vzero,
 )
@@ -82,45 +81,29 @@ class DoubleModuleInvolution:
         return self.matrix.act_row(k)
 
 
-class TypeTag:
-    """The automorphism of the center induced by a double module:
-    k .0 c = k .1 sigma(c) for central c."""
-
-    def __init__(self, center_data, images: Sequence[tuple]):
-        self.center = center_data
-        self.images = tuple(tuple(v) for v in images)  # sigma(z_j) in algebra coords
-
-    def is_identity(self) -> bool:
-        return all(img == z for img, z in zip(self.images, self.center.basis))
-
-
-def type_of(K: DoubleModule) -> TypeTag:
-    """Solve k .0 c = k .1 sigma(c) on the center; unique for faithful K_1."""
+def type_of(K: DoubleModule) -> AlgebraMap:
+    """The type of K: the automorphism sigma of the center Z = ``center(A).as_algebra()``
+    with k .0 z = k .1 sigma(z), solved on Z's basis; unique for faithful K_1.  It is an
+    ``AlgebraMap`` Z -> Z, whose constructor proves sigma(1) = 1 and multiplicativity,
+    so for a standard double module it equals ``restriction_to_center(gamma)``."""
     A = K.algebra
-    field = A.field
-    cdata = center(A)
+    Z, emb = center(A).as_algebra()
     # k .0 z = k .1 sigma(z): sigma(z) = sum_j c_j z_j where rho0(z) = sum_j c_j rho1(z_j)
-    in_action1 = Coordinates(field, [vec(K.module(1).action_of(z)) for z in cdata.basis],
+    in_action1 = Coordinates(A.field, [vec(K.module(1).action_of(z)) for z in emb],
                              K.dim * K.dim)
     if not in_action1.independent:
         raise VerificationError("values module is not faithful enough to carry a type")
-    coords = coordinate_rows(in_action1.of, (vec(K.module(0).action_of(z)) for z in cdata.basis),
+    coords = coordinate_rows(in_action1.of, (vec(K.module(0).action_of(z)) for z in emb),
                              "double module has no type on the center")
-    # sigma must be an automorphism of the center
-    if verify.bijective(Matrix._trusted(field, coords, cdata.dim)) is not None:
+    # coords[j] are the coordinates of sigma(z_j), the columns of the matrix of sigma
+    if verify.bijective(Matrix._trusted(A.field, coords, Z.dim)) is not None:
         raise VerificationError("induced center map is not bijective")
-    images = [vcombine(field, A.dim, c, cdata.basis) for c in coords]
-    for i, zi in enumerate(cdata.basis):
-        for j, zj in enumerate(cdata.basis):
-            lhs = vcombine(field, A.dim, cdata.coordinates(A.mul(zi, zj)), images)
-            if lhs != A.mul(images[i], images[j]):
-                raise VerificationError("induced center map is not multiplicative")
-    return TypeTag(cdata, images)
+    return AlgebraMap.from_images(Z, Z, coords, AlgebraMap.HOMOMORPHISM)
 
 
 class BilinearForm:
     """b: M x M -> K as a dim_M x dim_M array of K-vectors; the balance
-    laws are checked on all basis triples."""
+    laws are proved on the algebra's generators (:func:`verify.balanced`)."""
 
     def __init__(self, module: Module, values: DoubleModule, tensor):
         self.module = module
@@ -179,8 +162,8 @@ def dual_module(M: Module, K: DoubleModule, i: int):
     field = A.field
     d = H.dim
     twist = K.action0 if i == 0 else K.action1
-    action = [Matrix(field, coordinate_rows(H.coords_of, (x * t for x in H.images),
-                                            "twisted action leaves the hom space"), ncols=d)
+    action = [Matrix._trusted(field, coordinate_rows(H.coords_of, (x * t for x in H.images),
+                                                     "twisted action leaves the hom space"), d)
               for t in twist]
     return Module._trusted(A, d, action, ()), H
 
@@ -197,7 +180,7 @@ def dual_morphism(f: Matrix, dual_target: HomSpace, dual_source: HomSpace) -> Ma
     Vf = dual_target.generators * f
     rows = coordinate_rows(dual_target.coords_of, (Vf * g for g in dual_source.basis),
                            "dualized morphism leaves the hom space")
-    return Matrix(N.algebra.field, rows, ncols=dual_target.dim)
+    return Matrix._trusted(N.algebra.field, rows, dual_target.dim)
 
 
 def phi_map(M: Module, K: DoubleModule):
@@ -339,27 +322,6 @@ class FormFromAntiResult:
         self.involution = involution
 
 
-def _unpreserved(rel: RowSpace, d: int, rhos: Sequence[Matrix], swap: bool) -> Optional[str]:
-    """The first of v -> vec(V rho) (action0), v -> vec(rho^T V) (action1) for rho in
-    ``rhos`` and v -> vec(V^T) (if ``swap``) that does not map rel into itself, V =
-    unvec(v); else None.  T preserves rel iff f o T vanishes on rel for each f that
-    does; read as the d x d matrix Phi, f o T is Phi rho^T, rho Phi or Phi^T."""
-    functionals = rel.annihilator()
-    ann = RowSpace(rel.field, d * d)
-    ann.extend(functionals)
-    phis = [unvec(rel.field, f, d, d) for f in functionals]
-    def keeps(image) -> bool:
-        return all(ann.contains(vec(image(phi))) for phi in phis)
-    for rho in rhos:
-        if not keeps(lambda phi: phi * rho.transpose()):
-            return "action0 does not preserve the relations"
-        if not keeps(lambda phi: rho * phi):
-            return "action1 does not preserve the relations"
-    if swap and not keeps(Matrix.transpose):
-        return "swap does not preserve the relations"
-    return None
-
-
 def form_from_anti_automorphism(M: Module, alpha: AlgebraMap,
                                 end: EndData) -> FormFromAntiResult:
     """Realize an anti-automorphism of End(M) by a bilinear form.
@@ -367,9 +329,16 @@ def form_from_anti_automorphism(M: Module, alpha: AlgebraMap,
     Builds the tensor square of M modulo the End-balancing relations
     (alpha(w) m (x) n = m (x) w n), installs the two twisted actions, and
     returns the form b(x,y) = class(y (x) x) together with the swap
-    involution when alpha is an involution.  It proves that the actions and
-    swap preserve the relations, and that b is regular and corresponds to
-    alpha (:func:`verify.corresponds`), so to alpha alone."""
+    involution when alpha is an involution.  It proves that b is regular and
+    corresponds to alpha (:func:`verify.corresponds`), so to alpha alone.
+
+    The balance laws and the theta-symmetry of b prove that the actions and the swap
+    keep the relations rel.  With P = ``quo.project``, L = ``quo.lift`` and T the action
+    of e_t on M (x) M, the installed A_t is P T L.  As b(x, y) = P(y (x) x), the balance
+    law at e_t reads P T = P T L P, i.e. P T (I - L P) = 0, and I - L P maps M (x) M onto
+    rel: the law holds exactly when T(rel) lies in rel.  ``BilinearForm`` proves it on
+    ``A.generators``, which suffice: the a whose action keeps rel form a subalgebra.  With
+    the swap S and theta = P S L, b is theta-symmetric exactly when S(rel) lies in rel."""
     A = M.algebra
     field = A.field
     if alpha.source != end.algebra or alpha.target != end.algebra:
@@ -407,9 +376,6 @@ def form_from_anti_automorphism(M: Module, alpha: AlgebraMap,
         V = unvec(field, v, d, d)
         return vec(V * rho if side == 0 else rho.transpose() * V)
 
-    # right actions: the a whose action preserves rel form a subalgebra holding 1
-    involution = alpha.is_involution()
-    verify.require(_unpreserved(rel, d, [M.action[t] for t in A.generators], involution))
     lifts = [quo.lift(unit_vector(field, k_dim, l)) for l in range(k_dim)]
     action0, action1 = (
         [Matrix(field, [quo.project(tensor_action(l, rho, side)) for l in lifts], ncols=k_dim)
@@ -420,7 +386,7 @@ def form_from_anti_automorphism(M: Module, alpha: AlgebraMap,
     b = BilinearForm(M, K, [[quo.project(unit_vector(field, dd, j * d + i)) for j in range(d)]
                             for i in range(d)])
     theta = None
-    if involution:
+    if alpha.is_involution():
         # y (x) x -> x (x) y
         rows = [quo.project(vec(unvec(field, l, d, d).transpose())) for l in lifts]
         theta = DoubleModuleInvolution(K, Matrix(field, rows, ncols=k_dim))
@@ -463,8 +429,7 @@ def involution_from_goldman(K: DoubleModule) -> DoubleModuleInvolution:
         n += 1
     if n * n != A.dim or A != matrix_algebra(A.field, n):
         raise DimensionError("values algebra is not a matrix algebra on matrix units")
-    tag = type_of(K)
-    if not tag.is_identity():
+    if not type_of(K).matrix.is_identity():
         raise VerificationError("the Goldman involution needs identity type")
     field = A.field
     T = Matrix.zeros(field, K.dim, K.dim)

@@ -17,6 +17,7 @@ from . import verify
 from .algebras import (
     Algebra,
     AlgebraMap,
+    center,
     is_unit,
     matrix_algebra_over,
     random_combinations,
@@ -36,6 +37,7 @@ from .linalg import (
     unit_vector,
     unvec,
     vadd,
+    vcombine,
     vsub,
     vzero,
 )
@@ -55,7 +57,6 @@ from .forms import (
     DoubleModule,
     DoubleModuleInvolution,
     EndData,
-    TypeTag,
     corresponding_anti_automorphism,
     dual_module,
     form_from_adjoint,
@@ -97,14 +98,18 @@ class ThetaPair:
         return AntiStructure(self.algebra, self.gamma, self.apply(self.algebra.unit))
 
 
-def check_type_on_center(alpha: AlgebraMap, end: EndData, tag: TypeTag) -> None:
-    """Assert alpha(rho(z)) = rho(sigma(z)) for all central z, where rho embeds
-    the center of the base algebra into End(M), as central elements act A-linearly."""
+def check_type_on_center(alpha: AlgebraMap, end: EndData, sigma: AlgebraMap) -> None:
+    """Assert alpha(rho(z)) = rho(sigma(z)) on the basis of the center Z of A, for sigma an
+    automorphism of ``center(A).as_algebra()`` (:func:`forms.type_of`); rho embeds Z into
+    End(M) through the center's embedding rows, as central elements act A-linearly."""
     M = end.module
-    failure = "center does not embed into the endomorphisms"
-    embs = coordinate_rows(end.coords_of, map(M.action_of, tag.center.basis), failure)
-    emb_imgs = coordinate_rows(end.coords_of, map(M.action_of, tag.images), failure)
-    if any(alpha.apply(e) != e_img for e, e_img in zip(embs, emb_imgs)):
+    _, emb = center(M.algebra).as_algebra()
+    embs = coordinate_rows(end.coords_of, map(M.action_of, emb),
+                           "center does not embed into the endomorphisms")
+    field, n = M.algebra.field, end.algebra.dim
+    # rho(sigma(z_j)) = sum_k sigma(z_j)_k rho(z_k), column j of sigma's matrix
+    if any(alpha.apply(e) != vcombine(field, n, sigma.matrix.column_tuple(j), embs)
+           for j, e in enumerate(embs)):
         raise VerificationError("constructed map has the wrong type on the center")
 
 
@@ -250,18 +255,16 @@ def reduce_to_standard(alpha: AlgebraMap, A: Algebra, n: int,
     # transported action1 is literally right multiplication: psi intertwines
     verify.require(verify.intertwines(A, K.action1, reg.action, psi))
     checks.append("action1 is right multiplication")
-    gamma_images = []
-    act0 = []
-    for t in range(A.dim):
-        m0 = psi_inv * K.action0[t] * psi
-        act0.append(m0)
-        gamma_images.append(m0.act_row(A.unit))
-    gamma = AlgebraMap.from_images(A, A, gamma_images, AlgebraMap.ANTI)
+    # gamma(e_t) = 1 psi^-1 action0(e_t) psi, the image of 1 under the transported action0
+    one = psi_inv.act_row(A.unit)
+    gamma = AlgebraMap.from_images(A, A, [psi.act_row(m0.act_row(one)) for m0 in K.action0],
+                                   AlgebraMap.ANTI)
     if not gamma.is_bijective():
         raise VerificationError("recovered map is not bijective")
-    for t in range(A.dim):
-        if act0[t] != A.left_mult_matrix(gamma.apply(A.basis_vector(t))):
-            raise VerificationError("action0 is not left multiplication by gamma")
+    # action0(e_t) psi = psi L(gamma(e_t)): both sides are right actions of A (gamma is
+    # anti), so the a where the law holds form a subalgebra holding 1; the generators suffice
+    lefts = [A.left_mult_matrix(gamma.apply(A.basis_vector(t))) for t in range(A.dim)]
+    verify.require(verify.intertwines(A, K.action0, lefts, psi))
     checks.append("action0 is left multiplication through gamma")
     theta_pair = None
     if res.involution is not None:

@@ -579,11 +579,12 @@ class RowSpace:
         return vec_is_zero(self.reduce(v))
 
     def coordinates(self, v: Sequence) -> Optional[tuple]:
-        """Coefficients of v in the echelon basis, or None if outside."""
+        """Coefficients of v in the echelon basis, or None if outside; over Q
+        with integers as ints, as :meth:`Coordinates.of` returns them."""
         if not self.contains(v):
             return None
         p = self.field.p
-        return tuple(v[c] if p is None else v[c] % p for c in self.pivots)
+        return tuple(_normal(v[c]) if p is None else v[c] % p for c in self.pivots)
 
     def basis_matrix(self) -> Matrix:
         return Matrix._trusted(self.field, tuple(self.rows), self.ncols)

@@ -126,8 +126,8 @@ def submodule(M: Module, generators: Sequence[Sequence]):
                     if space.insert(w)]
     basis = list(space.rows)
     d = len(basis)
-    action = [Matrix(field, coordinate_rows(space.coordinates, map(rho.act_row, basis),
-                                            "span is not action-invariant"), ncols=d)
+    action = [Matrix._trusted(field, coordinate_rows(space.coordinates, map(rho.act_row, basis),
+                                                     "span is not action-invariant"), d)
               for rho in M.action]
     return Module._trusted(A, d, action, map(space.coordinates, generators)), basis
 

@@ -4,7 +4,7 @@ import functools
 import random
 
 import pytest
-from hypothesis import find, given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
 from fdalg import algebras as alg, forms, modules as mod, verify
 from fdalg.errors import DimensionError, VerificationError
@@ -46,7 +46,7 @@ def test_standard_double_module_transpose_action():
     for i in range(4):
         k = M2.basis_vector(i)
         assert K.module(0).action_of(e12).act_row(k) == M2.mul(M2.basis_vector(2), k)
-    assert forms.type_of(K).is_identity()
+    assert forms.type_of(K).matrix.is_identity()
 
 
 def test_double_module_commuting_law_enforced():
@@ -234,7 +234,8 @@ def test_form_from_anti_automorphism_on_regular():
 def test_form_from_anti_automorphism_refuses_maps_that_are_not_module_maps():
     # the End maps of the regular module conjugated by T: still a right action
     # of the opposite algebra, but no longer A-linear, so the balancing
-    # relations they give are not stable under the action of A
+    # relations they give are not stable under the action of A, and the
+    # form on the quotient fails its balance law at the first generator
     A = alg.matrix_algebra(F5, 2)
     M = mod.regular_module(A)
     b = random_regular_form(M, forms.standard_double_module(A, transpose_map(A, 2)), seed=1)
@@ -243,7 +244,8 @@ def test_form_from_anti_automorphism_refuses_maps_that_are_not_module_maps():
     bad = forms.EndData._trusted(end.algebra,
                                  mod.HomSpace(M, M, [invert(T) * w * T for w in end.maps]))
     assert any(w * rho != rho * w for w in bad.maps for rho in M.action)
-    with pytest.raises(VerificationError, match="^action0 does not preserve the relations$"):
+    with pytest.raises(VerificationError,
+                       match=r"^left balance law fails at basis triple \(0, 0, 0\)$"):
         forms.form_from_anti_automorphism(M, alpha, bad)
 
 
@@ -373,7 +375,7 @@ def test_involution_from_goldman_rejects_wrong_type():
     swapm = Matrix(QQ, [[0, 1], [1, 0]])
     swap = alg.AlgebraMap(P, P, swapm, alg.AlgebraMap.ANTI)
     K = forms.standard_double_module(P, swap)
-    assert not forms.type_of(K).is_identity()
+    assert not forms.type_of(K).matrix.is_identity()
     # P is not a matrix algebra on matrix units, so the constructor refuses
     from fdalg.errors import DimensionError
 
@@ -486,9 +488,10 @@ def test_corresponding_anti_automorphism_meets_its_definition(field, name):
 
 
 def test_coordinate_matrices_are_canonical_over_q():
-    # M_2 in a fractional basis: Fraction products hand Fraction(k, 1) coordinates
-    # to submodule, dual_module and dual_morphism, whose Matrix(...) coerces them.
-    # phi_map and adjoints read theirs off canonical entries (dual maps, form
+    # M_2 in a fractional basis: Fraction products reach the coordinate lookups of
+    # submodule (RowSpace.coordinates), dual_module and dual_morphism (Coordinates.of),
+    # which build with Matrix._trusted, so the lookups must return integral rationals
+    # as ints. phi_map and adjoints read theirs off canonical entries (dual maps, form
     # values), so no input gives them one; they are checked all the same
     A = alg.matrix_algebra(QQ, 2)
     P = Matrix(QQ, [[2, 1, -2, -1], [-1, "-1/2", "2/3", "1/3"],
@@ -579,103 +582,95 @@ def _m2_and_ut3(field):
 
 
 @functools.lru_cache(maxsize=None)
-def _real_relations(field):
-    """(d, rel, action) for the regular modules of M_2 and UT_3: rel is stable under
-    the action of A, and under the swap exactly when alpha is an involution."""
+def _real_cases(field):
+    """(M, alpha, end) for the regular modules of M_2 and UT_3, with alpha the map of
+    a symmetric form (an involution) and of a random regular form."""
     out = []
     for A, gamma in _m2_and_ut3(field):
         M = mod.regular_module(A)
         for b in (_symmetric_form(A, gamma),
                   random_regular_form(M, forms.standard_double_module(A, gamma), seed=1)):
-            alpha, end = forms.corresponding_anti_automorphism(b)
-            out.append((M.dim, _balancing_relations(M, alpha, end), M.action))
+            out.append((M, *forms.corresponding_anti_automorphism(b)))
     return out
-
-
-@st.composite
-def _relation_cases(draw):
-    """(d, R, rho): a subspace R of F^(d x d), written as vec(V), and a d x d rho.
-    Besides random rows, R is all V whose columns, rows or both lie in U = span(e_0,
-    ..., e_{m-1}) P, perhaps plus a stray row, or the balancing relations of a real
-    End; U rho lies in U when rho = P^-1 R0 P with R0 block triangular."""
-    field = draw(st.sampled_from(FIELDS))
-    entry = st.integers(-2, 2)
-    kind = draw(st.sampled_from(("random", "columns", "rows", "both", "relations")))
-    if kind == "relations":
-        d, rel, action = draw(st.sampled_from(_real_relations(field)))
-        if draw(st.booleans()):
-            return d, rel, draw(st.sampled_from(action))
-        return d, rel, Matrix(field, draw(st.lists(st.lists(entry, min_size=d, max_size=d),
-                                                   min_size=d, max_size=d)))
-    d = draw(st.integers(1, 4))
-    square = st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
-    R = RowSpace(field, d * d)
-    if kind == "random":
-        R.extend(draw(st.lists(st.lists(entry, min_size=d * d, max_size=d * d), max_size=d * d)))
-        return d, R, Matrix(field, draw(square))
-    m = draw(st.integers(0, d))
-    stable = draw(st.booleans())
-    R0 = Matrix(field, [[x if i >= m or j < m or not stable else 0 for j, x in enumerate(row)]
-                        for i, row in enumerate(draw(square))])
-    P = Matrix(field, draw(square))
-    Pinv = invert(P)
-    if Pinv is None:
-        P = Pinv = Matrix.identity(field, d)
-    U = P.rows[:m]
-    if kind in ("columns", "both"):
-        R.extend([u[s] * (t == c) for s in range(d) for t in range(d)] for u in U for c in range(d))
-    if kind in ("rows", "both"):
-        R.extend([(s == r) * u[t] for s in range(d) for t in range(d)] for u in U for r in range(d))
-    R.extend(draw(st.lists(st.lists(entry, min_size=d * d, max_size=d * d), max_size=1)))
-    return d, R, Pinv * R0 * P
-
-
-def _tensor_maps(rho):
-    # v -> vec(V rho), vec(rho^T V) and vec(V^T) on V = unvec(v)
-    return {"action0": lambda V: V * rho, "action1": lambda V: rho.transpose() * V,
-            "swap": Matrix.transpose}
 
 
 def _keeps_every_row(d, R, image):
     return all(R.contains(vec(image(unvec(R.field, r, d, d)))) for r in R.rows)
 
 
-def _first_failure(d, R, rho, names):
-    maps = _tensor_maps(rho)
-    return next((f"{n} does not preserve the relations" for n in names
-                 if not _keeps_every_row(d, R, maps[n])), None)
-
-
-@given(_relation_cases())
-@settings(max_examples=200, deadline=None)
-def test_annihilator_criterion_matches_the_row_by_row_check(case):
-    # T maps R into itself iff every echelon row r of R has T(r) in R
-    d, R, rho = case
-    assert forms._unpreserved(R, d, [rho], False) == _first_failure(d, R, rho, ("action0", "action1"))
-    assert forms._unpreserved(R, d, [], True) == _first_failure(d, R, rho, ("swap",))
-    assert forms._unpreserved(R, d, [rho, rho], True) == \
-        _first_failure(d, R, rho, ("action0", "action1", "swap"))
-    assert forms._unpreserved(R, d, [], False) is None
-
-
-@pytest.mark.parametrize("name", ["action0", "action1", "swap"])
-@pytest.mark.parametrize("kept", [True, False], ids=["kept", "broken"])
-def test_relation_cases_reach_both_outcomes(name, kept):
-    # a broken action1 is sought where action0 is kept, so each check is needed alone
-    def reaches(case):
-        d, R, rho = case
-        maps = _tensor_maps(rho)
-        if name == "action1" and not _keeps_every_row(d, R, maps["action0"]):
-            return False
-        return _keeps_every_row(d, R, maps[name]) == kept and R.dim not in (0, d * d)
-    find(_relation_cases(), reaches, settings=settings(max_examples=2000, database=None))
+def _keeps_relations(M, alpha, end):
+    """The row-by-row oracle: the balancing relations are a proper nonzero subspace,
+    kept by v -> vec(V rho) (action0) and vec(rho^T V) (action1) on V = unvec(v) for
+    every rho of M, and by vec(V^T) (the swap) when alpha is an involution."""
+    d, rel = M.dim, _balancing_relations(M, alpha, end)
+    maps = [f for rho in M.action
+            for f in (lambda V, rho=rho: V * rho, lambda V, rho=rho: rho.transpose() * V)]
+    if alpha.is_involution():
+        maps.append(Matrix.transpose)
+    return 0 < rel.dim < d * d and all(_keeps_every_row(d, rel, f) for f in maps)
 
 
 def test_real_relations_are_stable_under_the_algebra():
     for field in FIELDS:
-        for d, rel, action in _real_relations(field):
-            assert 0 < rel.dim < d * d
-            assert forms._unpreserved(rel, d, action, False) is None
+        for case in _real_cases(field):
+            assert _keeps_relations(*case)
+
+
+@st.composite
+def _conjugated_cases(draw):
+    """(M, alpha, end') with end' the End maps of a real case conjugated by an invertible
+    T: a random one, or L(u) for a unit u, which is A-linear and keeps them in End(M)."""
+    field = draw(st.sampled_from(FIELDS))
+    M, alpha, end = draw(st.sampled_from(_real_cases(field)))
+    A, entry = M.algebra, st.integers(-2, 2)
+    if draw(st.booleans()):
+        T = A.left_mult_matrix(A.coerce_element(draw(st.lists(entry, min_size=A.dim,
+                                                               max_size=A.dim))))
+    else:
+        T = Matrix(field, draw(st.lists(st.lists(entry, min_size=M.dim, max_size=M.dim),
+                                        min_size=M.dim, max_size=M.dim)))
+    T_inv = invert(T)
+    if T_inv is None:
+        T = T_inv = Matrix.identity(field, M.dim)
+    maps = [T_inv * w * T for w in end.maps]
+    return M, alpha, forms.EndData._trusted(end.algebra, mod.HomSpace(M, M, maps))
+
+
+def _outcome(case):
+    try:
+        forms.form_from_anti_automorphism(*case)
+    except VerificationError:
+        return "refused"
+    return "returned"
+
+
+@given(_conjugated_cases())
+@settings(max_examples=30, deadline=None)
+def test_form_from_anti_automorphism_returns_only_on_kept_relations(case):
+    # the balance laws and the theta-symmetry are the only certificates that the
+    # actions and the swap keep the relations
+    if _outcome(case) == "returned":
+        assert _keeps_relations(*case)
+
+
+@pytest.mark.parametrize("outcome", ["refused", "returned"])
+def test_conjugated_cases_reach_both_outcomes(outcome):
+    find(_conjugated_cases(), lambda case: _outcome(case) == outcome,
+         settings=settings(max_examples=200, database=None, phases=[Phase.generate]))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_type_of_a_standard_double_module_is_the_restriction_of_gamma(field):
+    FF = alg.field_algebra(field)
+    P = alg.direct_product(FF, FF)
+    H = alg.quaternion_algebra(field)
+    cases = _m2_and_ut3(field) + [
+        (H, alg.quaternion_conjugation(H)),
+        (P, alg.AlgebraMap(P, P, Matrix(field, [[0, 1], [1, 0]]), alg.AlgebraMap.ANTI))]
+    types = [forms.type_of(forms.standard_double_module(A, gamma)) for A, gamma in cases]
+    assert types == [alg.restriction_to_center(gamma) for _, gamma in cases]
+    # the swap on Q x Q has a type other than the identity
+    assert [t.matrix.is_identity() for t in types] == [True, True, True, False]
 
 
 def _conjugate(alpha, end, c):
