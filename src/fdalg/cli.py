@@ -188,7 +188,8 @@ def cmd_radical(data, args):
     A = algebra_from_json(data["algebra"])
     J = _alg.jacobson_radical(A)
     return _report({"dimension": len(J), "basis": [vector_json(A.field, v) for v in J]},
-                   [_check("radical is a nilpotent two-sided ideal", True)],
+                   [_check("radical is a nilpotent two-sided ideal",
+                           verify.nilpotent_ideal(A, J) is None)],
                    {"quotient_dimension": A.dim - len(J)})
 
 

@@ -35,25 +35,27 @@ def associative_unital(A) -> Optional[str]:
     """1 e_i = e_i = e_i 1, then (e_g e_j) e_k = e_g (e_j e_k) for generators e_g, all j, k.
     That proves all basis triples: the left nucleus {x : (x, y, z) = 0 for all y, z}
     holds 1 and the e_g, which span A by words (``A.generators``), and is a subalgebra
-    by Teichmueller's identity (ab, c, d) - (a, bc, d) + (a, b, cd) = a(b, c, d) + (a, b, c)d."""
+    by Teichmueller's identity (ab, c, d) - (a, bc, d) + (a, b, cd) = a(b, c, d) + (a, b, c)d.
+    For each (g, j), the difference of the two sides at (k, e_t) is summed over the
+    stored nonzero rows only, and a mismatch names its least k."""
     if (msg := unital(A)) is not None:
         return msg
-    d, sp, field = A.dim, A._sparse, A.field
-    for i in A.generators:
-        for j in range(d):
-            vij = sp[i][j]
-            for k in range(d):
-                lhs: dict = {}
-                for m, c in vij:
-                    for t, c2 in sp[m][k]:
-                        lhs[t] = field.add(lhs.get(t, field.zero), field.mul(c, c2))
-                rhs: dict = {}
-                for m, c in sp[j][k]:
-                    for t, c2 in sp[i][m]:
-                        rhs[t] = field.add(rhs.get(t, field.zero), field.mul(c, c2))
-                for t in set(lhs) | set(rhs):
-                    if lhs.get(t, field.zero) != rhs.get(t, field.zero):
-                        return f"associativity fails at basis triple ({i}, {j}, {k})"
+    sp, p = A._sparse, A.field.p
+    nz = [[(k, row) for k, row in enumerate(block) if row] for block in sp]
+    for g in A.generators:
+        for j in range(A.dim):
+            diff: dict = {}
+            for m, c in sp[g][j]:
+                for k, row in nz[m]:
+                    for t, c2 in row:
+                        diff[k, t] = diff.get((k, t), 0) + c * c2
+            for k, row in nz[j]:
+                for m, c in row:
+                    for t, c2 in sp[g][m]:
+                        diff[k, t] = diff.get((k, t), 0) - c * c2
+            bad = [k for (k, _), c in diff.items() if (c if p is None else c % p)]
+            if bad:
+                return f"associativity fails at basis triple ({g}, {j}, {min(bad)})"
     return None
 
 
@@ -122,34 +124,43 @@ def goldman(T, d: int, g: Sequence) -> Optional[str]:
 
 def ideal(A, vectors: Sequence[Sequence]) -> Optional[str]:
     """The span I of ``vectors`` is a two-sided ideal: I e_g and e_g I lie in I for
-    every generator e_g, enough as {a : I a + a I in I} is a subalgebra holding 1."""
+    every generator e_g, enough as {a : I a + a I in I} is a subalgebra holding 1.
+    Row k of B R(e_g) is v_k e_g and of B L(e_g) is e_g v_k; w lies in I iff
+    w = sum_c w[c] row_c over the pivots c of the reduced echelon rows of I."""
+    if not vectors:
+        return None
     space = RowSpace(A.field, A.dim)
     space.extend(vectors)
-    for k, v in enumerate(vectors):
-        for i in A.generators:
-            e = A.basis_vector(i)
-            if not space.contains(A.mul(v, e)) or not space.contains(A.mul(e, v)):
+    B = Matrix._trusted(A.field, tuple(vectors), A.dim)
+    sides = [(i, B * A.right_mult_matrix(A.basis_vector(i)),
+              B * A.left_mult_matrix(A.basis_vector(i))) for i in A.generators]
+    for k in range(len(vectors)):
+        for i, right, left in sides:
+            if any(vcombine(A.field, A.dim, [w[c] for c in space.pivots], space.rows) != w
+                   for w in (right.rows[k], left.rows[k])):
                 return f"ideal law fails at (vector {k}, basis element {i})"
     return None
 
 
 def nilpotent_ideal(A, basis: Sequence[Sequence]) -> Optional[str]:
-    """The span of ``basis`` is a two-sided ideal and a power of it is 0."""
+    """The span I of ``basis`` is a two-sided ideal and I^(2^k) = 0 for some k.
+    Squaring: C^2 is spanned by the rows of C R(v) for v in C.  For an ideal C,
+    C^2 lies in C, so each square either has smaller dimension or equals C; then
+    C^2 = C != 0, so no power of I is 0.  At most dim A squarings."""
     msg = ideal(A, basis)
     if msg is not None:
         return msg
-    current = list(basis)
-    for _ in range(A.dim):
-        nxt = RowSpace(A.field, A.dim)
-        for u in current:
-            for v in basis:
-                w = A.mul(u, v)
-                if not vec_is_zero(w):
-                    nxt.insert(w)
-        if nxt.dim == 0:
-            return None
-        current = list(nxt.rows)
-    return "the ideal is not nilpotent"
+    current = RowSpace(A.field, A.dim)
+    current.extend(basis)
+    while current.dim:
+        C = current.basis_matrix()
+        square = RowSpace(A.field, A.dim)
+        for v in current.rows:
+            square.extend((C * A.right_mult_matrix(v)).rows)
+        if square.dim == current.dim:
+            return "the ideal is not nilpotent"
+        current = square
+    return None
 
 
 def idempotents(A, elems: Sequence[Sequence]) -> Optional[str]:

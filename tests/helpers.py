@@ -5,8 +5,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from fdalg import algebras as alg
-from fdalg import forms, modules as mod
+from fdalg import forms, modules as mod, posets as ps
 from fdalg.linalg import Matrix, invert
 
 
@@ -87,8 +89,6 @@ def random_regular_form(M, K, seed: int):
 
 def corpus_small_posets():
     """Assorted posets on <= 8 points: chains, antichains, fences, sums."""
-    from fdalg import posets as ps
-
     out = [
         ps.chain(1), ps.chain(2), ps.chain(3), ps.chain(4),
         ps.antichain(2), ps.antichain(3),
@@ -108,6 +108,20 @@ def corpus_small_posets():
         ps.Poset.from_covers(6, [(0, 3), (0, 4), (1, 3), (1, 5), (2, 4), (2, 5)]),
     ]
     return out
+
+
+@st.composite
+def connected_posets(draw, max_points: int):
+    """A random connected poset on 1..max_points points: a random tree joins the
+    points, and it and a few random extra edges point up a random ranking of the
+    points, so the order is acyclic; ``Poset.from_covers`` closes it."""
+    n = draw(st.integers(1, max_points))
+    rank = draw(st.permutations(range(n)))
+    point = st.integers(0, n - 1)
+    edges = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+    edges += draw(st.lists(st.tuples(point, point), max_size=n))
+    return ps.Poset.from_covers(n, [(a, b) if rank[a] < rank[b] else (b, a)
+                                    for a, b in edges if a != b])
 
 
 def assert_field_elements(field, values) -> None:

@@ -387,7 +387,9 @@ class _FailingVerify:
      "associative_unital", "associativity and unit laws"),
     ("poset-of-algebra", "poset-of-algebra.in.json",
      "partial_order", "relation is a partial order"),
-], ids=["reduce-standard", "incidence", "poset-of-algebra"])
+    ("radical", "radical.in.json",
+     "nilpotent_ideal", "radical is a nilpotent two-sided ideal"),
+], ids=["reduce-standard", "incidence", "poset-of-algebra", "radical"])
 def test_checks_rerun_the_verify_checkers(tmp_path, capsys, monkeypatch, command, data,
                                           checker, check):
     if isinstance(data, str):

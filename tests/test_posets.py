@@ -1,12 +1,13 @@
 """Posets, order-reversing maps, incidence algebras, poset recovery."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdalg import algebras as alg, involutions as inv, modules as mod, posets as ps
 from fdalg.errors import NotAPosetError
 from fdalg.linalg import Field, QQ, RowSpace
 
-from helpers import corpus_small_posets
+from helpers import connected_posets, corpus_small_posets
 
 
 def test_poset_axioms_enforced():
@@ -102,6 +103,36 @@ def test_center_dim_one_iff_connected_corpus():
         A = ps.incidence_algebra(QQ, P)
         c = alg.center(A)
         assert (c.dim == 1) == P.is_connected(), f"corpus poset {P.covers()}"
+
+
+@st.composite
+def poset_sums(draw, max_points=6):
+    """(P, c): P is the disjoint union of c random connected posets, with at most
+    ``max_points`` points, so its incidence algebra has dimension at most 21."""
+    parts, size = [], 0
+    for _ in range(draw(st.integers(1, 3))):
+        if size < max_points:
+            parts.append((size, draw(connected_posets(max_points - size))))
+            size += parts[-1][1].size
+    leq = [[False] * size for _ in range(size)]
+    for start, Q in parts:
+        for i, row in enumerate(Q.leq):
+            leq[start + i][start:start + Q.size] = row
+    return ps.Poset(leq), len(parts)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(101)], ids=str)
+@given(case=poset_sums())
+@settings(max_examples=50, deadline=None)
+def test_incidence_algebra_invariants_of_random_posets(field, case):
+    P, components = case
+    A = ps.incidence_algebra(field, P)
+    assert field.p is None or A.dim < field.p   # the radical's trace criterion needs p > dim
+    strict = sum(P.leq[i][j] for i in range(P.size) for j in range(P.size) if i != j)
+    assert P.is_connected() == (components == 1)
+    assert len(alg.jacobson_radical(A)) == strict
+    assert alg.center(A).dim == components
+    assert len(alg.primitive_idempotents(A)) == P.size
 
 
 def test_poset_roundtrip_corpus():

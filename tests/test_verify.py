@@ -1,17 +1,16 @@
 """fdalg.verify: every checker passes on constructed objects and names the
 equation and basis tuple that a one-entry perturbation breaks."""
 
-import re
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, find, given, settings, strategies as st
+from hypothesis import Phase, example, find, given, settings, strategies as st
 
 from fdalg import algebras as alg, forms, modules as mod, posets, verify
 from fdalg.errors import VerificationError
-from fdalg.linalg import Field, Matrix, QQ
+from fdalg.linalg import Field, Matrix, QQ, RowSpace, vcombine, vec_is_zero
 
-from helpers import dense_table, transpose_map
+from helpers import connected_posets, dense_table, transpose_map
 
 M2 = alg.matrix_algebra(QQ, 2)          # basis e11, e12, e21, e22
 TR = transpose_map(M2, 2)
@@ -118,9 +117,9 @@ def test_associative_unital_agrees_with_every_basis_triple(X):
     if unit is not None:
         assert msg == f"unit law fails at basis element {unit}"
     elif triples:
-        named = re.fullmatch(r"associativity fails at basis triple \((\d+), (\d+), (\d+)\)", msg)
-        triple = tuple(map(int, named.groups()))
-        assert triple in triples and triple[0] in X.generators
+        # the least failing triple in (g, j, k) order whose first index is a generator
+        first = min(t for t in triples if t[0] in X.generators)
+        assert msg == "associativity fails at basis triple ({}, {}, {})".format(*first)
 
 
 @pytest.mark.parametrize("outcome", ["passes", "unit law", "associativity"])
@@ -200,6 +199,115 @@ def test_nilpotent_ideal():
     # the span of e11 is an ideal of F x F, but not nilpotent
     F2 = alg.direct_product(alg.field_algebra(QQ), alg.field_algebra(QQ))
     assert verify.nilpotent_ideal(F2, [F2.basis_vector(0)]) == "the ideal is not nilpotent"
+
+
+def products_span(A, us, vs) -> RowSpace:
+    """The span of the products u v, each formed with A.mul."""
+    space = RowSpace(A.field, A.dim)
+    for u in us:
+        for v in vs:
+            w = A.mul(u, v)
+            if not vec_is_zero(w):
+                space.insert(w)
+    return space
+
+
+def power_chain(A, basis):
+    """The oracle: the ideal law on the generators by A.mul, then the chain
+    J^(k+1) = J^k J, one power at a time, for at most dim A powers."""
+    space = RowSpace(A.field, A.dim)
+    space.extend(basis)
+    for k, v in enumerate(basis):
+        for i in A.generators:
+            e = A.basis_vector(i)
+            if not space.contains(A.mul(v, e)) or not space.contains(A.mul(e, v)):
+                return f"ideal law fails at (vector {k}, basis element {i})"
+    current = list(basis)
+    for _ in range(A.dim):
+        current = products_span(A, current, basis).rows
+        if not current:
+            return None
+    return "the ideal is not nilpotent"
+
+
+NIL_FIELDS = (QQ, GF101, Field(2 ** 61 - 1))
+
+
+def generated_ideal(A, vectors) -> list:
+    """The echelon basis of the two-sided ideal of A generated by ``vectors``."""
+    space, todo = RowSpace(A.field, A.dim), list(vectors)
+    while todo:
+        v = todo.pop()
+        if space.insert(v):
+            for i in range(A.dim):
+                e = A.basis_vector(i)
+                todo += [A.mul(v, e), A.mul(e, v)]
+    return list(space.rows)
+
+
+@st.composite
+def spans(draw):
+    """(A, vectors): A is UT_n or the incidence algebra of a random connected poset
+    over QQ, GF(101) or GF(2^61 - 1), sometimes times the field, and the vectors are
+    up to three combinations of its radical or of its basis, sometimes closed into
+    the two-sided ideal they generate."""
+    field = draw(st.sampled_from(NIL_FIELDS))
+    if draw(st.booleans()):
+        A = alg.upper_triangular_algebra(field, draw(st.integers(1, 4)))
+    else:
+        A = posets.incidence_algebra(field, draw(connected_posets(4)))
+    if draw(st.booleans()):
+        A = alg.direct_product(A, alg.field_algebra(field))
+    pool = alg.jacobson_radical(A) if draw(st.booleans()) else \
+        [A.basis_vector(i) for i in range(A.dim)]
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(pool), max_size=len(pool))
+    vectors = [field.coerce_row(vcombine(field, A.dim, draw(coeffs), pool))
+               for _ in range(draw(st.integers(0, 3)))]
+    return A, generated_ideal(A, vectors) if draw(st.booleans()) else vectors
+
+
+@given(spans())
+@settings(max_examples=150, deadline=None)
+def test_nilpotent_ideal_agrees_with_the_power_chain(case):
+    assert verify.nilpotent_ideal(*case) == power_chain(*case)
+
+
+@pytest.mark.parametrize("outcome", ["passes", "ideal law", "the ideal is not nilpotent"])
+def test_spans_reach_every_nilpotency_outcome(outcome):
+    find(spans(), lambda case: (verify.nilpotent_ideal(*case) or "passes").split(" fails")[0]
+         == outcome, settings=settings(max_examples=500, database=None, phases=[Phase.generate]))
+
+
+def test_nilpotent_ideal_squares_the_chain(monkeypatch):
+    UT = alg.upper_triangular_algebra(QQ, 10)
+    J = alg.jacobson_radical(UT)
+    seen, right, ideal = [], UT.right_mult_matrix, verify.ideal
+
+    def record(v):
+        seen.append(v)
+        return right(v)
+
+    def ideal_then_forget(A, vectors):
+        msg = ideal(A, vectors)
+        seen.clear()
+        return msg
+
+    monkeypatch.setattr(UT, "right_mult_matrix", record)
+    monkeypatch.setattr(verify, "ideal", ideal_then_forget)
+    assert verify.nilpotent_ideal(UT, J) is None
+    # J^k is spanned by the e_ij with j - i >= k, of dimension (10 - k)(11 - k)/2.
+    # The chain squares J, J^2, J^4 and J^8 (J^16 = 0), each through the R(v) of the
+    # vectors v of its echelon basis; J^(k+1) = J^k J would form 9 powers.
+    power, start = J, 0
+    for k in (1, 2, 4, 8):
+        n = (10 - k) * (11 - k) // 2
+        chunk = RowSpace(QQ, UT.dim)
+        chunk.extend(seen[start:start + n])
+        oracle = RowSpace(QQ, UT.dim)
+        oracle.extend(power)
+        assert chunk.dim == oracle.dim == n and chunk.rows == oracle.rows
+        power, start = products_span(UT, power, power).rows, start + n
+    assert start == len(seen) and power == []
 
 
 def test_idempotent_checkers():
