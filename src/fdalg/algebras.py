@@ -1191,27 +1191,6 @@ def goldman_element(n: int, field: Field):
     return T, g
 
 
-def find_goldman_element(A: Algebra, seed: int = 0, trials: int = 500):
-    """Search A (x) A for an element with g^2 = 1 and the swap law.
-
-    Experimental: the swap condition is linear, the unipotence condition
-    quadratic; candidates are drawn from the swap space.  Returns
-    (tensor_algebra, g) or (tensor_algebra, None).
-    """
-    field = A.field
-    T = tensor_product(A, A)
-    d = A.dim
-    # swap law g (r x s) = (s x r) g: g centralizes T twisted by the factor swap
-    swap_space = twisted_centralizer(
-        T, lambda v: tuple(v[(i % d) * d + i // d] for i in range(d * d)))
-    randoms = random_combinations(field, T.dim, swap_space, random.Random(seed), trials,
-                                  (-1, 1, 0, 2, -2))
-    for g in itertools.chain(swap_space, randoms):
-        if not vec_is_zero(g) and T.mul(g, g) == T.unit:
-            return T, tuple(g)
-    return T, None
-
-
 def restriction_to_center(f: AlgebraMap) -> AlgebraMap:
     """The automorphism induced on Cent(source) by an (anti-)automorphism.
 

@@ -5,7 +5,7 @@ named construction, and emits a JSON report.  Every report has the keys
 ``command``, ``demo`` (demos only), ``seed``, ``description`` (demos
 only), ``result``, ``certificate`` and ``checks``, in that order.  The
 "checks" section re-runs the :mod:`fdalg.verify` checkers on the returned
-objects (those of ``radical`` and ``basic`` are still constant).  Each
+objects (only the class-count check of ``basic`` is still constant).  Each
 command and demo builds its report body through ``_report``, which
 refuses to build one when any check failed: the command then exits 1
 with an error naming the failed checks instead of a report.

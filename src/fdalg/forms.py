@@ -39,19 +39,25 @@ from .modules import (
 )
 
 
-class DoubleModule:
-    """One space with two commuting right actions of the same algebra."""
+class DoubleModule(verify.Verified):
+    """One space with two commuting right actions of the same algebra.  ``DoubleModule(...)``
+    checks both module laws and their commuting (:func:`verify.double_module`);
+    ``DoubleModule._trusted`` also stores generators for K_0 and K_1.  Both check shapes."""
 
     def __init__(self, algebra: Algebra, dim: int, action0: Sequence[Matrix],
                  action1: Sequence[Matrix]):
+        self._store(algebra, dim, action0, action1, ())
+        verify.require(verify.double_module(algebra, self.action0, self.action1))
+
+    def _store(self, algebra: Algebra, dim: int, action0: Sequence[Matrix],
+               action1: Sequence[Matrix], generators) -> None:
         self.algebra = algebra
         self.dim = dim
         self.action0 = tuple(action0)
         self.action1 = tuple(action1)
         # K_0 and K_1; their constructors check the shapes of the actions
-        self._modules = (Module._trusted(algebra, dim, self.action0, ()),
-                         Module._trusted(algebra, dim, self.action1, ()))
-        verify.require(verify.double_module(algebra, self.action0, self.action1))
+        self._modules = (Module._trusted(algebra, dim, self.action0, generators),
+                         Module._trusted(algebra, dim, self.action1, generators))
 
     def module(self, i: int) -> Module:
         """K_i: the underlying space with the i-th action."""
@@ -101,15 +107,21 @@ def type_of(K: DoubleModule) -> AlgebraMap:
     return AlgebraMap.from_images(Z, Z, coords, AlgebraMap.HOMOMORPHISM)
 
 
-class BilinearForm:
-    """b: M x M -> K as a dim_M x dim_M array of K-vectors; the balance
-    laws are proved on the algebra's generators (:func:`verify.balanced`)."""
+class BilinearForm(verify.Verified):
+    """b: M x M -> K as a dim_M x dim_M array of K-vectors.  ``BilinearForm(...)``
+    coerces the tensor and proves the balance laws on the algebra's generators
+    (:func:`verify.balanced`); the hyperbolic form and :func:`orthogonal_sum`
+    inherit them and are built by ``BilinearForm._trusted``.  Both check the shapes."""
 
     def __init__(self, module: Module, values: DoubleModule, tensor):
+        field = module.algebra.field
+        self._store(module, values, (tuple(map(field.coerce_row, row)) for row in tensor))
+        verify.require(verify.balanced(self))
+
+    def _store(self, module: Module, values: DoubleModule, tensor) -> None:
         self.module = module
         self.values = values
-        field = module.algebra.field
-        self.tensor = tuple(tuple(map(field.coerce_row, row)) for row in tensor)
+        self.tensor = tuple(map(tuple, tensor))
         if module.algebra != values.algebra:
             raise DimensionError("form module and values over different algebras")
         d = module.dim
@@ -117,7 +129,6 @@ class BilinearForm:
             raise DimensionError("form tensor must be dim_M x dim_M")
         if d and any(len(cell) != values.dim for row in self.tensor for cell in row):
             raise DimensionError("form values have wrong dimension")
-        verify.require(verify.balanced(self))
 
     def is_symmetric_under(self, theta: DoubleModuleInvolution) -> bool:
         d = self.module.dim
@@ -131,14 +142,19 @@ class BilinearForm:
 # -- standard double modules -------------------------------------------
 
 def standard_double_module(A: Algebra, gamma: AlgebraMap) -> DoubleModule:
-    """A itself with k .0 r = gamma(r) k and k .1 r = k r."""
+    """A itself with k .0 r = gamma(r) k and k .1 r = k r.
+
+    Built by ``DoubleModule._trusted``: both module laws and the commuting of the
+    actions follow from associativity and from gamma being an anti-automorphism,
+    which its constructor checked.  K_0 and K_1 carry 1, which generates both, as
+    1 .0 r = gamma(r) with gamma bijective and 1 .1 r = r."""
     if gamma.source != A or gamma.target != A:
         raise DimensionError("gamma must be an endo-map of A")
     if gamma.variance != AlgebraMap.ANTI or not gamma.is_bijective():
         raise VerificationError("gamma must be an anti-automorphism")
     action0 = [A.left_mult_matrix(gamma.apply(A.basis_vector(t))) for t in range(A.dim)]
     action1 = [A.right_mult_matrix(A.basis_vector(t)) for t in range(A.dim)]
-    return DoubleModule(A, A.dim, action0, action1)
+    return DoubleModule._trusted(A, A.dim, action0, action1, [A.unit])
 
 
 def standard_involution(K: DoubleModule, gamma: AlgebraMap) -> DoubleModuleInvolution:
@@ -443,26 +459,16 @@ def involution_from_goldman(K: DoubleModule) -> DoubleModuleInvolution:
 
 def orthogonal_sum(b: BilinearForm, b2: BilinearForm) -> BilinearForm:
     """Block form on the direct sum; regularity is checked to agree with
-    the two summands on both sides."""
+    the two summands on both sides.  Built by ``BilinearForm._trusted``: a block
+    sum of balanced forms with the same values is balanced on the block actions."""
     if b.values != b2.values:
         raise DimensionError("orthogonal sum needs the same values module")
     K = b.values
     M = direct_sum([b.module, b2.module])
-    field = M.algebra.field
-    d1, d2 = b.module.dim, b2.module.dim
-    zero = vzero(field, K.dim)
-    tensor = []
-    for i in range(d1 + d2):
-        row = []
-        for j in range(d1 + d2):
-            if i < d1 and j < d1:
-                row.append(b.tensor[i][j])
-            elif i >= d1 and j >= d1:
-                row.append(b2.tensor[i - d1][j - d1])
-            else:
-                row.append(zero)
-        tensor.append(row)
-    out = BilinearForm(M, K, tensor)
+    zero = vzero(M.algebra.field, K.dim)
+    tensor = ([row + (zero,) * b2.module.dim for row in b.tensor]
+              + [(zero,) * b.module.dim + row for row in b2.tensor])
+    out = BilinearForm._trusted(M, K, tensor)
     adj = adjoints(out)
     a1 = adjoints(b)
     a2 = adjoints(b2)

@@ -127,7 +127,12 @@ class HyperbolicResult:
 def hyperbolic_involution(K: DoubleModule, theta: DoubleModuleInvolution,
                           P: Module) -> HyperbolicResult:
     """End(P + P^[1]) with the involution of the theta-symmetric form
-    b(x+f, y+g) = g(x) + theta(f(y))."""
+    b(x+f, y+g) = g(x) + theta(f(y)).
+
+    The form is built by ``BilinearForm._trusted``: it is balanced because the basis
+    of H1 lies in Hom_A(P, K_0), P^[1] acts by f -> f action1(a), and theta swaps the
+    two actions of K, so g(x a) = g(x) .0 a, (g a)(x) = g(x) .1 a and
+    theta(f(y) .i a) = theta(f(y)) .(1-i) a."""
     A = K.algebra
     field = A.field
     if theta.double_module != K:
@@ -143,7 +148,7 @@ def hyperbolic_involution(K: DoubleModule, theta: DoubleModuleInvolution,
     # b(e_i, g) = g(e_i) and b(f, e_j) = theta(f(e_j))
     tensor = ([[zero] * p + [g.rows[i] for g in H1.basis] for i in range(p)]
               + [list((f * theta.matrix).rows) + [zero] * q for f in H1.basis])
-    b = BilinearForm(M, K, tensor)
+    b = BilinearForm._trusted(M, K, tensor)
     if not b.is_symmetric_under(theta):
         raise VerificationError("hyperbolic form is not theta-symmetric")
     # corresponding_anti_automorphism checks that b is regular on both sides

@@ -189,13 +189,6 @@ def test_goldman_element_holds_under_a_megabyte():
     assert result[0].dim == 81 and held < 1_000_000, held
 
 
-def test_find_goldman_element_search():
-    M2 = alg.matrix_algebra(QQ, 2)
-    T, g = alg.find_goldman_element(M2, trials=50)
-    assert g is not None
-    assert T.mul(g, g) == T.unit
-
-
 def test_restriction_to_center():
     M2 = alg.matrix_algebra(QQ, 2)
     tr = transpose_map(M2, 2)

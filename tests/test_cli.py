@@ -260,6 +260,21 @@ def test_form_correspond_command(tmp_path, capsys):
     assert rep["result"]["is_involution"] is True
 
 
+@pytest.mark.parametrize("action, pair", [("action0", "(0, 1)"), ("action1", "(1, 0)")])
+def test_form_correspond_checks_the_double_module_it_reads(tmp_path, capsys, action, pair):
+    # the standard double module of UT_3 with the flip, entered as JSON, with one
+    # entry of the action of e12 changed: JSON values are checked, not trusted
+    golden = Path(__file__).parent / "golden" / "form-correspond-ut3-n2-gfp.in.json"
+    data = json.loads(golden.read_text())
+    data["values"][action][1][0][0] = 1
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(data))
+    code, out = run_cli(capsys, "form-correspond", "--input", str(path))
+    assert code == cli.EXIT_INPUT
+    assert json.loads(out)["error"] == (
+        f"VerificationError: {action}: action is not multiplicative at basis pair {pair}")
+
+
 def test_reduce_standard_command(tmp_path, capsys):
     path = tmp_path / "r.json"
     path.write_text(json.dumps({"algebra": q_field_algebra_json(),

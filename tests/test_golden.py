@@ -155,12 +155,6 @@ def test_seeded_anti_structure_search(field, factors, seed, v):
     assert inv.find_anti_structure(A, swap, seed=seed, trials=20).v == v
 
 
-def test_seeded_goldman_search():
-    F5 = Field(5)
-    T, g = alg.find_goldman_element(alg.matrix_algebra(F5, 2), seed=0, trials=20)
-    assert g == tuple(int(i in (0, 6, 9, 15)) for i in range(16))
-
-
 def regenerate() -> None:
     import tempfile
 

@@ -9,10 +9,10 @@ import pkgutil
 import pytest
 
 import fdalg
-from fdalg import algebras as alg, forms, modules as mod, verify
+from fdalg import algebras as alg, forms, involutions as inv, modules as mod, verify
 from fdalg.linalg import Field, Matrix, QQ
 
-from helpers import transpose_map, ut_flip_map
+from helpers import assert_field_elements, random_regular_form, transpose_map, ut_flip_map
 
 FIELDS = (QQ, Field(5), Field(2 ** 61 - 1))
 CASES = {
@@ -55,6 +55,19 @@ def test_trusted_constructions_inherit_their_laws(field, case):
         assert end.hom.independent
         assert verify.intertwines(A, M.action, M.action, *end.maps) is None
         assert verify.module_action(alg.opposite(end.algebra), end.maps) is None
+
+    # the standard double module: both laws, their commuting, and 1 generating K_0 and K_1
+    assert verify.double_module(A, K.action0, K.action1) is None
+    for i in (0, 1):
+        assert K.module(i).generators == (A.unit,)
+        assert K.module(i).spin[2].nrows == 1
+
+    hyp = inv.hyperbolic_involution(K, forms.standard_involution(K, gamma), R)
+    summed = forms.orthogonal_sum(hyp.form, random_regular_form(R, K, seed=1))
+    for name, b in {"hyperbolic form": hyp.form, "orthogonal_sum": summed}.items():
+        assert verify.balanced(b) is None, name
+    # the trusted path stores the tensor uncoerced, so its entries must already be canonical
+    assert_field_elements(field, (x for row in hyp.form.tensor for cell in row for x in cell))
 
 
 def _fdalg_callables():
