@@ -190,13 +190,18 @@ def dual_morphism(f: Matrix, dual_target: HomSpace, dual_source: HomSpace) -> Ma
     ``dual_source`` is Hom(N', K_{1-i}), the coordinates of the dual of N', and
     ``dual_target`` Hom(N, K_{1-i}); the image of g is g o f, a composite of module
     maps once f is checked to be A-linear, so its coordinates are read off V f g.
+    :func:`corresponding_anti_automorphism` skips the check on End(M) basis maps.
     """
     N = dual_target.source
     verify.require(verify.intertwines(N.algebra, N.action, dual_source.source.action, f))
+    return _dual_morphism(f, dual_target, dual_source)
+
+
+def _dual_morphism(f: Matrix, dual_target: HomSpace, dual_source: HomSpace) -> Matrix:
     Vf = dual_target.generators * f
     rows = coordinate_rows(dual_target.coords_of, (Vf * g for g in dual_source.basis),
                            "dualized morphism leaves the hom space")
-    return Matrix._trusted(N.algebra.field, rows, dual_target.dim)
+    return Matrix._trusted(dual_target.source.algebra.field, rows, dual_target.dim)
 
 
 def phi_map(M: Module, K: DoubleModule):
@@ -257,9 +262,9 @@ class EndData(verify.Verified):
 
     ``algebra`` has product w*v = w o v (apply on the left), realized on
     matrices as mat(v) mat(w).  ``EndData(...)`` checks that the maps intertwine
-    the module's action, are independent and satisfy this; :meth:`of_module`
-    inherits all three.  ``EndData._trusted`` stores ``hom``, a :class:`HomSpace`
-    on the maps, which need not be in echelon form.
+    the module's action, are independent and satisfy this; :meth:`of_module` and
+    :func:`involutions.matrix_ring_end_data` inherit all three.  ``EndData._trusted``
+    stores ``hom``, a :class:`HomSpace` on the maps, which need not be in echelon form.
     """
 
     def __init__(self, algebra: Algebra, maps: Sequence[Matrix], module: Module):
@@ -296,22 +301,25 @@ def corresponding_anti_automorphism(b: BilinearForm,
     Requires b regular (both adjoints invertible).  With the right adjoint
     R: y -> b(-, y) the law reads R(alpha(w) y) = R(y) o w, so alpha(w) is
     R^-1 o w^[1] o R for the dual morphism w^[1]: g -> g o w of M^[1].
-    Returns (alpha, end).
+    Returns (alpha, end).  ``AlgebraMap._trusted`` builds alpha, anti and unital as
+    (w o v)^[1] = v^[1] o w^[1] and 1^[1] = 1, from maps that ``end`` certifies A-linear.
     """
     adj = adjoints(b)
     if not (adj.left_regular and adj.right_regular):
         raise VerificationError("form is not regular; no corresponding map")
-    if end is None:
-        end = EndData.of_module(b.module)
+    end = EndData.of_module(b.module) if end is None else end
+    if end.module.action != b.module.action:
+        raise VerificationError("endomorphism data of another module")
     # on row vectors mat(alpha(w)) R = R mat(w^[1]); R is A-linear by the balance
     # laws, so alpha(w) is a composite of module maps, read off V R w^[1] R^-1
     R, R_inv = adj.right, invert(adj.right)
     VR = end.hom.generators * R
     images = coordinate_rows(
-        end.hom.coords_of, (VR * dual_morphism(w, adj.dual1, adj.dual1) * R_inv for w in end.maps),
+        end.hom.coords_of, (VR * _dual_morphism(w, adj.dual1, adj.dual1) * R_inv for w in end.maps),
         "corresponding map leaves the endomorphism algebra")
-    # images[u] = coordinates of alpha(w_u)
-    alpha = AlgebraMap.from_images(end.algebra, end.algebra, images, AlgebraMap.ANTI)
+    # images[u] = coordinates of alpha(w_u), the columns of its matrix
+    alpha = AlgebraMap._trusted(end.algebra, end.algebra, Matrix._trusted(
+        b.module.algebra.field, tuple(zip(*images)), len(images)), AlgebraMap.ANTI)
     if not alpha.is_bijective():
         raise VerificationError("corresponding map is not bijective")
     return alpha, end

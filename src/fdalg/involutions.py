@@ -2,9 +2,9 @@
 anti-structure involution, reduction of matrix-ring anti-automorphisms to
 standard form, involution transfer M_n(A) -> A, and duality orbits.
 
-Every map returned here is re-verified against its defining equations
-(anti-multiplicativity, squaring to the identity, type on the center)
-before being handed back; failures raise VerificationError.
+Every map returned here is verified against its defining equations
+(anti-multiplicativity, squaring to the identity, type on the center) or
+inherits them from verified objects; failures raise VerificationError.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .linalg import (
     vzero,
 )
 from .modules import (
+    HomSpace,
     Module,
     direct_sum,
     free_module,
@@ -212,7 +213,10 @@ def transpose_gamma(gamma: AlgebraMap, n: int) -> AlgebraMap:
 
 def matrix_ring_end_data(A: Algebra, n: int):
     """Identify M_n(A) with End_A(A^n): the matrix w acts by left
-    multiplication on rows of length n."""
+    multiplication on rows of length n.  Built by ``EndData._trusted``: the maps
+    E_ji (x) L(a_t) commute with the blockwise R(b) (associativity), are independent
+    as Kronecker products of bases, and satisfy mat(v) mat(w) = mat(w v) by the
+    matrix-unit products and L(b) L(a) = L(a b) on row vectors."""
     W = matrix_algebra_over(A, n)
     field = A.field
     # e_ij (x) a_t sends the basis vector (j, s) to (i, a_t e_s): E_ji (x) L(a_t),
@@ -220,7 +224,8 @@ def matrix_ring_end_data(A: Algebra, n: int):
     maps = [Matrix(field, kronecker(unvec(field, unit_vector(field, n * n, j * n + i), n, n),
                                     A.left_mult_matrix(A.basis_vector(t))).rows)
             for i in range(n) for j in range(n) for t in range(A.dim)]
-    return EndData(W, maps, free_module(A, n))
+    free = free_module(A, n)
+    return EndData._trusted(W, HomSpace(free, free, maps))
 
 
 class ReduceResult:

@@ -80,6 +80,11 @@ class Module(verify.Verified):
                 done += 1
         return tree, pairs, Matrix._trusted(field, tuple(V), n)
 
+    @functools.cached_property
+    def hom_to_regular(self) -> "HomSpace":
+        """Hom_A(M, A_A), solved once for :func:`is_generator` and :func:`is_projective`."""
+        return hom_space(self, regular_module(self.algebra))
+
     def __repr__(self):
         return f"Module(dim={self.dim} over dim-{self.algebra.dim} algebra)"
 
@@ -316,11 +321,8 @@ def is_generator(M: Module) -> bool:
     A = M.algebra
     if M.dim == 0:
         return False
-    H = hom_space(M, regular_module(A))
     space = RowSpace(A.field, A.dim)
-    for h in H.basis:
-        for row in h.rows:
-            space.insert(row)
+    space.extend(row for h in M.hom_to_regular.basis for row in h.rows)
     return space.dim == A.dim
 
 
@@ -330,7 +332,7 @@ def is_projective(M: Module) -> bool:
     field = A.field
     if M.dim == 0:
         return True
-    H = hom_space(M, regular_module(A))
+    H = M.hom_to_regular
     if H.dim == 0:
         return False
     k = M.dim

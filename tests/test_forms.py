@@ -163,6 +163,17 @@ def test_corresponding_anti_automorphism_requires_regular():
         forms.corresponding_anti_automorphism(zero)
 
 
+def test_corresponding_anti_automorphism_refuses_end_data_of_another_module():
+    # the End maps it dualizes are trusted to be A-linear, so they must be End(M)'s
+    A = alg.matrix_algebra(F5, 2)
+    R = mod.regular_module(A)
+    b = random_regular_form(R, forms.standard_double_module(A, transpose_map(A, 2)), seed=1)
+    T = Matrix(F5, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 2, 1]])
+    other = forms.EndData.of_module(mod.change_of_basis(R, T))
+    with pytest.raises(VerificationError, match="^endomorphism data of another module$"):
+        forms.corresponding_anti_automorphism(b, other)
+
+
 def test_dot_product_gives_transpose():
     FQ = alg.field_algebra(QQ)
     K, _ = _std_K(FQ)

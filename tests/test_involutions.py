@@ -33,6 +33,32 @@ def test_hyperbolic_over_field():
     assert res.form.is_symmetric_under(theta)
 
 
+def test_hyperbolic_solves_hom_into_the_regular_module_once_per_module(monkeypatch):
+    # is_generator and is_projective run on K_1 and on P; both read one Hom(-, A_A)
+    A = alg.upper_triangular_algebra(F5, 3)
+    gamma = ut_flip_map(A, 3)
+    K = forms.standard_double_module(A, gamma)
+    P = mod.regular_module(A)
+    regulars, solves = [], []  # regulars keeps each A_A alive, so ids are not reused
+    regular_module, hom_space = mod.regular_module, mod.hom_space
+
+    def counted_regular_module(B):
+        regulars.append(regular_module(B))
+        return regulars[-1]
+
+    def counted_hom_space(M, N):
+        if any(N is R for R in regulars):
+            solves.append(M)
+        return hom_space(M, N)
+
+    monkeypatch.setattr(mod, "regular_module", counted_regular_module)
+    for module in (mod, forms):
+        monkeypatch.setattr(module, "hom_space", counted_hom_space)
+    inv.hyperbolic_involution(K, forms.standard_involution(K, gamma), P)
+    names = {id(K.module(1)): "K_1", id(P): "P"}
+    assert [names.get(id(M), repr(M)) for M in solves] == ["K_1", "P"]
+
+
 def test_hyperbolic_over_m2f5():
     A = alg.matrix_algebra(F5, 2)
     tr = transpose_map(A, 2)

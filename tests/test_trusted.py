@@ -2,8 +2,10 @@
 checking constructors would verify, and no constructor grows a switch
 between the two paths again."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -50,11 +52,15 @@ def test_trusted_constructions_inherit_their_laws(field, case):
                     "compose with inverse": gamma.compose(gamma.inverse())}.items():
         assert verify.algebra_map(f) is None, name
 
-    for M in (R, built["principal_right_module"]):
-        end = forms.EndData.of_module(M)
-        assert end.hom.independent
-        assert verify.intertwines(A, M.action, M.action, *end.maps) is None
-        assert verify.module_action(alg.opposite(end.algebra), end.maps) is None
+    ends = {"of_module R": forms.EndData.of_module(R),
+            "of_module eA": forms.EndData.of_module(built["principal_right_module"]),
+            "matrix_ring_end_data 1": inv.matrix_ring_end_data(A, 1),
+            "matrix_ring_end_data 2": inv.matrix_ring_end_data(A, 2)}
+    for name, end in ends.items():
+        M = end.module
+        assert end.hom.independent, name
+        assert verify.intertwines(A, M.action, M.action, *end.maps) is None, name
+        assert verify.module_action(alg.opposite(end.algebra), end.maps) is None, name
 
     # the standard double module: both laws, their commuting, and 1 generating K_0 and K_1
     assert verify.double_module(A, K.action0, K.action1) is None
@@ -63,11 +69,38 @@ def test_trusted_constructions_inherit_their_laws(field, case):
         assert K.module(i).spin[2].nrows == 1
 
     hyp = inv.hyperbolic_involution(K, forms.standard_involution(K, gamma), R)
-    summed = forms.orthogonal_sum(hyp.form, random_regular_form(R, K, seed=1))
+    regular = random_regular_form(R, K, seed=1)
+    summed = forms.orthogonal_sum(hyp.form, regular)
     for name, b in {"hyperbolic form": hyp.form, "orthogonal_sum": summed}.items():
         assert verify.balanced(b) is None, name
     # the trusted path stores the tensor uncoerced, so its entries must already be canonical
     assert_field_elements(field, (x for row in hyp.form.tensor for cell in row for x in cell))
+
+    # the corresponding map alpha: anti-multiplicative and unital, with canonical entries
+    alphas = {"hyperbolic": hyp.involution,
+              "random regular form": forms.corresponding_anti_automorphism(regular)[0]}
+    for name, alpha in alphas.items():
+        assert verify.algebra_map(alpha) is None, name
+        assert verify.unit_preserved(alpha) is None, name
+        assert_field_elements(field, (x for row in alpha.matrix.rows for x in row))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_the_correspondence_path_certifies_no_law_twice(case, monkeypatch):
+    # End_A(A^n), the corresponding map and the duals of End maps inherit their laws
+    A, make_gamma = CASES[case](Field(5))
+    b = random_regular_form(mod.regular_module(A), forms.standard_double_module(A, make_gamma(A)),
+                            seed=1)
+
+    def refuse(*args):
+        raise AssertionError("a law was certified a second time")
+
+    for module, name in ((verify, "module_action"), (verify, "algebra_map"),
+                         (forms, "dual_morphism")):
+        monkeypatch.setattr(module, name, refuse)
+    for n in (1, 2):
+        inv.matrix_ring_end_data(A, n)
+    forms.corresponding_anti_automorphism(b)
 
 
 def _fdalg_callables():
@@ -99,3 +132,55 @@ def test_no_constructor_takes_a_checking_switch():
         seen += 1
         assert not {"validate", "regular"} & set(params), qualname
     assert seen > 200, seen
+
+
+# Every function that builds a verified object with ``Cls._trusted``, so that a new
+# trusted construction cannot land without being named here.
+TRUSTED_SITES = {
+    "algebras.AlgebraMap.compose", "algebras.AlgebraMap.inverse", "algebras._quotient",
+    "algebras.direct_product", "algebras.matrix_unit_algebra", "algebras.opposite",
+    "algebras.subalgebra", "algebras.tensor_product",
+    "cli.verify_anti_map",
+    "forms.DoubleModule._store", "forms.EndData.of_module",
+    "forms.corresponding_anti_automorphism", "forms.dual_module", "forms.orthogonal_sum",
+    "forms.standard_double_module",
+    "involutions.hyperbolic_involution", "involutions.matrix_ring_end_data",
+    "modules.change_of_basis", "modules.direct_sum", "modules.endomorphism_algebra",
+    "modules.regular_module", "modules.submodule",
+}
+
+
+def test_trusted_constructions_are_the_pinned_sites():
+    for info in pkgutil.iter_modules(fdalg.__path__):
+        importlib.import_module(f"fdalg.{info.name}")
+    # Matrix._trusted is not a Verified constructor and is left out
+    verified = {cls.__name__ for cls in verify.Verified.__subclasses__()}
+    assert verified == {"Algebra", "AlgebraMap", "Module", "EndData", "DoubleModule",
+                        "BilinearForm"}
+
+    class Sites(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope, self.found = [module], set()
+
+        def visit_scope(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_FunctionDef = visit_ClassDef = visit_scope
+
+        def visit_Call(self, node):
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "_trusted":
+                owner = func.value  # Cls or module.Cls
+                name = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", None)
+                if name in verified:
+                    self.found.add(".".join(self.scope))
+            self.generic_visit(node)
+
+    found = set()
+    for path in pathlib.Path(fdalg.__file__).parent.glob("*.py"):
+        sites = Sites(path.stem)
+        sites.visit(ast.parse(path.read_text()))
+        found |= sites.found
+    assert found == TRUSTED_SITES
