@@ -40,7 +40,9 @@ from .linalg import (
     unit_vector,
     vadd,
     vcombine,
+    vdense,
     vec_is_zero,
+    vpairs,
     vscale,
     vsub,
     vzero,
@@ -50,11 +52,11 @@ from .linalg import (
 class Algebra(verify.Verified):
     """Associative unital algebra given by structure constants.
 
-    ``Algebra(...)`` is where structure constants enter, as a dense table: it
-    coerces them, checks the shapes, stores them as sparse rows (:func:`sparse_table`)
-    and checks the unit law and associativity (on the basis triples that start at
-    a generator).  Algebras derived from verified ones are built from sparse rows by
-    ``Algebra._trusted`` (no coercion, no checks) and inherit those laws; each
+    ``Algebra(...)`` is where structure constants enter, as a dense table: it stores
+    them as sparse rows (:func:`sparse_table`, which coerces each entry once), then
+    checks the shapes, the unit law and associativity (on the basis triples that
+    start at a generator).  Algebras derived from verified ones are built from sparse
+    rows by ``Algebra._trusted`` (no coercion, no checks) and inherit those laws; each
     derived construction checks only what its derivation leaves open.
     """
 
@@ -62,7 +64,7 @@ class Algebra(verify.Verified):
         dim = len(basis_names)
         if dim == 0:
             raise DimensionError("algebras must have positive dimension")
-        table = tuple(tuple(map(field.coerce_row, block)) for block in table)
+        rows = sparse_table(field, table)
         if len(table) != dim or any(
             len(block) != dim or any(len(row) != dim for row in block) for block in table
         ):
@@ -70,7 +72,7 @@ class Algebra(verify.Verified):
         unit = field.coerce_row(unit)
         if len(unit) != dim:
             raise DimensionError("unit vector has wrong length")
-        self._store(field, basis_names, sparse_table(field, table), unit)
+        self._store(field, basis_names, rows, unit)
         verify.require(verify.associative_unital(self))
 
     def _store(self, field: Field, basis_names: Sequence[str], rows, unit) -> None:
@@ -112,10 +114,21 @@ class Algebra(verify.Verified):
 
     def product(self, i: int, j: int) -> tuple:
         """e_i e_j as a dense coordinate row."""
-        out = [self.field.zero] * self.dim
-        for k, c in self._sparse[i][j]:
-            out[k] = c
-        return tuple(out)
+        return vdense(self.field, self.dim, self._sparse[i][j])
+
+    def _mul_pairs(self, xs, ys) -> dict:
+        """x y as {k: c} with c != 0, for x and y given by (index, entry) pairs
+        (``vpairs``), reading only the stored rows e_i e_j of those pairs: the one
+        product of the certificates on structure constants (Gustavson, 1978)."""
+        sp, p, out = self._sparse, self.field.p, {}
+        for i, a in xs:
+            spi = sp[i]
+            for j, b in ys:
+                for k, c in spi[j]:
+                    out[k] = out.get(k, 0) + a * b * c
+        if p is None:
+            return {k: c for k, c in out.items() if c != 0}
+        return {k: c % p for k, c in out.items() if c % p}
 
     @functools.cached_property
     def generators(self) -> tuple:
@@ -138,20 +151,15 @@ class Algebra(verify.Verified):
                 for i, _ in row:
                     if i != j and i != k:
                         hits[i] += 1
-        sp, p = self._sparse, self.field.p
-
-        def times(w, g):
-            # w e_g off the sparse table
-            out = [0] * d
-            for k, c in enumerate(w):
-                if c != 0:
-                    for m, cm in sp[k][g]:
-                        out[m] += c * cm
-            return out if p is None else [a % p for a in out]
-
         space = RowSpace(self.field, d)
+
+        def grown(words, gs):
+            # the nonzero words w e_g, in pairs, that leave the span, each added to it
+            out = (self._mul_pairs(w, ((g, 1),)) for w in words for g in gs)
+            return [w.items() for w in out if w and space.insert(vdense(self.field, d, w.items()))]
+
         space.insert(self.unit)
-        words, chosen = [self.unit], []
+        words, chosen = [vpairs(self.unit)], []
         for i in sorted(range(d), key=hits.__getitem__):
             if space.dim == d:
                 break
@@ -159,10 +167,10 @@ class Algebra(verify.Verified):
                 continue
             chosen.append(i)
             # old words times the new element, then new words times all
-            new = [w for w in (times(w, i) for w in words) if space.insert(w)]
+            new = grown(words, [i])
             while new:
                 words += new
-                new = [w for w in (times(x, g) for x in new for g in chosen) if space.insert(w)]
+                new = grown(new, chosen)
         return tuple(sorted(chosen))
 
     def left_mult_matrix(self, x: Sequence) -> Matrix:
@@ -317,13 +325,18 @@ class CenterData:
 # -- constructors ------------------------------------------------------
 
 def sparse_table(field: Field, table) -> tuple:
-    """The stored form of a dense table of field elements: for each (i, j), the pairs
-    (k, c) with c the coerced table[i][j][k] != 0, k increasing.  Only the nonzero
-    entries are coerced; over Q a coordinate may come back as Fraction(k, 1)."""
+    """The stored form of a dense table: for each (i, j), the pairs (k, c) with c the
+    coerced table[i][j][k] != 0, k increasing; the one dense-to-sparse conversion.
+    Each entry is coerced once: a row of plain ints (no bool) in one pass over its
+    nonzero entries, any other row entry by entry, so that an inexact or malformed
+    scalar is refused wherever it sits, at a zero entry too."""
+    p = field.p
 
     def sparse(row):
-        coerced = [(k, field.coerce(c)) for k, c in enumerate(row) if c != 0]
-        return tuple([(k, c) for k, c in coerced if c != 0])
+        if set(map(type, row)) <= {int}:
+            pairs = itertools.compress(enumerate(row), row)
+            return tuple(pairs) if p is None else tuple([(k, c % p) for k, c in pairs if c % p])
+        return tuple([(k, c) for k, c in enumerate(map(field.coerce, row)) if c != 0])
 
     return tuple(tuple(map(sparse, block)) for block in table)
 

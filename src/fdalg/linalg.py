@@ -194,11 +194,22 @@ def vec_is_zero(v: Sequence) -> bool:
     return not any(v)
 
 
+def vpairs(v: Sequence) -> list:
+    """The (index, entry) pairs of the nonzero entries of v, index increasing."""
+    return list(itertools.compress(enumerate(v), v))
+
+
+def vdense(field: Field, n: int, pairs) -> tuple:
+    """The vector of F^n with the given (index, entry) pairs and zeros elsewhere."""
+    v = [field.zero] * n
+    for k, c in pairs:
+        v[k] = c
+    return tuple(v)
+
+
 def unit_vector(field: Field, n: int, i: int) -> tuple:
     """The i-th standard basis vector of F^n."""
-    v = [field.zero] * n
-    v[i] = field.one
-    return tuple(v)
+    return vdense(field, n, ((i, field.one),))
 
 
 def vcombine(field: Field, n: int, coeffs: Sequence, vectors: Sequence[Sequence]) -> tuple:

@@ -10,7 +10,7 @@ vectors, one per algebra basis element.
 from typing import Optional, Sequence
 
 from .errors import VerificationError
-from .linalg import Matrix, RowSpace, mcombine, vcombine, vec, vec_is_zero
+from .linalg import Matrix, RowSpace, mcombine, vcombine, vdense, vec, vec_is_zero, vpairs
 
 
 class Verified:
@@ -61,9 +61,10 @@ def associative_unital(A) -> Optional[str]:
 
 def unital(A) -> Optional[str]:
     """1 e_i = e_i = e_i 1 on every basis element."""
+    one = vpairs(A.unit)
     for i in range(A.dim):
-        e = A.basis_vector(i)
-        if A.mul(A.unit, e) != e or A.mul(e, A.unit) != e:
+        e = ((i, 1),)
+        if A._mul_pairs(one, e) != {i: 1} or A._mul_pairs(e, one) != {i: 1}:
             return f"unit law fails at basis element {i}"
     return None
 
@@ -125,38 +126,38 @@ def goldman(T, d: int, g: Sequence) -> Optional[str]:
 def ideal(A, vectors: Sequence[Sequence]) -> Optional[str]:
     """The span I of ``vectors`` is a two-sided ideal: I e_g and e_g I lie in I for
     every generator e_g, enough as {a : I a + a I in I} is a subalgebra holding 1.
-    Row k of B R(e_g) is v_k e_g and of B L(e_g) is e_g v_k; w lies in I iff
-    w = sum_c w[c] row_c over the pivots c of the reduced echelon rows of I."""
+    A nonzero w = v_k e_g or e_g v_k lies in I iff w = sum_c w[c] row_c over the
+    pivots c of the reduced echelon rows of I."""
     if not vectors:
         return None
     space = RowSpace(A.field, A.dim)
     space.extend(vectors)
-    B = Matrix._trusted(A.field, tuple(vectors), A.dim)
-    sides = [(i, B * A.right_mult_matrix(A.basis_vector(i)),
-              B * A.left_mult_matrix(A.basis_vector(i))) for i in A.generators]
-    for k in range(len(vectors)):
-        for i, right, left in sides:
-            if any(vcombine(A.field, A.dim, [w[c] for c in space.pivots], space.rows) != w
-                   for w in (right.rows[k], left.rows[k])):
-                return f"ideal law fails at (vector {k}, basis element {i})"
+    for k, v in enumerate(map(vpairs, vectors)):
+        for i in A.generators:
+            for w in (A._mul_pairs(v, ((i, 1),)), A._mul_pairs(((i, 1),), v)):
+                if w and vcombine(A.field, A.dim, [w.get(c, 0) for c in space.pivots],
+                                  space.rows) != vdense(A.field, A.dim, w.items()):
+                    return f"ideal law fails at (vector {k}, basis element {i})"
     return None
 
 
 def nilpotent_ideal(A, basis: Sequence[Sequence]) -> Optional[str]:
     """The span I of ``basis`` is a two-sided ideal and I^(2^k) = 0 for some k.
-    Squaring: C^2 is spanned by the rows of C R(v) for v in C.  For an ideal C,
-    C^2 lies in C, so each square either has smaller dimension or equals C; then
-    C^2 = C != 0, so no power of I is 0.  At most dim A squarings."""
+    Squaring: C^2 is spanned by the nonzero products u v of echelon rows u, v of C.
+    For an ideal C, C^2 lies in C, so each square either has smaller dimension or
+    equals C; then C^2 = C != 0, so no power of I is 0.  At most dim A squarings."""
     msg = ideal(A, basis)
     if msg is not None:
         return msg
     current = RowSpace(A.field, A.dim)
     current.extend(basis)
     while current.dim:
-        C = current.basis_matrix()
+        rows = list(map(vpairs, current.rows))
         square = RowSpace(A.field, A.dim)
-        for v in current.rows:
-            square.extend((C * A.right_mult_matrix(v)).rows)
+        for u in rows:
+            for v in rows:
+                if w := A._mul_pairs(u, v):
+                    square.insert(vdense(A.field, A.dim, w.items()))
         if square.dim == current.dim:
             return "the ideal is not nilpotent"
         current = square

@@ -18,6 +18,7 @@ from fdalg.errors import (
 from fdalg.linalg import Field, Matrix, QQ, RowSpace, common_left_kernel, invert, vadd
 
 from helpers import assert_field_elements, dense_table, in_basis, transpose_map, ut_flip_map
+from test_linalg import SCALAR_FIELDS, raw_scalars
 
 F5 = Field(5)
 
@@ -464,6 +465,30 @@ def test_algebra_input_coercion_stays_strict():
                 alg.Algebra(field, ["e1", "e2"], table, [1, 1])
             with pytest.raises(TypeError):
                 alg.Algebra(field, ["e1", "e2"], [[[1, 0], [0, 0]], [[0, 0], [0, 1]]], [1, bad])
+
+
+@pytest.mark.parametrize("field", (QQ, F5), ids=str)
+@pytest.mark.parametrize("bad", (True, 0.0, 1.0), ids=repr)
+@pytest.mark.parametrize("entry", ((0, 0, 0), (0, 0, 1)), ids=("nonzero", "zero"))
+def test_inexact_table_entries_are_refused_wherever_they_sit(field, bad, entry):
+    # UT2 on e11, e12, e22: e11 e11 = e11, so table[0][0] is (1, 0, 0)
+    UT2 = alg.upper_triangular_algebra(field, 2)
+    table = [[list(row) for row in block] for block in dense_table(UT2)]
+    i, j, k = entry
+    table[i][j][k] = bad
+    with pytest.raises(TypeError):
+        alg.Algebra(field, UT2.basis_names, table, [1, 0, 1])
+
+
+@given(st.sampled_from(SCALAR_FIELDS),
+       st.one_of(st.lists(raw_scalars, max_size=8), st.lists(st.integers(-12, 12), max_size=8)))
+@settings(max_examples=150, deadline=None)
+def test_sparse_table_keeps_the_nonzero_coerced_entries(field, row):
+    # one pass over a row of plain ints, entry by entry otherwise: the same pairs
+    # as coercing the whole row, with Fraction(k, 1) stored as k
+    ((stored,),) = alg.sparse_table(field, [[row]])
+    assert stored == tuple((k, c) for k, c in enumerate(field.coerce_row(row)) if c != 0)
+    assert_field_elements(field, [c for _, c in stored])
 
 
 @given(st.sampled_from((QQ, F5, Field(2 ** 61 - 1))), st.data())

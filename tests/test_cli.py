@@ -295,6 +295,22 @@ def test_bad_input_exit_one(tmp_path, capsys):
     assert code == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("field", (QQ, Field(5)), ids=str)
+@pytest.mark.parametrize("bad", (True, 0.0, 1.0), ids=repr)
+@pytest.mark.parametrize("entry", ((0, 0, 0), (0, 0, 1)), ids=("nonzero", "zero"))
+def test_inexact_table_entries_exit_one(tmp_path, capsys, field, bad, entry):
+    ut2 = alg.upper_triangular_algebra(field, 2)             # e11 e11 = e11
+    table = [[list(ut2.product(i, j)) for j in range(3)] for i in range(3)]
+    i, j, k = entry
+    table[i][j][k] = bad
+    path = tmp_path / "in.json"
+    algebra = {"field": cli.field_to_json(field), "basis": list(ut2.basis_names),
+               "table": table, "unit": [1, 0, 1]}
+    path.write_text(json.dumps({"algebra": algebra}))
+    code, out = run_cli(capsys, "radical", "--input", str(path))
+    assert code == cli.EXIT_INPUT and "inexact scalar" in json.loads(out)["error"]
+
+
 def test_non_associative_input_exit_one_naming_a_basis_triple(tmp_path, capsys):
     m2 = cli.algebra_to_json(alg.matrix_algebra(QQ, 2))      # basis e11, e12, e21, e22
     m2["table"][1][2][0] = "2"                               # e12 e21 = 2 e11

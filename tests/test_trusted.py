@@ -150,13 +150,9 @@ TRUSTED_SITES = {
 }
 
 
-def test_trusted_constructions_are_the_pinned_sites():
-    for info in pkgutil.iter_modules(fdalg.__path__):
-        importlib.import_module(f"fdalg.{info.name}")
-    # Matrix._trusted is not a Verified constructor and is left out
-    verified = {cls.__name__ for cls in verify.Verified.__subclasses__()}
-    assert verified == {"Algebra", "AlgebraMap", "Module", "EndData", "DoubleModule",
-                        "BilinearForm"}
+def _sites(match) -> set:
+    """The qualified names of the functions in ``src/fdalg`` that hold a node for
+    which ``match(node)`` is true, as module.Class.function."""
 
     class Sites(ast.NodeVisitor):
         def __init__(self, module):
@@ -169,18 +165,50 @@ def test_trusted_constructions_are_the_pinned_sites():
 
         visit_FunctionDef = visit_ClassDef = visit_scope
 
-        def visit_Call(self, node):
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr == "_trusted":
-                owner = func.value  # Cls or module.Cls
-                name = owner.attr if isinstance(owner, ast.Attribute) else getattr(owner, "id", None)
-                if name in verified:
-                    self.found.add(".".join(self.scope))
-            self.generic_visit(node)
+        def generic_visit(self, node):
+            if match(node):
+                self.found.add(".".join(self.scope))
+            super().generic_visit(node)
 
     found = set()
     for path in pathlib.Path(fdalg.__file__).parent.glob("*.py"):
         sites = Sites(path.stem)
         sites.visit(ast.parse(path.read_text()))
         found |= sites.found
-    assert found == TRUSTED_SITES
+    return found
+
+
+def test_trusted_constructions_are_the_pinned_sites():
+    for info in pkgutil.iter_modules(fdalg.__path__):
+        importlib.import_module(f"fdalg.{info.name}")
+    # Matrix._trusted is not a Verified constructor and is left out
+    verified = {cls.__name__ for cls in verify.Verified.__subclasses__()}
+    assert verified == {"Algebra", "AlgebraMap", "Module", "EndData", "DoubleModule",
+                        "BilinearForm"}
+
+    def trusted_call(node):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "_trusted"):
+            return False
+        owner = node.func.value  # Cls or module.Cls
+        return (owner.attr if isinstance(owner, ast.Attribute)
+                else getattr(owner, "id", None)) in verified
+
+    assert _sites(trusted_call) == TRUSTED_SITES
+
+
+# Every function that reads the stored rows ``Algebra._sparse``.  A certificate on
+# structure constants goes through the one product ``Algebra._mul_pairs`` (or is the
+# associativity check itself), so a new reader cannot land without being named here.
+SPARSE_READERS = {
+    "algebras.Algebra.__eq__", "algebras.Algebra._mul_pairs", "algebras.Algebra.generators",
+    "algebras.Algebra.left_mult_matrix", "algebras.Algebra.mul", "algebras.Algebra.product",
+    "algebras.Algebra.right_mult_matrix", "algebras._left_traces", "algebras.direct_product",
+    "algebras.jacobson_radical", "algebras.opposite", "algebras.tensor_product",
+    "verify.associative_unital",
+}
+
+
+def test_stored_rows_are_read_at_the_pinned_sites():
+    assert _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "_sparse"
+                  and isinstance(node.ctx, ast.Load)) == SPARSE_READERS

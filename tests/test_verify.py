@@ -8,7 +8,7 @@ from hypothesis import Phase, example, find, given, settings, strategies as st
 
 from fdalg import algebras as alg, forms, modules as mod, posets, verify
 from fdalg.errors import VerificationError
-from fdalg.linalg import Field, Matrix, QQ, RowSpace, vcombine, vec_is_zero
+from fdalg.linalg import Field, Matrix, QQ, RowSpace, vcombine, vec_is_zero, vpairs
 
 from helpers import connected_posets, dense_table, transpose_map
 
@@ -281,33 +281,57 @@ def test_spans_reach_every_nilpotency_outcome(outcome):
 def test_nilpotent_ideal_squares_the_chain(monkeypatch):
     UT = alg.upper_triangular_algebra(QQ, 10)
     J = alg.jacobson_radical(UT)
-    seen, right, ideal = [], UT.right_mult_matrix, verify.ideal
+    seen, product, ideal = [], UT._mul_pairs, verify.ideal
 
-    def record(v):
-        seen.append(v)
-        return right(v)
+    def record(xs, ys):
+        seen.append((list(xs), list(ys)))
+        return product(xs, ys)
 
     def ideal_then_forget(A, vectors):
         msg = ideal(A, vectors)
         seen.clear()
         return msg
 
-    monkeypatch.setattr(UT, "right_mult_matrix", record)
+    monkeypatch.setattr(UT, "_mul_pairs", record)
     monkeypatch.setattr(verify, "ideal", ideal_then_forget)
     assert verify.nilpotent_ideal(UT, J) is None
     # J^k is spanned by the e_ij with j - i >= k, of dimension (10 - k)(11 - k)/2.
-    # The chain squares J, J^2, J^4 and J^8 (J^16 = 0), each through the R(v) of the
-    # vectors v of its echelon basis; J^(k+1) = J^k J would form 9 powers.
+    # The chain squares J, J^2, J^4 and J^8 (J^16 = 0), each through the products
+    # u v of the rows u, v of its echelon basis; J^(k+1) = J^k J would form 9 powers.
     power, start = J, 0
     for k in (1, 2, 4, 8):
-        n = (10 - k) * (11 - k) // 2
-        chunk = RowSpace(QQ, UT.dim)
-        chunk.extend(seen[start:start + n])
         oracle = RowSpace(QQ, UT.dim)
         oracle.extend(power)
-        assert chunk.dim == oracle.dim == n and chunk.rows == oracle.rows
-        power, start = products_span(UT, power, power).rows, start + n
+        assert oracle.dim == (10 - k) * (11 - k) // 2
+        rows = [vpairs(r) for r in oracle.rows]
+        pairs = [(u, v) for u in rows for v in rows]
+        assert seen[start:start + len(pairs)] == pairs
+        power, start = products_span(UT, power, power).rows, start + len(pairs)
     assert start == len(seen) and power == []
+
+
+@pytest.mark.parametrize("field", (QQ, GF101), ids=str)
+@pytest.mark.parametrize("make", [lambda F: alg.upper_triangular_algebra(F, 10),
+                                  lambda F: posets.incidence_algebra(F, posets.scharlau_poset())],
+                         ids=["UT10", "incidence"])
+def test_structure_certificates_build_no_matrices(field, make, monkeypatch):
+    # the certificates on structure constants read the stored rows through one
+    # product on (index, entry) pairs: no multiplication matrix, no Matrix product
+    J = alg.jacobson_radical(make(field))
+
+    def refuse(*args):
+        raise AssertionError("a matrix was built")
+
+    for name in ("left_mult_matrix", "right_mult_matrix"):
+        monkeypatch.setattr(alg.Algebra, name, refuse)
+    monkeypatch.setattr(Matrix, "__mul__", refuse)
+    A = make(field)                      # generators are cached per algebra
+    basis = [A.basis_vector(i) for i in range(A.dim)]
+    assert A.generators
+    assert verify.unital(A) is None
+    assert verify.ideal(A, J) is None and verify.nilpotent_ideal(A, J) is None
+    assert verify.ideal(A, [A.unit[:-1] + (0,)]).startswith("ideal law fails at (vector 0")
+    assert verify.nilpotent_ideal(A, basis) == "the ideal is not nilpotent"
 
 
 def test_idempotent_checkers():
