@@ -356,6 +356,14 @@ def form_from_anti_automorphism(M: Module, alpha: AlgebraMap,
     involution when alpha is an involution.  It proves that b is regular and
     corresponds to alpha (:func:`verify.corresponds`), so to alpha alone.
 
+    The relations are never built: a d x d matrix X kills those of w exactly when
+    mat(alpha(w)) X = X mat(w)^T, and both sides are right actions of E = End(M), as alpha
+    is anti and ``end`` certifies mat(w o v) = mat(v) mat(w).  So :func:`hom_space` solves
+    the functionals as Hom_E((F^d, mat alpha), (F^d, mat^T)) on the generators of E.  Its
+    spin may start from any vectors, as unit vectors complete them to a basis; the module
+    generators of M cut it short (K = 1 for A^n).  :meth:`QuotientSpace.of_functionals`
+    reads the echelon complement of the relations off their span: the basis is unchanged.
+
     The balance laws and the theta-symmetry of b prove that the actions and the swap
     keep the relations rel.  With P = ``quo.project``, L = ``quo.lift`` and T the action
     of e_t on M (x) M, the installed A_t is P T L.  As b(x, y) = P(y (x) x), the balance
@@ -372,25 +380,14 @@ def form_from_anti_automorphism(M: Module, alpha: AlgebraMap,
     if not is_generator(M):
         raise VerificationError("module is not a generator")
     d = M.dim
-    dd = d * d
-    rel = RowSpace(field, dd)
-    # R_w(m, n) = alpha(w) m (x) n - m (x) w n over the generators w: the relations
-    # of 1 are 0 and R_{w o v}(m, n) = R_v(alpha(w) m, n) + R_w(m, v n)
-    for u in end.algebra.generators:
-        w = end.maps[u]
-        wa = end.matrix_of(alpha.apply(end.algebra.basis_vector(u)))
-        for i in range(d):
-            for j in range(d):
-                # (alpha(w) e_i) (x) e_j  -  e_i (x) (w e_j)
-                row = [field.zero] * dd
-                for s, c in enumerate(wa.rows[i]):
-                    if c != 0:
-                        row[s * d + j] = field.add(row[s * d + j], c)
-                for t, c in enumerate(w.rows[j]):
-                    if c != 0:
-                        row[i * d + t] = field.sub(row[i * d + t], c)
-                rel.insert(row)
-    quo = QuotientSpace(rel)
+    E = end.algebra
+    # w -> mat(alpha(w)) is an action of E: alpha(w o v) = alpha(v) o alpha(w) has matrix
+    # mat(alpha(w)) mat(alpha(v)), and alpha(1) = 1; it carries the generators of M
+    twisted = Module._trusted(E, d, [end.matrix_of(alpha.apply(E.basis_vector(t)))
+                                     for t in range(E.dim)], M.generators)
+    # w -> mat(w)^T is one: (mat(v) mat(w))^T = mat(w)^T mat(v)^T, and mat(1) = I
+    transposed = Module._trusted(E, d, [w.transpose() for w in end.maps], ())
+    quo = QuotientSpace.of_functionals(field, d * d, map(vec, hom_space(twisted, transposed).basis))
     k_dim = quo.dim
     if k_dim == 0:
         raise VerificationError("balancing relations collapse the tensor square")
@@ -407,8 +404,7 @@ def form_from_anti_automorphism(M: Module, alpha: AlgebraMap,
         for side in (0, 1))
     K = DoubleModule(A, k_dim, action0, action1)
     # b(x,y) = y (x) x
-    b = BilinearForm(M, K, [[quo.project(unit_vector(field, dd, j * d + i)) for j in range(d)]
-                            for i in range(d)])
+    b = BilinearForm(M, K, [[quo.projections[j * d + i] for j in range(d)] for i in range(d)])
     theta = None
     if alpha.is_involution():
         # y (x) x -> x (x) y

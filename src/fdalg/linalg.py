@@ -565,7 +565,8 @@ class RowSpace:
             if x != 1:
                 inv = 1 / Fraction(x)
                 r = [inv * a for a in r]
-            r = tuple(map(_normal, r))
+            # a row of plain ints under a pivot 1 is already normal (as in coerce_row)
+            r = tuple(r) if x == 1 and set(map(type, r)) <= {int} else tuple(map(_normal, r))
         else:
             inv = pow(x, -1, p)
             r = tuple([inv * a % p for a in r])
@@ -620,23 +621,40 @@ class RowSpace:
 
 
 class QuotientSpace:
-    """F^n modulo a RowSpace, with the echelon-complement basis.
-
-    The quotient basis consists of the standard vectors at non-pivot
-    columns; ``project`` and ``lift`` are mutually inverse on it.
+    """F^n modulo a subspace U, with the echelon-complement basis: the standard vectors
+    at the columns free of pivots of U.  ``QuotientSpace(space)`` takes U as a RowSpace,
+    :meth:`of_functionals` a spanning set of its annihilator.  The functionals X_f of
+    :meth:`RowSpace.annihilator` end in the 1 at the free column f and are 0 at the other
+    free columns: reversed, they are the echelon form of the reversed annihilator, so they
+    depend on U alone.  ``project`` is v -> (<v, X_f>)_f over the nonzero entries of v,
+    i.e. v reduced mod U at the free columns, and ``lift`` inverts it on the basis.
     """
 
     def __init__(self, space: RowSpace):
-        self.space = space
-        self.field = space.field
-        self.ambient_dim = space.ncols
-        pivot_set = set(space.pivots)
-        self.free_columns = [c for c in range(space.ncols) if c not in pivot_set]
+        self._store(space.field, space.ncols, space.annihilator())
+
+    @staticmethod
+    def of_functionals(field: Field, n: int, functionals: Iterable[Sequence]) -> "QuotientSpace":
+        """F^n modulo the common kernel of ``functionals``, vectors of F^n."""
+        out = QuotientSpace.__new__(QuotientSpace)
+        out._store(field, n, functionals)
+        return out
+
+    def _store(self, field: Field, n: int, functionals: Iterable[Sequence]) -> None:
+        reversed_space = RowSpace(field, n)
+        reversed_space.extend(f[::-1] for f in functionals)
+        self.field, self.ambient_dim = field, n
+        self.free_columns = [n - 1 - c for c in reversed(reversed_space.pivots)]
         self.dim = len(self.free_columns)
+        X = [x[::-1] for x in reversed(reversed_space.rows)]  # X_f for f in free_columns
+        # row j holds (X_f[j])_f = project(e_j), so project(v) is v times these rows
+        self.projections = tuple(zip(*X)) or ((),) * n
 
     def project(self, v: Sequence) -> tuple:
-        r = self.space.reduce(v)
-        return tuple(r[c] for c in self.free_columns)
+        pairs = vpairs(v)
+        r = vcombine(self.field, self.dim, [c for _, c in pairs],
+                     [self.projections[j] for j, _ in pairs])
+        return r if self.field.p is not None else tuple(map(_normal, r))
 
     def lift(self, coords: Sequence) -> tuple:
         v = [self.field.zero] * self.ambient_dim

@@ -205,7 +205,8 @@ def hom_space(M: Module, N: Module) -> HomSpace:
     tree, pairs, V = M.spin
     k = V.nrows * m
     # Yt[j] is Y_j transposed, m x k, so each product and condition has m rows
-    eye, rhoT, Yt = Matrix.identity(field, k).rows, [r.transpose() for r in N.action], []
+    eye, Yt = Matrix.identity(field, k).rows, []
+    rhoT = {g: N.action[g].transpose() for g in M.algebra.generators}
     for _, j, g in tree:
         Yt.append(rhoT[g] * Yt[j] if j is not None else Matrix._trusted(field, eye[g * m:][:m], k))
     Tinv = invert(Matrix._trusted(field, tuple(b for b, _, _ in tree), n))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fdalg import algebras as alg
 from fdalg import forms, modules as mod, posets as ps
-from fdalg.linalg import Matrix, invert
+from fdalg.linalg import Matrix, RowSpace, invert
 
 
 def dense_table(A: alg.Algebra) -> tuple:
@@ -133,3 +133,32 @@ def assert_field_elements(field, values) -> None:
             assert type(x) is int or (type(x) is Fraction and x.denominator > 1), repr(x)
         else:
             assert type(x) is int and 0 <= x < field.p, repr(x)
+
+
+class RelationRowQuotient:
+    """M (x) M modulo the End-balancing relations, built row by row: the relation
+    alpha(w) e_i (x) e_j - e_i (x) w e_j for every generator w of End(M) and pair
+    (i, j) goes into one RowSpace, and the quotient keeps the free columns of its
+    echelon form, with ``project`` the reduction mod the relations.  The reference
+    for the quotient that ``forms.form_from_anti_automorphism`` builds."""
+
+    def __init__(self, M, alpha, end):
+        field, d = M.algebra.field, M.dim
+        self.space = RowSpace(field, d * d)
+        for u in end.algebra.generators:
+            w = end.maps[u]
+            wa = end.matrix_of(alpha.apply(end.algebra.basis_vector(u)))
+            for i in range(d):
+                for j in range(d):
+                    row = [field.zero] * (d * d)
+                    for s, c in enumerate(wa.rows[i]):
+                        row[s * d + j] = field.add(row[s * d + j], c)
+                    for t, c in enumerate(w.rows[j]):
+                        row[i * d + t] = field.sub(row[i * d + t], c)
+                    self.space.insert(row)
+        pivots = set(self.space.pivots)
+        self.free_columns = [c for c in range(d * d) if c not in pivots]
+
+    def project(self, v) -> tuple:
+        r = self.space.reduce(v)
+        return tuple(r[c] for c in self.free_columns)

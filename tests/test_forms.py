@@ -6,11 +6,13 @@ import random
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
 
-from fdalg import algebras as alg, forms, modules as mod, verify
+from fdalg import algebras as alg, forms, involutions as inv, linalg, modules as mod, verify
 from fdalg.errors import DimensionError, VerificationError
-from fdalg.linalg import Coordinates, Field, Matrix, QQ, RowSpace, invert, unvec, vec
+from fdalg.linalg import (Coordinates, Field, Matrix, QQ, RowSpace, invert, unit_vector, unvec,
+                          vec)
 
 from helpers import (
+    RelationRowQuotient,
     assert_field_elements,
     identity_anti,
     in_basis,
@@ -748,3 +750,71 @@ def test_corresponds_agrees_with_the_round_trip(field):
                 assert (verify.corresponds(form, beta, end) is None) == (back.matrix == beta.matrix)
                 checked += back.matrix != beta.matrix
     assert checked > 0
+
+
+# -- the balancing quotient against the relation rows --------------------
+
+def _built_quotient(monkeypatch, M, alpha, end):
+    """The QuotientSpace that form_from_anti_automorphism builds for (M, alpha, end)."""
+    built = []
+    of_functionals = linalg.QuotientSpace.of_functionals
+
+    def spy(*args):
+        built.append(of_functionals(*args))
+        return built[-1]
+
+    monkeypatch.setattr(linalg.QuotientSpace, "of_functionals", staticmethod(spy))
+    forms.form_from_anti_automorphism(M, alpha, end)
+    (quo,) = built
+    return quo
+
+
+def _assert_same_quotient(quo, M, alpha, end, seed):
+    """Equal free columns, and equal ``project`` on every unit vector of M (x) M and on
+    random vectors; ``lift`` inverts ``project`` on the basis."""
+    ref = RelationRowQuotient(M, alpha, end)
+    assert quo.free_columns == ref.free_columns
+    field, dd = M.algebra.field, M.dim * M.dim
+    rng = random.Random(seed)
+    vectors = [unit_vector(field, dd, c) for c in range(dd)]
+    vectors += [tuple(field.coerce(rng.randint(-9, 9)) for _ in range(dd)) for _ in range(5)]
+    for v in vectors:
+        assert quo.project(v) == ref.project(v)
+    for l in range(quo.dim):
+        assert quo.project(quo.lift(unit_vector(field, quo.dim, l))) == unit_vector(field, quo.dim, l)
+
+
+def _algebra_and_gamma(field, name):
+    if name == "M2":
+        A = alg.matrix_algebra(field, 2)
+        return A, transpose_map(A, 2)
+    if name == "UT3":
+        A = alg.upper_triangular_algebra(field, 3)
+        return A, ut_flip_map(A, 3)
+    A = alg.quaternion_algebra(field)
+    return A, alg.quaternion_conjugation(A)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("name", ("M2", "UT3", "H"))
+@pytest.mark.parametrize("field", (QQ, F5, Field(10007)), ids=str)
+def test_balancing_quotient_agrees_with_the_relation_rows(field, name, n, monkeypatch):
+    # the gamma-transpose on M_n(A) = End(A^n), as reduce_to_standard realizes it
+    A, gamma = _algebra_and_gamma(field, name)
+    alpha, end = inv.transpose_gamma(gamma, n), inv.matrix_ring_end_data(A, n)
+    quo = _built_quotient(monkeypatch, end.module, alpha, end)
+    _assert_same_quotient(quo, end.module, alpha, end, seed=n)
+
+
+@pytest.mark.parametrize("field", (QQ, F5, Field(10007)), ids=str)
+def test_balancing_quotient_without_carried_generators(field, monkeypatch):
+    # the regular module of UT_3 through the checking constructor carries no module
+    # generators, so the spin of End(M) starts from unit vectors
+    A, gamma = _algebra_and_gamma(field, "UT3")
+    M = mod.Module(A, A.dim, mod.regular_module(A).action)
+    assert M.generators == ()
+    sym = _symmetric_form(A, gamma)
+    b = forms.BilinearForm(M, sym.values, sym.tensor)
+    alpha, end = forms.corresponding_anti_automorphism(b)
+    quo = _built_quotient(monkeypatch, M, alpha, end)
+    _assert_same_quotient(quo, M, alpha, end, seed=0)

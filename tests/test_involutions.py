@@ -2,7 +2,7 @@
 
 import pytest
 
-from fdalg import algebras as alg, forms, involutions as inv, modules as mod, verify
+from fdalg import algebras as alg, forms, involutions as inv, linalg, modules as mod, verify
 from fdalg.errors import DimensionError, NoSymmetricUnitError, VerificationError
 from fdalg.linalg import Field, Matrix, QQ
 
@@ -57,6 +57,30 @@ def test_hyperbolic_solves_hom_into_the_regular_module_once_per_module(monkeypat
     inv.hyperbolic_involution(K, forms.standard_involution(K, gamma), P)
     names = {id(K.module(1)): "K_1", id(P): "P"}
     assert [names.get(id(M), repr(M)) for M in solves] == ["K_1", "P"]
+
+
+def test_reduce_to_standard_solves_the_balancing_quotient_over_end(monkeypatch):
+    # the functionals on M (x) M come from one hom space over E = End(A^n) whose spin
+    # starts from 1 in the first slot, so K = 1; no RowSpace on M (x) M takes relation rows
+    A = alg.upper_triangular_algebra(Field(10007), 3)
+    n, d = 2, 2 * A.dim
+    spins, inserts = [], {}
+    hom_space, insert = mod.hom_space, linalg.RowSpace.insert
+
+    def spied_hom_space(M, N):
+        spins.append((M.algebra, M.spin[2].nrows))
+        return hom_space(M, N)
+
+    def counted_insert(space, v):
+        if space.ncols == d * d:
+            inserts[id(space)] = inserts.get(id(space), 0) + 1
+        return insert(space, v)
+
+    monkeypatch.setattr(forms, "hom_space", spied_hom_space)
+    monkeypatch.setattr(linalg.RowSpace, "insert", counted_insert)
+    red = inv.reduce_to_standard(inv.transpose_gamma(ut_flip_map(A, 3), n), A, n)
+    assert [k for E, k in spins if E == red.end.algebra] == [1]
+    assert inserts and max(inserts.values()) <= 2 * red.values.dim
 
 
 def test_hyperbolic_over_m2f5():

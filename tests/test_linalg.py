@@ -401,6 +401,43 @@ def test_annihilator_is_the_kernel_of_the_echelon_basis(A):
     assert all((A * Matrix.column(A.field, f)).is_zero() for f in ann)
 
 
+@given(st.sampled_from((QQ, Field(101))), st.integers(1, 6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_quotient_constructors_agree(field, n, data):
+    # QuotientSpace(space) and QuotientSpace.of_functionals on any basis of the
+    # annihilator, in any order and scaling, plus a redundant combination
+    entry = st.integers(-3, 3)
+    rows = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=n))
+    space = _rowspace(field, n, [tuple(map(field.coerce, r)) for r in rows])
+    quo = QuotientSpace(space)
+    ann = space.annihilator()
+    k = len(ann)
+    order = data.draw(st.permutations(range(k)))
+    scales = data.draw(st.lists(st.integers(-5, 5).filter(bool), min_size=k, max_size=k))
+    # row i of an upper unitriangular mix, then scaled: still a basis of the annihilator
+    mix = [[scales[i] if j == i else (data.draw(entry) if j > i else 0) for j in range(k)]
+           for i in range(k)]
+    functionals = [vcombine(field, n, list(map(field.coerce, mix[i])), [ann[o] for o in order])
+                   for i in range(k)]
+    if k:
+        functionals.append(vcombine(field, n, [1] * k, functionals))
+    other = QuotientSpace.of_functionals(field, n, functionals)
+    assert other.free_columns == quo.free_columns == [c for c in range(n)
+                                                      if c not in space.pivots]
+    assert other.projections == quo.projections
+    vectors = [unit_vector(field, n, c) for c in range(n)]
+    vectors += [tuple(map(field.coerce, data.draw(st.lists(st.integers(-9, 9), min_size=n,
+                                                           max_size=n)))) for _ in range(3)]
+    for v in vectors:
+        reduced = space.reduce(v)
+        assert other.project(v) == quo.project(v) == tuple(reduced[c] for c in quo.free_columns)
+        assert_field_elements(field, other.project(v))
+    for c in range(k):
+        e = unit_vector(field, k, c)
+        assert other.lift(e) == quo.lift(e)
+        assert other.project(other.lift(e)) == e
+
+
 @given(st.sampled_from(SCALAR_FIELDS), st.integers(1, 4), st.integers(1, 4), st.data())
 @settings(max_examples=80, deadline=None)
 def test_scalars_are_canonical_field_elements(field, n, m, data):

@@ -144,6 +144,9 @@ TRUSTED_SITES = {
     "forms.DoubleModule._store", "forms.EndData.of_module",
     "forms.corresponding_anti_automorphism", "forms.dual_module", "forms.orthogonal_sum",
     "forms.standard_double_module",
+    # two actions of End(M) on F^d: w -> mat(alpha(w)), a right action as alpha is anti
+    # and mat(w o v) = mat(v) mat(w); and w -> mat(w)^T, by the same identity transposed
+    "forms.form_from_anti_automorphism",
     "involutions.hyperbolic_involution", "involutions.matrix_ring_end_data",
     "modules.change_of_basis", "modules.direct_sum", "modules.endomorphism_algebra",
     "modules.regular_module", "modules.submodule",
