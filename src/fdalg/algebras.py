@@ -512,8 +512,8 @@ def _quotient(A: Algebra, ideal_vectors: Sequence[Sequence]):
     quo = QuotientSpace(space)
     if quo.dim == 0:
         raise DimensionError("quotient by the whole algebra")
-    lifts = [quo.lift(unit_vector(field, quo.dim, i)) for i in range(quo.dim)]
-    table = [[quo.project(A.mul(x, y)) for y in lifts] for x in lifts]
+    free = quo.free_columns  # the basis lifts to the unit vectors there
+    table = [[quo.project(A.product(i, j)) for j in free] for i in free]
     unit = quo.project(A.unit)
     names = [f"q{i}" for i in range(quo.dim)]
     # the quotient of an algebra by a two-sided ideal inherits its laws

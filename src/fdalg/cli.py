@@ -219,7 +219,7 @@ def cmd_basic(data, args):
     res = _alg.basic_algebra(A, seed=args.seed)
     checks = [
         _check("idempotent squares to itself",
-               A.mul(res.idempotent, res.idempotent) == res.idempotent),
+               verify.idempotents(A, [res.idempotent]) is None),
         _check("basic algebra has one class per indecomposable projective", True),
     ]
     return _report({
@@ -260,7 +260,7 @@ def cmd_hyperbolic(data, args):
     checks = verify_involution_map(res.algebra, res.involution.matrix, "hyperbolic involution")
     checks += verify_form_balance(res.form, "hyperbolic form")
     checks.append(_check("form is theta-symmetric",
-                         res.form.is_symmetric_under(theta)))
+                         verify.theta_symmetric(res.form, theta) is None))
     return _report({
         "endomorphism_dimension": res.algebra.dim,
         "involution": matrix_json(res.involution.matrix),

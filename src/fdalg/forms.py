@@ -23,8 +23,7 @@ from .linalg import (
     RowSpace,
     coordinate_rows,
     invert,
-    unit_vector,
-    unvec,
+    vcombine,
     vec,
     vzero,
 )
@@ -129,14 +128,6 @@ class BilinearForm(verify.Verified):
             raise DimensionError("form tensor must be dim_M x dim_M")
         if d and any(len(cell) != values.dim for row in self.tensor for cell in row):
             raise DimensionError("form values have wrong dimension")
-
-    def is_symmetric_under(self, theta: DoubleModuleInvolution) -> bool:
-        d = self.module.dim
-        return all(
-            self.tensor[i][j] == theta.apply(self.tensor[j][i])
-            for i in range(d)
-            for j in range(d)
-        )
 
 
 # -- standard double modules -------------------------------------------
@@ -346,9 +337,8 @@ class FormFromAntiResult:
         self.involution = involution
 
 
-def form_from_anti_automorphism(M: Module, alpha: AlgebraMap,
-                                end: EndData) -> FormFromAntiResult:
-    """Realize an anti-automorphism of End(M) by a bilinear form.
+def form_from_anti_automorphism(alpha: AlgebraMap, end: EndData) -> FormFromAntiResult:
+    """Realize an anti-automorphism of End(M), M = ``end.module``, by a bilinear form.
 
     Builds the tensor square of M modulo the End-balancing relations
     (alpha(w) m (x) n = m (x) w n), installs the two twisted actions, and
@@ -364,6 +354,12 @@ def form_from_anti_automorphism(M: Module, alpha: AlgebraMap,
     generators of M cut it short (K = 1 for A^n).  :meth:`QuotientSpace.of_functionals`
     reads the echelon complement of the relations off their span: the basis is unchanged.
 
+    Every installed row is read off p_j = ``quo.projections[j]``, the class of e_j.  The
+    free column c = s d + u stands for e_s (x) e_u, and with rho_t the action of e_t on M,
+    row c of action0(e_t) is sum_j rho_t[u, j] p_(s d + j) (e_s (x) e_u rho_t), row c of
+    action1(e_t) is sum_i rho_t[s, i] p_(i d + u) (e_s rho_t (x) e_u), and row c of theta
+    is p_(u d + s) (e_u (x) e_s); the tensor is b(e_i, e_j) = p_(j d + i).
+
     The balance laws and the theta-symmetry of b prove that the actions and the swap
     keep the relations rel.  With P = ``quo.project``, L = ``quo.lift`` and T the action
     of e_t on M (x) M, the installed A_t is P T L.  As b(x, y) = P(y (x) x), the balance
@@ -371,6 +367,7 @@ def form_from_anti_automorphism(M: Module, alpha: AlgebraMap,
     rel: the law holds exactly when T(rel) lies in rel.  ``BilinearForm`` proves it on
     ``A.generators``, which suffice: the a whose action keeps rel form a subalgebra.  With
     the swap S and theta = P S L, b is theta-symmetric exactly when S(rel) lies in rel."""
+    M = end.module
     A = M.algebra
     field = A.field
     if alpha.source != end.algebra or alpha.target != end.algebra:
@@ -388,29 +385,21 @@ def form_from_anti_automorphism(M: Module, alpha: AlgebraMap,
     # w -> mat(w)^T is one: (mat(v) mat(w))^T = mat(w)^T mat(v)^T, and mat(1) = I
     transposed = Module._trusted(E, d, [w.transpose() for w in end.maps], ())
     quo = QuotientSpace.of_functionals(field, d * d, map(vec, hom_space(twisted, transposed).basis))
-    k_dim = quo.dim
+    k_dim, P = quo.dim, quo.projections
     if k_dim == 0:
         raise VerificationError("balancing relations collapse the tensor square")
-
-    def tensor_action(v: Sequence, rho: Matrix, side: int) -> tuple:
-        # v . (I x rho) = vec(V rho); v . (rho x I) = vec(rho^T V)
-        V = unvec(field, v, d, d)
-        return vec(V * rho if side == 0 else rho.transpose() * V)
-
-    lifts = [quo.lift(unit_vector(field, k_dim, l)) for l in range(k_dim)]
-    action0, action1 = (
-        [Matrix(field, [quo.project(tensor_action(l, rho, side)) for l in lifts], ncols=k_dim)
-         for rho in M.action]
-        for side in (0, 1))
+    cols = [divmod(c, d) for c in quo.free_columns]
+    action0 = [Matrix(field, [vcombine(field, k_dim, rho.rows[u], P[s * d:s * d + d])
+                              for s, u in cols], ncols=k_dim) for rho in M.action]
+    action1 = [Matrix(field, [vcombine(field, k_dim, rho.rows[s], P[u::d])
+                              for s, u in cols], ncols=k_dim) for rho in M.action]
     K = DoubleModule(A, k_dim, action0, action1)
-    # b(x,y) = y (x) x
-    b = BilinearForm(M, K, [[quo.projections[j * d + i] for j in range(d)] for i in range(d)])
+    b = BilinearForm(M, K, [[P[j * d + i] for j in range(d)] for i in range(d)])
     theta = None
     if alpha.is_involution():
-        # y (x) x -> x (x) y
-        rows = [quo.project(vec(unvec(field, l, d, d).transpose())) for l in lifts]
-        theta = DoubleModuleInvolution(K, Matrix(field, rows, ncols=k_dim))
-        if not b.is_symmetric_under(theta):
+        theta = DoubleModuleInvolution(K, Matrix(field, [P[u * d + s] for s, u in cols],
+                                                 ncols=k_dim))
+        if verify.theta_symmetric(b, theta) is not None:
             raise VerificationError("constructed form is not theta-symmetric")
     adj = adjoints(b)
     if not (adj.left_regular and adj.right_regular):

@@ -150,7 +150,7 @@ def hyperbolic_involution(K: DoubleModule, theta: DoubleModuleInvolution,
     tensor = ([[zero] * p + [g.rows[i] for g in H1.basis] for i in range(p)]
               + [list((f * theta.matrix).rows) + [zero] * q for f in H1.basis])
     b = BilinearForm._trusted(M, K, tensor)
-    if not b.is_symmetric_under(theta):
+    if verify.theta_symmetric(b, theta) is not None:
         raise VerificationError("hyperbolic form is not theta-symmetric")
     # corresponding_anti_automorphism checks that b is regular on both sides
     alpha, end = corresponding_anti_automorphism(b)
@@ -251,7 +251,7 @@ def reduce_to_standard(alpha: AlgebraMap, A: Algebra, n: int,
     if alpha.source != W or alpha.target != W:
         raise DimensionError("alpha must be defined on M_n(A)")
     end = matrix_ring_end_data(A, n)
-    res = form_from_anti_automorphism(end.module, alpha, end)
+    res = form_from_anti_automorphism(alpha, end)
     K = res.values
     reg = regular_module(A)
     psi = is_isomorphic(K.module(1), reg, seed=seed)

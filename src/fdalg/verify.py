@@ -279,6 +279,16 @@ def balanced(b) -> Optional[str]:
     return None
 
 
+def theta_symmetric(b, theta) -> Optional[str]:
+    """b(m_i, m_j) = theta(b(m_j, m_i)) for every basis pair (i, j)."""
+    tensor, d = b.tensor, b.module.dim
+    for i in range(d):
+        for j in range(d):
+            if tensor[i][j] != theta.apply(tensor[j][i]):
+                return f"theta symmetry fails at basis pair ({i}, {j})"
+    return None
+
+
 def corresponds(b, alpha, end) -> Optional[str]:
     """b(w x, y) = b(x, alpha(w) y) for generators w of End(M) (``end``), x, y in a basis:
     the w where it holds form a subalgebra holding 1, as alpha is an anti-automorphism.

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fdalg import algebras as alg
 from fdalg import forms, modules as mod, posets as ps
-from fdalg.linalg import Matrix, RowSpace, invert
+from fdalg.linalg import Matrix, RowSpace, invert, unit_vector, unvec, vec
 
 
 def dense_table(A: alg.Algebra) -> tuple:
@@ -162,3 +162,20 @@ class RelationRowQuotient:
     def project(self, v) -> tuple:
         r = self.space.reduce(v)
         return tuple(r[c] for c in self.free_columns)
+
+
+def lifted_tensor_actions(quo, M):
+    """(action0, action1, swap) on M (x) M modulo the balancing relations, the long way:
+    each basis vector of ``quo`` is lifted to a d x d tensor V, carried to V rho (action0),
+    rho^T V (action1) or V^T (the swap) for each action rho of M, and projected back.  The
+    reference for the rows that ``forms.form_from_anti_automorphism`` reads off
+    ``quo.projections``."""
+    field, d, k = M.algebra.field, M.dim, quo.dim
+    lifts = [unvec(field, quo.lift(unit_vector(field, k, l)), d, d) for l in range(k)]
+
+    def installed(image):
+        return Matrix(field, [quo.project(vec(image(V))) for V in lifts], ncols=k)
+
+    return ([installed(lambda V, rho=rho: V * rho) for rho in M.action],
+            [installed(lambda V, rho=rho: rho.transpose() * V) for rho in M.action],
+            installed(Matrix.transpose))

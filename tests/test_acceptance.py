@@ -83,7 +83,7 @@ def test_criterion_1_correspondence_round_trip():
                     b = forms.form_from_adjoint(M, K, H1, f)
                     alpha, end = forms.corresponding_anti_automorphism(b)
                     assert _independent_anti_check(end.algebra, alpha)
-                    res = forms.form_from_anti_automorphism(M, alpha, end)
+                    res = forms.form_from_anti_automorphism(alpha, end)
                     back, _ = forms.corresponding_anti_automorphism(res.form, end)
                     assert back.matrix == alpha.matrix
                     count += 1

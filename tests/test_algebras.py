@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from fdalg import algebras as alg, modules as mod, posets as ps, verify
+from fdalg import algebras as alg, linalg, modules as mod, posets as ps, verify
 from fdalg.errors import (
     UnsplitQuotientError,
     UnsupportedCharacteristicError,
@@ -363,6 +363,20 @@ def test_subalgebra_and_quotient_roundtrip():
     assert Q.dim == 2
     assert alg.jacobson_radical(Q) == []
 
+
+def test_quotient_algebra_lifts_no_basis_vector(monkeypatch):
+    # the quotient basis lifts to the unit vectors at the free columns, so the table
+    # projects the stored products e_i e_j of those columns
+    UT3 = alg.upper_triangular_algebra(QQ, 3)
+    J = alg.jacobson_radical(UT3)
+
+    def refuse(*args):
+        raise AssertionError("QuotientSpace.lift called")
+
+    monkeypatch.setattr(linalg.QuotientSpace, "lift", refuse)
+    Q, quo = alg.quotient_algebra(UT3, J)
+    assert Q.dim == 3 and quo.free_columns == [0, 3, 5]
+    assert Q.unit == (1, 1, 1) and verify.associative_unital(Q) is None
 
 def _random_poset(seed: int, size: int = 5) -> ps.Poset:
     rng = random.Random(seed)

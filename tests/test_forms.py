@@ -2,6 +2,7 @@
 
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, find, given, settings, strategies as st
@@ -16,6 +17,7 @@ from helpers import (
     assert_field_elements,
     identity_anti,
     in_basis,
+    lifted_tensor_actions,
     random_adjoint,
     random_regular_form,
     transpose_map,
@@ -203,7 +205,7 @@ def test_theta_symmetric_form_gives_involution():
     for seed in range(40):
         f = random_adjoint(R, D1, seed)
         b = forms.form_from_adjoint(R, K, H1, f)
-        if not b.is_symmetric_under(theta):
+        if verify.theta_symmetric(b, theta) is not None:
             # symmetrize: b'(x,y) = b(x,y) + theta(b(y,x))
             t2 = [
                 [
@@ -219,7 +221,7 @@ def test_theta_symmetric_form_gives_involution():
         adj = forms.adjoints(b)
         if not (adj.left_regular and adj.right_regular):
             continue
-        assert b.is_symmetric_under(theta)
+        assert verify.theta_symmetric(b, theta) is None
         alpha, _ = forms.corresponding_anti_automorphism(b)
         assert alpha.is_involution()
         found += 1
@@ -238,7 +240,7 @@ def test_form_from_anti_automorphism_on_regular():
         M = mod.regular_module(A)
         b = random_regular_form(M, forms.standard_double_module(A, gamma), seed=1)
         alpha, end = forms.corresponding_anti_automorphism(b)
-        res = forms.form_from_anti_automorphism(M, alpha, end)
+        res = forms.form_from_anti_automorphism(alpha, end)
         assert res.values.dim == A.dim
         back, _ = forms.corresponding_anti_automorphism(res.form, end)
         assert back.matrix == alpha.matrix
@@ -259,7 +261,7 @@ def test_form_from_anti_automorphism_refuses_maps_that_are_not_module_maps():
     assert any(w * rho != rho * w for w in bad.maps for rho in M.action)
     with pytest.raises(VerificationError,
                        match=r"^left balance law fails at basis triple \(0, 0, 0\)$"):
-        forms.form_from_anti_automorphism(M, alpha, bad)
+        forms.form_from_anti_automorphism(alpha, bad)
 
 
 def test_dual_morphism_refuses_maps_that_are_not_module_maps():
@@ -293,7 +295,7 @@ def test_theta_alpha_square_identity():
     M = mod.free_module(FQ, 2)
     t = [[[1 if i == j else 0] for j in range(2)] for i in range(2)]
     alpha, end = forms.corresponding_anti_automorphism(forms.BilinearForm(M, KF, t))
-    res = forms.form_from_anti_automorphism(M, alpha, end)
+    res = forms.form_from_anti_automorphism(alpha, end)
     assert res.involution is not None
     T = res.involution.matrix
     assert (T * T).is_identity()
@@ -447,7 +449,7 @@ def test_only_phi_map_builds_a_dual_module(name, monkeypatch):
     adj = forms.adjoints(b)
     assert adj.left_regular and adj.right_regular
     alpha, end = forms.corresponding_anti_automorphism(b)
-    res = forms.form_from_anti_automorphism(M, alpha, end)
+    res = forms.form_from_anti_automorphism(alpha, end)
     assert forms.corresponding_anti_automorphism(res.form, end)[0].matrix == alpha.matrix
 
     def count(*args):
@@ -596,14 +598,14 @@ def _m2_and_ut3(field):
 
 @functools.lru_cache(maxsize=None)
 def _real_cases(field):
-    """(M, alpha, end) for the regular modules of M_2 and UT_3, with alpha the map of
+    """(alpha, end) for the regular modules of M_2 and UT_3, with alpha the map of
     a symmetric form (an involution) and of a random regular form."""
     out = []
     for A, gamma in _m2_and_ut3(field):
         M = mod.regular_module(A)
         for b in (_symmetric_form(A, gamma),
                   random_regular_form(M, forms.standard_double_module(A, gamma), seed=1)):
-            out.append((M, *forms.corresponding_anti_automorphism(b)))
+            out.append(forms.corresponding_anti_automorphism(b))
     return out
 
 
@@ -611,10 +613,11 @@ def _keeps_every_row(d, R, image):
     return all(R.contains(vec(image(unvec(R.field, r, d, d)))) for r in R.rows)
 
 
-def _keeps_relations(M, alpha, end):
+def _keeps_relations(alpha, end):
     """The row-by-row oracle: the balancing relations are a proper nonzero subspace,
     kept by v -> vec(V rho) (action0) and vec(rho^T V) (action1) on V = unvec(v) for
-    every rho of M, and by vec(V^T) (the swap) when alpha is an involution."""
+    every rho of M = ``end.module``, and by vec(V^T) (the swap) when alpha is an involution."""
+    M = end.module
     d, rel = M.dim, _balancing_relations(M, alpha, end)
     maps = [f for rho in M.action
             for f in (lambda V, rho=rho: V * rho, lambda V, rho=rho: rho.transpose() * V)]
@@ -631,10 +634,11 @@ def test_real_relations_are_stable_under_the_algebra():
 
 @st.composite
 def _conjugated_cases(draw):
-    """(M, alpha, end') with end' the End maps of a real case conjugated by an invertible
+    """(alpha, end') with end' the End maps of a real case conjugated by an invertible
     T: a random one, or L(u) for a unit u, which is A-linear and keeps them in End(M)."""
     field = draw(st.sampled_from(FIELDS))
-    M, alpha, end = draw(st.sampled_from(_real_cases(field)))
+    alpha, end = draw(st.sampled_from(_real_cases(field)))
+    M = end.module
     A, entry = M.algebra, st.integers(-2, 2)
     if draw(st.booleans()):
         T = A.left_mult_matrix(A.coerce_element(draw(st.lists(entry, min_size=A.dim,
@@ -646,7 +650,7 @@ def _conjugated_cases(draw):
     if T_inv is None:
         T = T_inv = Matrix.identity(field, M.dim)
     maps = [T_inv * w * T for w in end.maps]
-    return M, alpha, forms.EndData._trusted(end.algebra, mod.HomSpace(M, M, maps))
+    return alpha, forms.EndData._trusted(end.algebra, mod.HomSpace(M, M, maps))
 
 
 def _outcome(case):
@@ -741,7 +745,7 @@ def test_corresponds_agrees_with_the_round_trip(field):
     checked = 0
     for M, b in cases:
         alpha, end = forms.corresponding_anti_automorphism(b)
-        built = forms.form_from_anti_automorphism(M, alpha, end).form
+        built = forms.form_from_anti_automorphism(alpha, end).form
         betas = [alpha] + [_conjugate(alpha, end, c)
                            for c in _units_fixing_first_generator(alpha, end)]
         for form in (b, built):
@@ -754,8 +758,8 @@ def test_corresponds_agrees_with_the_round_trip(field):
 
 # -- the balancing quotient against the relation rows --------------------
 
-def _built_quotient(monkeypatch, M, alpha, end):
-    """The QuotientSpace that form_from_anti_automorphism builds for (M, alpha, end)."""
+def _built(monkeypatch, alpha, end):
+    """form_from_anti_automorphism(alpha, end) and the QuotientSpace it builds."""
     built = []
     of_functionals = linalg.QuotientSpace.of_functionals
 
@@ -764,9 +768,9 @@ def _built_quotient(monkeypatch, M, alpha, end):
         return built[-1]
 
     monkeypatch.setattr(linalg.QuotientSpace, "of_functionals", staticmethod(spy))
-    forms.form_from_anti_automorphism(M, alpha, end)
+    res = forms.form_from_anti_automorphism(alpha, end)
     (quo,) = built
-    return quo
+    return res, quo
 
 
 def _assert_same_quotient(quo, M, alpha, end, seed):
@@ -802,7 +806,7 @@ def test_balancing_quotient_agrees_with_the_relation_rows(field, name, n, monkey
     # the gamma-transpose on M_n(A) = End(A^n), as reduce_to_standard realizes it
     A, gamma = _algebra_and_gamma(field, name)
     alpha, end = inv.transpose_gamma(gamma, n), inv.matrix_ring_end_data(A, n)
-    quo = _built_quotient(monkeypatch, end.module, alpha, end)
+    _, quo = _built(monkeypatch, alpha, end)
     _assert_same_quotient(quo, end.module, alpha, end, seed=n)
 
 
@@ -816,5 +820,83 @@ def test_balancing_quotient_without_carried_generators(field, monkeypatch):
     sym = _symmetric_form(A, gamma)
     b = forms.BilinearForm(M, sym.values, sym.tensor)
     alpha, end = forms.corresponding_anti_automorphism(b)
-    quo = _built_quotient(monkeypatch, M, alpha, end)
+    _, quo = _built(monkeypatch, alpha, end)
     _assert_same_quotient(quo, M, alpha, end, seed=0)
+
+
+# -- the installed rows against the lifted tensors -----------------------
+
+def _assert_rows_match_the_lifted_tensors(res, quo, M):
+    """action0, action1 and the swap equal those of :func:`lifted_tensor_actions`
+    entry by entry, types included; over Q every entry is canonical."""
+    action0, action1, swap = lifted_tensor_actions(quo, M)
+    built = [*res.values.action0, *res.values.action1]
+    expected = [*action0, *action1]
+    if res.involution is not None:
+        built.append(res.involution.matrix)
+        expected.append(swap)
+    entries, reference = ([x for m in ms for row in m.rows for x in row] for ms in (built, expected))
+    assert [(type(x), x) for x in entries] == [(type(x), x) for x in reference]
+    if M.algebra.field is QQ:
+        assert_field_elements(QQ, entries)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("name", ("M2", "UT3", "H"))
+@pytest.mark.parametrize("field", (QQ, F5, Field(10007)), ids=str)
+def test_installed_rows_match_the_lifted_tensors(field, name, n, monkeypatch):
+    A, gamma = _algebra_and_gamma(field, name)
+    alpha, end = inv.transpose_gamma(gamma, n), inv.matrix_ring_end_data(A, n)
+    res, quo = _built(monkeypatch, alpha, end)
+    assert res.involution is not None
+    _assert_rows_match_the_lifted_tensors(res, quo, end.module)
+
+
+@pytest.mark.parametrize("form", ("symmetric", "random"))
+@pytest.mark.parametrize("name", ("M2", "UT3"))
+@pytest.mark.parametrize("field", (QQ, F5, Field(10007)), ids=str)
+def test_installed_rows_match_the_lifted_tensors_without_carried_generators(field, name, form,
+                                                                           monkeypatch):
+    # the regular module through the checking constructor carries no module generators;
+    # the map of a random regular form is no involution, so no swap is installed
+    A, gamma = _algebra_and_gamma(field, name)
+    M = mod.Module(A, A.dim, mod.regular_module(A).action)
+    assert M.generators == ()
+    K = forms.standard_double_module(A, gamma)
+    b = (forms.BilinearForm(M, K, _symmetric_form(A, gamma).tensor) if form == "symmetric"
+         else random_regular_form(M, K, seed=1))
+    alpha, end = forms.corresponding_anti_automorphism(b)
+    res, quo = _built(monkeypatch, alpha, end)
+    assert (res.involution is None) == (form == "random")
+    _assert_rows_match_the_lifted_tensors(res, quo, M)
+
+
+def test_installed_rows_match_the_lifted_tensors_on_a_fractional_basis(monkeypatch):
+    # UT_3 on a basis with fractional coordinates: its actions hold Fractions whose sums
+    # can be integral, which only the coercion of the installed rows makes ints
+    UT3 = alg.upper_triangular_algebra(QQ, 3)
+    rng = random.Random(4)
+    T = None
+    while T is None or invert(T) is None:
+        T = Matrix(QQ, [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(6)]
+                        for _ in range(6)])
+    A, T_inv, flip = in_basis(UT3, T), invert(T), ut_flip_map(UT3, 3)
+    gamma = alg.AlgebraMap.from_images(A, A, [T_inv.act_row(flip.apply(r)) for r in T.rows],
+                                       alg.AlgebraMap.ANTI)
+    M = mod.regular_module(A)
+    b = random_regular_form(M, forms.standard_double_module(A, gamma), seed=1)
+    alpha, end = forms.corresponding_anti_automorphism(b)
+    res, quo = _built(monkeypatch, alpha, end)
+    _assert_rows_match_the_lifted_tensors(res, quo, M)
+
+def test_form_from_anti_automorphism_lifts_and_projects_no_vector(monkeypatch):
+    A, gamma = _algebra_and_gamma(F5, "UT3")
+    alpha, end = inv.transpose_gamma(gamma, 2), inv.matrix_ring_end_data(A, 2)
+
+    def refuse(*args):
+        raise AssertionError("QuotientSpace.lift or QuotientSpace.project called")
+
+    monkeypatch.setattr(linalg.QuotientSpace, "lift", refuse)
+    monkeypatch.setattr(linalg.QuotientSpace, "project", refuse)
+    res = forms.form_from_anti_automorphism(alpha, end)
+    assert res.values.dim == A.dim and res.involution is not None

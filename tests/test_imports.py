@@ -53,3 +53,42 @@ def test_the_check_sees_an_unused_import():
               "__all__ = ['vec']\n"
               "def f(x: Sequence) -> 'Optional[int]':\n    return None\n")
     assert unused_imports(source) == [(4, "vcombine")]
+
+
+def orphaned_helpers(sources: dict) -> list:
+    """(file, name) for each module-level private function or class of ``sources``
+    (file -> text) that no code in them references outside its own definition.  A
+    reference is a name, an attribute (``_alg._quotient``) or a quoted annotation."""
+    defined, used = [], set()
+    for path, source in sources.items():
+        for top in ast.parse(source).body:
+            own = getattr(top, "name", None)
+            if own is not None and own.startswith("_") and not own.startswith("__"):
+                defined.append((path, own))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names = [n.id for n in _names_in(node.value)]
+                else:
+                    continue
+                used.update(n for n in names if n != own)
+    return [(path, name) for path, name in defined if name not in used]
+
+
+def test_every_private_helper_is_used():
+    assert orphaned_helpers({p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}) == []
+
+
+def test_the_check_sees_an_orphaned_helper():
+    sources = {
+        "a.py": ("def _used():\n    return 1\n"
+                 "def _orphan(n):\n    return _orphan(n - 1) if n else _used()\n"
+                 "class _Quoted:\n    pass\n"
+                 "def __getattr__(name):\n    return None\n"),
+        "b.py": ("from . import a\n"
+                 "def f() -> '_Quoted':\n    return a._used()\n"),
+    }
+    assert orphaned_helpers(sources) == [("a.py", "_orphan")]

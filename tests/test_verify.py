@@ -425,6 +425,15 @@ def test_balanced_proves_on_every_generator_and_names_the_first_basis_triple():
     assert verify.balanced(bad) == "left balance law fails at basis triple (0, 0, 0)"
 
 
+def test_theta_symmetric():
+    tensor = form_tensor()
+    assert verify.theta_symmetric(forms.BilinearForm(REG, K, tensor), THETA) is None
+    tensor[2][1][0] += 1                 # b(e21, e12) = e11 + e22 instead of e22
+    bad = SimpleNamespace(module=REG, tensor=[list(map(tuple, row)) for row in tensor])
+    # the pairs (1, 2) and (2, 1) both fail; row-major order reaches (1, 2) first
+    assert verify.theta_symmetric(bad, THETA) == "theta symmetry fails at basis pair (1, 2)"
+
+
 def test_anti_structure():
     assert verify.anti_structure(M2, TR, M2.unit) is None
     # v = e11 - e22 is its own inverse and transpose, but conjugation by it
